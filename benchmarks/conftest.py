@@ -10,6 +10,7 @@ laptop-friendly fraction of the paper's 10 000 bursts; set
 from __future__ import annotations
 
 import os
+import pathlib
 
 import pytest
 
@@ -26,6 +27,22 @@ collect_ignore_glob = [] if random_bursts is not None else ["test_*.py"]
 
 #: Number of random bursts used by the figure sweeps.
 BENCH_SAMPLES = int(os.environ.get("REPRO_BENCH_SAMPLES", "2000"))
+
+
+@pytest.fixture(scope="session")
+def artifact_dir(tmp_path_factory) -> pathlib.Path:
+    """Where the throughput benches write their ``BENCH_*.json`` files.
+
+    ``REPRO_BENCH_ARTIFACT_DIR`` when set (CI's ``benchmark-trajectory``
+    job sets it and uploads the files); otherwise a directory in the
+    pytest session's temp area, so a plain test run never rewrites the
+    tracked ``BENCH_*.json`` files.  Session-scoped, so benches that
+    share one artifact read and update the same file.
+    """
+    configured = os.environ.get("REPRO_BENCH_ARTIFACT_DIR")
+    if configured:
+        return pathlib.Path(configured)
+    return tmp_path_factory.mktemp("bench-artifacts")
 
 
 @pytest.fixture(scope="session")

@@ -18,13 +18,13 @@ Two gates:
   difference (48 MiB at the default), an order of magnitude above the
   margin.
 
-Results extend ``BENCH_ctrl_throughput.json`` under a ``"streaming"``
-key (read-modify-write, so the throughput bench's sections survive).
+Results extend ``BENCH_ctrl_throughput.json`` in ``conftest.py``'s
+``artifact_dir`` under a ``"streaming"`` key (read-modify-write, so the
+throughput bench's sections survive).
 """
 
 import json
 import os
-import pathlib
 import subprocess
 import sys
 
@@ -68,8 +68,7 @@ def _collect(process):
     return json.loads(stdout.splitlines()[-1])
 
 
-def _write_artifact(section):
-    directory = pathlib.Path(os.environ.get("REPRO_BENCH_ARTIFACT_DIR", "."))
+def _write_artifact(directory, section):
     path = directory / ARTIFACT_NAME
     try:
         payload = json.loads(path.read_text())
@@ -82,7 +81,7 @@ def _write_artifact(section):
 
 @pytest.mark.skipif(not HAVE_NUMPY,
                     reason="the batched write path requires NumPy")
-def test_streaming_rss_and_throughput_gate():
+def test_streaming_rss_and_throughput_gate(artifact_dir):
     # Both subprocesses run concurrently: wall time tracks the full-size
     # replay, and each still owns its ru_maxrss high-water mark.
     full_proc = _launch(STREAM_MIB)
@@ -99,7 +98,7 @@ def test_streaming_rss_and_throughput_gate():
         "full": full,
         "quarter": quarter,
     }
-    path = _write_artifact(section)
+    path = _write_artifact(artifact_dir, section)
 
     emit(f"streaming replay at {STREAM_MIB:g} MiB (artifact: {path})",
          f"| full | {full['transactions']} tx in {full['elapsed_s']}s "

@@ -19,14 +19,14 @@ reported ungated — it is the no-NumPy fallback, not the production
 path.  A coverage-curve row (multi-lane faults at the default rate
 grid) is reported for context.
 
-Every run persists its measurements to ``BENCH_reliability.json``
-(override the directory with ``REPRO_BENCH_ARTIFACT_DIR``), uploaded by
-CI's ``benchmark-trajectory`` job.
+Every run persists its measurements to ``BENCH_reliability.json`` in
+the ``artifact_dir`` of ``conftest.py`` (``REPRO_BENCH_ARTIFACT_DIR``,
+which CI's ``benchmark-trajectory`` job sets and uploads, else a pytest
+temp dir).
 """
 
 import json
 import os
-import pathlib
 import time
 
 import pytest
@@ -78,8 +78,7 @@ def _timed(fn):
     return time.perf_counter() - start
 
 
-def _write_artifact(payload):
-    directory = pathlib.Path(os.environ.get("REPRO_BENCH_ARTIFACT_DIR", "."))
+def _write_artifact(directory, payload):
     path = directory / ARTIFACT_NAME
     payload = {"schema": "repro.bench/reliability/1", **payload}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -88,7 +87,7 @@ def _write_artifact(payload):
 
 @pytest.mark.skipif(not HAVE_NUMPY,
                     reason="the gated word implementation requires NumPy")
-def test_fault_injection_throughput_gate():
+def test_fault_injection_throughput_gate(artifact_dir):
     bursts = RandomPopulation(count=BENCH_BURSTS, seed=0x0DB1).bursts()
     scheme = get_scheme("dbi-opt")
     prefix = bursts[:BENCH_BURSTS // REFERENCE_FRACTION]
@@ -131,7 +130,7 @@ def test_fault_injection_throughput_gate():
                                  seed=SEED)
     t_curve = time.perf_counter() - start
 
-    path = _write_artifact({
+    path = _write_artifact(artifact_dir, {
         "n_bursts": BENCH_BURSTS,
         "faults_per_burst": FAULTS_PER_BURST,
         "speedup_floor": SPEEDUP_FLOOR,

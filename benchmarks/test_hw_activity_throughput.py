@@ -14,14 +14,14 @@ fixed-coefficient OPT encoder at ``REPRO_BENCH_ACTIVITY_VECTORS``
 vectors (default 10 000), with bit-identical toggle tallies.  The NumPy
 path is reported (and sanity-gated at the same floor) on top.
 
-Every run persists its measurements to ``BENCH_hw_activity.json``
-(override the directory with ``REPRO_BENCH_ARTIFACT_DIR``) so CI keeps a
-perf trajectory of the gate-level layer.
+Every run persists its measurements to ``BENCH_hw_activity.json`` in
+the ``artifact_dir`` of ``conftest.py`` (``REPRO_BENCH_ARTIFACT_DIR``,
+else a pytest temp dir), so CI keeps a perf trajectory of the
+gate-level layer.
 """
 
 import json
 import os
-import pathlib
 import time
 
 from conftest import emit
@@ -104,8 +104,7 @@ def _measure(netlist: Netlist, vectors, reference_fraction: int = 1):
     return row
 
 
-def _write_artifact(rows):
-    directory = pathlib.Path(os.environ.get("REPRO_BENCH_ARTIFACT_DIR", "."))
+def _write_artifact(directory, rows):
     path = directory / ARTIFACT_NAME
     payload = {
         "schema": "repro.bench/hw_activity/1",
@@ -118,13 +117,13 @@ def _write_artifact(rows):
     return path
 
 
-def test_activity_throughput_gate():
+def test_activity_throughput_gate(artifact_dir):
     vectors = _vectors(BENCH_VECTORS)
     dc_row = _measure(build_dc_encoder(8), vectors)
     opt_row = _measure(build_opt_encoder(8), vectors,
                        reference_fraction=OPT_REFERENCE_FRACTION)
     rows = [dc_row, opt_row]
-    path = _write_artifact(rows)
+    path = _write_artifact(artifact_dir, rows)
 
     lines = [
         f"| {row['design']} | {row['n_gates']} gates "

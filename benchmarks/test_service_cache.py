@@ -16,14 +16,14 @@ with bit-identical series and totals.  A third, ungated row reports the
 same query served from the already-populated memory tier (the steady
 state of a long-running ``repro serve`` daemon).
 
-Every run persists its measurements to ``BENCH_service.json`` (override
-the directory with ``REPRO_BENCH_ARTIFACT_DIR``), uploaded by CI's
-``benchmark-trajectory`` job.
+Every run persists its measurements to ``BENCH_service.json`` in the
+``artifact_dir`` of ``conftest.py`` (``REPRO_BENCH_ARTIFACT_DIR``, which
+CI's ``benchmark-trajectory`` job sets and uploads, else a pytest temp
+dir).
 """
 
 import json
 import os
-import pathlib
 import tempfile
 import time
 
@@ -60,14 +60,9 @@ def _timed_run(spec, cache):
     return time.perf_counter() - start, result
 
 
-def _artifact_path():
-    directory = pathlib.Path(os.environ.get("REPRO_BENCH_ARTIFACT_DIR", "."))
-    return directory / ARTIFACT_NAME
-
-
-def _update_artifact(**sections):
+def _update_artifact(directory, **sections):
     """Read-modify-write the shared service artifact (tests share it)."""
-    path = _artifact_path()
+    path = directory / ARTIFACT_NAME
     try:
         payload = json.loads(path.read_text())
     except (OSError, ValueError):
@@ -83,7 +78,7 @@ def _update_artifact(**sections):
     return path
 
 
-def test_service_cache_warm_gate():
+def test_service_cache_warm_gate(artifact_dir):
     spec = alpha_experiment(
         RandomPopulation(count=BENCH_SAMPLES, seed=0x0DB1),
         points=BENCH_POINTS, include_fixed=True)
@@ -115,7 +110,7 @@ def test_service_cache_warm_gate():
          "encodes": 0, "speedup": round(cold_s / memory_s, 1),
          "gated": False},
     ]
-    path = _update_artifact(runs=rows)
+    path = _update_artifact(artifact_dir, runs=rows)
 
     lines = [
         f"| {row['tier']} | {row['seconds']:.3f}s "
@@ -132,7 +127,7 @@ def test_service_cache_warm_gate():
         f"(cold {cold_s:.3f}s, warm {warm_s:.3f}s)")
 
 
-def test_instrumentation_overhead_gate():
+def test_instrumentation_overhead_gate(artifact_dir):
     """Health counters + an idle chaos wrapper must stay under 5% warm.
 
     Times the warm (all cache hits) sweep twice, best-of-N each: once
@@ -163,7 +158,7 @@ def test_instrumentation_overhead_gate():
 
     overhead = wrapped_s / plain_s - 1.0
     budget_s = plain_s * OVERHEAD_CEILING + OVERHEAD_SLACK_S
-    path = _update_artifact(instrumentation={
+    path = _update_artifact(artifact_dir, instrumentation={
         "plain_warm_s": round(plain_s, 5),
         "instrumented_warm_s": round(wrapped_s, 5),
         "overhead_fraction": round(overhead, 4),

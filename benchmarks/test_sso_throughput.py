@@ -19,14 +19,14 @@ reported ungated — it is the no-NumPy fallback, not the production
 path.  A batched :class:`repro.phy.bus.MemoryBus` write row is reported
 for context (the same word-parallel layer driving per-wire counters).
 
-Every run persists its measurements to ``BENCH_phy_sso.json`` (override
-the directory with ``REPRO_BENCH_ARTIFACT_DIR``), uploaded by CI's
-``benchmark-trajectory`` job.
+Every run persists its measurements to ``BENCH_phy_sso.json`` in the
+``artifact_dir`` of ``conftest.py`` (``REPRO_BENCH_ARTIFACT_DIR``, which
+CI's ``benchmark-trajectory`` job sets and uploads, else a pytest temp
+dir).
 """
 
 import json
 import os
-import pathlib
 import time
 
 import pytest
@@ -71,8 +71,7 @@ def _timed(fn):
     return time.perf_counter() - start
 
 
-def _write_artifact(payload):
-    directory = pathlib.Path(os.environ.get("REPRO_BENCH_ARTIFACT_DIR", "."))
+def _write_artifact(directory, payload):
     path = directory / ARTIFACT_NAME
     payload = {"schema": "repro.bench/phy_sso/1", **payload}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -81,7 +80,7 @@ def _write_artifact(payload):
 
 @pytest.mark.skipif(not HAVE_NUMPY,
                     reason="the gated word implementation requires NumPy")
-def test_sso_throughput_gate():
+def test_sso_throughput_gate(artifact_dir):
     bursts = RandomPopulation(count=BENCH_BURSTS, seed=0x0DB1).bursts()
     scheme = get_scheme("dbi-opt")
     prefix = bursts[:BENCH_BURSTS // REFERENCE_FRACTION]
@@ -116,7 +115,7 @@ def test_sso_throughput_gate():
                     burst_length=8, backend="vector")
     t_bus = _best_of(TIMING_REPS, lambda: bus.write(payload))
 
-    path = _write_artifact({
+    path = _write_artifact(artifact_dir, {
         "n_bursts": BENCH_BURSTS,
         "beats": reference_stats.beats * REFERENCE_FRACTION,
         "speedup_floor": SPEEDUP_FLOOR,

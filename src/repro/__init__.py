@@ -83,7 +83,6 @@ from .core import (
     set_default_backend,
     solve,
     solve_batch,
-    solve_stream_batch,
 )
 from .baselines import BusInvert, DbiAc, DbiAcDc, DbiDc, DbiGreedyWeighted, Raw
 
@@ -119,6 +118,5 @@ __all__ = [
     "set_default_backend",
     "solve",
     "solve_batch",
-    "solve_stream_batch",
     "__version__",
 ]

@@ -56,7 +56,6 @@ from .vectorized import (
     resolve_backend,
     set_default_backend,
     solve_batch,
-    solve_stream_batch,
 )
 
 __all__ = [
@@ -72,7 +71,6 @@ __all__ = [
     "resolve_backend",
     "set_default_backend",
     "solve_batch",
-    "solve_stream_batch",
     "DBI_BIT",
     "DEFAULT_BURST_LENGTH",
     "DbiOptimal",

@@ -16,13 +16,15 @@ This module extends the paper's formulation to streams:
   the greedy weighted heuristic; ``window → stream length`` converges to
   the joint optimum — which the tests and the window-size ablation
   quantify.
-* :class:`BatchStreamingEncoder` — the batch sibling: the same windowed
-  trellis solved over ``(lanes, window)`` arrays at once through the
-  vector backend (:func:`repro.core.vectorized.solve_batch` with per-row
-  boundary words), for controllers that drive many byte lanes in
-  lock-step.  Per-lane decisions and activity tallies are bit-identical
-  to running one :class:`StreamingOptimalEncoder` per lane, which the
-  differential suite (``tests/core/test_streaming_batch.py``) enforces.
+* :class:`BatchStreamingEncoder` — the batch sibling for controllers
+  that drive many byte lanes: every full window of every lane in a push
+  is solved at once through the vector backend's Viterbi kernel
+  (:mod:`repro.core.vectorized`), from both states its boundary byte can
+  be in, and a scan over the windows then picks the committed decisions.
+  Per-lane decisions and activity tallies are bit-identical to running
+  one :class:`StreamingOptimalEncoder` per lane, which the differential
+  suites (``tests/core/test_streaming_batch.py`` and the exhaustive
+  ``tests/core/test_streaming_oracle.py``) enforce.
 
 This is the natural "integrate into future memories" extension the
 paper's conclusion sketches: a controller that optimises over the write
@@ -37,7 +39,7 @@ from typing import Iterable, List, Sequence, Tuple
 from .bitops import (
     ALL_ONES_WORD,
     BYTE_MASK,
-    WORD_WIDTH,
+    DBI_BIT,
     check_byte,
     check_word,
     make_word,
@@ -180,15 +182,20 @@ class BatchStreamingEncoder:
     ``window``/``commit`` cadence, same boundary-word chaining): whenever
     a lane has ``window`` bytes pending, the trellis is solved over that
     window and the first ``commit`` decisions are committed.  The batch
-    twist is that every lane currently holding the same number of pending
-    bytes is solved in one :func:`~repro.core.vectorized.solve_batch`
-    call over a ``(lanes, window)`` array with per-row boundary words —
-    the whole link advances in lock-step rounds instead of per byte.
+    twist is that a push does not walk those windows one after another.
+    Window *k* of a lane starts from the wire word of the byte just
+    before it, and that word is either the byte's raw or its inverted
+    word.  So every full window of every lane is solved at once, from
+    both states (window 0 from the lane's known bus word), in one
+    :func:`~repro.core.vectorized._viterbi_planes` call over strided
+    views of per-push integer edge planes.  A pointer-doubling scan over
+    the per-window boundary maps then picks each lane's committed
+    decisions, and the activity is tallied once per push.
 
     Decisions and the integer activity tallies (zeros, transitions,
     beats per lane) are **bit-identical** to the per-lane reference;
-    that is a guarantee (enforced by the differential suite), not an
-    approximation, because :func:`solve_batch` performs the reference
+    that is a guarantee (enforced by the differential suites), not an
+    approximation, because every window's solve performs the reference
     trellis's IEEE-754 operations in the reference order.
 
     Requires NumPy (the vector backend); per-lane reference encoding is
@@ -280,11 +287,32 @@ class BatchStreamingEncoder:
             if len(new):
                 self._pending[row] = np.concatenate(
                     [self._pending[row], new])
-        self._run_rounds(final=False)
+        self._commit_windows()
 
     def flush(self) -> None:
-        """Commit every pending byte on every lane (end of stream)."""
-        self._run_rounds(final=True)
+        """Commit every pending byte on every lane (end of stream).
+
+        Each lane's tail (fewer than ``window`` bytes) is one trellis
+        window solved from the lane's bus word; lanes with equal tails
+        share one solve.
+        """
+        from .vectorized import _viterbi_planes
+
+        np = self._np
+        tails: dict = {}
+        for row, buf in enumerate(self._pending):
+            if len(buf):
+                tails.setdefault(len(buf), []).append(row)
+        for length, rows_idx in tails.items():
+            idx = np.asarray(rows_idx, dtype=np.intp)
+            mat = np.stack([self._pending[row] for row in rows_idx])
+            planes = self._planes(idx, mat)
+            flags, _costs = _viterbi_planes(planes, self.model.alpha,
+                                            self.model.beta, length)
+            self._commit(idx, mat, planes, flags[:, 0, :, 0].T,
+                         np.full(len(idx), length))
+            for row in rows_idx:
+                self._pending[row] = np.zeros(0, dtype=np.uint8)
 
     @property
     def prev_words(self):
@@ -314,8 +342,8 @@ class BatchStreamingEncoder:
         """Re-price every future windowed solve on every lane.
 
         Same semantics as :meth:`StreamingOptimalEncoder.set_model`: the
-        change applies from the next :meth:`push`/:meth:`flush` round
-        (``_process_group`` reads the coefficients per call), committed
+        change applies from the next :meth:`push`/:meth:`flush` (each
+        reads the coefficients when it solves its windows), committed
         tallies are untouched, and pending bytes commit under the new
         model — keeping the two backends bit-identical when the
         controller switches models at submit boundaries.
@@ -334,74 +362,106 @@ class BatchStreamingEncoder:
         return out
 
     # -- internals ------------------------------------------------------------
-    def _run_rounds(self, final: bool) -> None:
-        """Drain every lane with >= window pending (all pending if final).
+    def _commit_windows(self) -> None:
+        """Commit every full window of every lane, all windows at once.
 
-        Lanes are grouped by pending length so each group advances
-        through its windows as one rectangular batch; a group leaves the
-        loop holding < window bytes (0 if final).
+        Window *k* of a lane covers pending bytes ``[k*commit, k*commit +
+        window)`` and starts from the wire word of byte ``k*commit - 1``,
+        which is that byte's raw or inverted word.  So every window is
+        solved up front from both of those states (window 0 from the
+        lane's bus word) in one :func:`~repro.core.vectorized._viterbi_planes`
+        call, and :meth:`_chain` then follows each lane's actual states.
+        Lanes without a full window are left alone.
         """
-        groups: dict = {}
-        floor = 1 if final else self.window
-        for row, buf in enumerate(self._pending):
-            if len(buf) >= floor:
-                groups.setdefault(len(buf), []).append(row)
-        np = self._np
-        for length, rows_idx in groups.items():
-            idx = np.asarray(rows_idx, dtype=np.intp)
-            mat = np.stack([self._pending[row] for row in rows_idx])
-            pos = self._process_group(idx, mat, final)
-            for slot, row in enumerate(rows_idx):
-                # Copy the (< window) leftover so the whole group matrix
-                # is not pinned in memory by a tiny view.
-                self._pending[row] = mat[slot, pos:].copy()
-
-    def _process_group(self, idx, mat, final: bool) -> int:
-        """Advance one equal-length group through its windows; return the
-        number of committed bytes per lane.
-
-        The raw/inverted wire-word planes are computed once for the
-        whole group matrix and sliced per round — every round is then a
-        single :func:`~repro.core.vectorized._viterbi_planes` call plus
-        the integer tallies.
-        """
-        from .vectorized import _viterbi_planes, _word_planes, popcount_table
+        from .vectorized import _viterbi_planes
 
         np = self._np
-        pop = popcount_table()
-        alpha, beta = self.model.alpha, self.model.beta
-        words_raw, words_inv = _word_planes(mat)
-        length = mat.shape[1]
-        prev = self._prev[idx]
-        zeros = np.zeros(len(idx), dtype=np.int64)
-        n_transitions = np.zeros(len(idx), dtype=np.int64)
-        pos = 0
-        while (length - pos >= self.window) or (final and pos < length):
-            end = min(pos + self.window, length)
-            count = self.commit if end - pos == self.window else end - pos
-            flags, _costs = _viterbi_planes(words_raw[:, pos:end],
-                                            words_inv[:, pos:end],
-                                            alpha, beta, prev)
-            committed_flags = flags[:, :count]
-            words = np.where(committed_flags,
-                             words_inv[:, pos:pos + count],
-                             words_raw[:, pos:pos + count])
-            prev_columns = np.concatenate(
-                [prev[:, None], words[:, :-1]], axis=1)
-            zeros += (WORD_WIDTH - pop[words]).sum(axis=1)
-            n_transitions += pop[prev_columns ^ words].sum(axis=1)
-            prev = words[:, -1]
-            if self.record:
-                for slot, row in enumerate(idx):
-                    self._decisions[int(row)].append(
-                        (mat[slot, pos:pos + count].copy(),
-                         committed_flags[slot].copy()))
-            pos += count
-        self._zeros[idx] += zeros
-        self._transitions[idx] += n_transitions
-        self._beats[idx] += pos
-        self._prev[idx] = prev
-        return pos
+        window, commit = self.window, self.commit
+        lengths = np.array([len(buf) for buf in self._pending])
+        idx = np.flatnonzero(lengths >= window)
+        if not len(idx):
+            return
+        lengths = lengths[idx]
+        counts = ((lengths - window) // commit + 1) * commit
+        mat = np.zeros((len(idx), lengths.max()), dtype=np.uint8)
+        for slot, row in enumerate(idx):
+            mat[slot, :lengths[slot]] = self._pending[row]
+        windows = int(counts.max()) // commit
+        planes = self._planes(idx, mat)
+        flags, _costs = _viterbi_planes(planes, self.model.alpha,
+                                        self.model.beta, window, commit,
+                                        windows, states=2)
+        self._commit(idx, mat, planes, self._chain(flags), counts)
+        for slot, row in enumerate(idx):
+            # Copy the (< window) leftover so the push matrix is not
+            # pinned in memory by a tiny view.
+            self._pending[row] = mat[slot, counts[slot]:lengths[slot]].copy()
+
+    def _planes(self, idx, mat):
+        """Edge planes of the ``(len(idx), n)`` byte matrix of lanes *idx*,
+        counted from each lane's current bus word."""
+        from .vectorized import _edge_planes, _word_planes
+
+        return _edge_planes(*_word_planes(mat), self._prev[idx])
+
+    def _chain(self, flags):
+        """Committed flags ``(rows, windows * commit)`` of solved windows.
+
+        ``flags[:, s, r, k]`` (the ``_viterbi_planes`` layout) are the
+        committed decisions of window *k* of row *r* when the byte before
+        the window is sent in state *s* (0 raw, 1 inverted); the last one
+        is the state window *k* hands to window *k+1*.  Those boundary
+        maps are composed by pointer doubling (O(log windows) array
+        operations) into the maps of windows ``0..k``, evaluated at state
+        0: window 0's state 0 is its solve from the lane's bus word.
+        """
+        from .vectorized import _pick
+
+        np = self._np
+        rows, windows = flags.shape[2:]
+        from_raw, from_inv = flags[-1].copy()
+        step = 1
+        while step < windows:
+            earlier_raw, earlier_inv = from_raw[:, :-step], from_inv[:, :-step]
+            later_raw, later_inv = from_raw[:, step:], from_inv[:, step:]
+            from_raw[:, step:], from_inv[:, step:] = (
+                _pick(earlier_raw, later_inv, later_raw),
+                _pick(earlier_inv, later_inv, later_raw))
+            step *= 2
+        entry = np.zeros((rows, windows), dtype=bool)
+        entry[:, 1:] = from_raw[:, :-1]
+        chosen = _pick(entry, flags[:, 1], flags[:, 0])
+        return chosen.transpose(1, 2, 0).reshape(rows, -1)
+
+    def _commit(self, idx, mat, planes, flags, counts) -> None:
+        """Tally, record and advance lanes *idx* over their first
+        ``counts`` bytes, sent with invert *flags* (``(len(idx), n)``)."""
+        np = self._np
+        n = flags.shape[1]
+        same, cross, zeros_raw, zeros_inv = (plane[:, :n] for plane in planes)
+        # Column 0 of the planes counts from the bus word as if it were a
+        # raw word, so a flag that differs from the one before it (or a
+        # leading True) takes the cross-polarity transitions.
+        flips = flags.copy()
+        flips[:, 1:] ^= flags[:, :-1]
+        zeros = np.where(flags, zeros_inv, zeros_raw)
+        n_transitions = np.where(flips, cross, same)
+        if (counts != n).any():
+            valid = np.arange(n) < counts[:, None]
+            zeros *= valid
+            n_transitions *= valid
+        self._zeros[idx] += zeros.sum(axis=1, dtype=np.int64)
+        self._transitions[idx] += n_transitions.sum(axis=1, dtype=np.int64)
+        self._beats[idx] += counts
+        slots = np.arange(len(idx))
+        last = mat[slots, counts - 1].astype(np.int64)
+        self._prev[idx] = np.where(flags[slots, counts - 1],
+                                   last ^ BYTE_MASK, last | DBI_BIT)
+        if self.record:
+            for slot, row in enumerate(idx):
+                count = counts[slot]
+                self._decisions[int(row)].append(
+                    (mat[slot, :count].copy(), flags[slot, :count].copy()))
 
 
 def windowed_stream_cost(data: Sequence[int], model: CostModel,

@@ -216,13 +216,55 @@ def _as_prev_words(prev_words: Union[int, Sequence[int]], batch: int):
 
 
 def _word_planes(data) -> Tuple:
-    """Per-polarity wire words for a packed batch: ``(raw, inv)`` int64."""
+    """Per-polarity wire words for a packed batch: ``(raw, inv)`` uint16."""
     np = _require_numpy()
-    wide = data.astype(np.int64)
+    wide = data.astype(np.uint16)
     return wide | DBI_BIT, wide ^ BYTE_MASK
 
 
 # -- the batched two-state Viterbi recursion ---------------------------------
+
+#: Row × window × state cells one :func:`_viterbi_planes` tile solves at
+#: once.  It bounds the recursion's memory whatever the batch or push
+#: size: 256 KiB per float temporary, 1 MiB of choice planes at a
+#: 16-byte window.
+TILE_CELLS = 1 << 15
+
+
+def _edge_planes(words_raw, words_inv, prev, width: int = WORD_WIDTH):
+    """Integer edge counts of a ``(rows, n)`` wire-word batch.
+
+    Column *j* prices the edges into byte *j*: from byte *j-1* for
+    ``j >= 1``, and from the per-row boundary word *prev* for ``j = 0``.
+    Returns four ``(rows, n)`` uint8 planes ``(same, cross, zeros_raw,
+    zeros_inv)``:
+
+    * ``same`` — transitions between words of equal polarity (raw→raw;
+      inv→inv is the same count, since ``words_inv == words_raw ^
+      (2**width - 1)`` flips the same lanes of both words);
+    * ``cross`` — transitions between polarities (inv→raw = raw→inv);
+    * ``zeros_raw`` / ``zeros_inv`` — zero lanes of the raw/inverted word.
+
+    In column 0 ``same`` counts from *prev* to the raw word and ``cross``
+    from *prev* to the inverted one, so the first window of a row starts
+    from *prev* as if it were a raw word.  ``width`` is the lane count of
+    one word (zeros = ``width - popcount``): 9 for the paper's byte+DBI
+    words, ``g + 1`` for the grouped-DBI trellises of
+    :class:`repro.extensions.granularity.GroupedDbiOptimal`.
+    """
+    np = _require_numpy()
+    if not 0 < width <= WORD_WIDTH:
+        raise ValueError(f"width must be in [1, {WORD_WIDTH}], got {width}")
+    pop = popcount_table().astype(np.uint8)
+    rows, n = words_raw.shape
+    same = np.empty((rows, n), dtype=np.uint8)
+    cross = np.empty((rows, n), dtype=np.uint8)
+    same[:, 0] = pop[prev ^ words_raw[:, 0]]
+    cross[:, 0] = pop[prev ^ words_inv[:, 0]]
+    same[:, 1:] = pop[words_raw[:, :-1] ^ words_raw[:, 1:]]
+    cross[:, 1:] = pop[words_inv[:, :-1] ^ words_raw[:, 1:]]
+    return same, cross, width - pop[words_raw], width - pop[words_inv]
+
 
 def solve_batch(data, model, prev_words: Union[int, Sequence[int]] = ALL_ONES_WORD):
     """Batched optimal DBI encoding (the paper's trellis, array-at-a-time).
@@ -246,84 +288,118 @@ def solve_batch(data, model, prev_words: Union[int, Sequence[int]] = ALL_ONES_WO
     transmit inverted) and ``costs`` is ``(batch,)`` float64, both
     bit-identical to running :func:`repro.core.trellis.solve` row by row.
     """
+    np = _require_numpy()
     data = pack_bursts(data)
     prev = _as_prev_words(prev_words, data.shape[0])
-    words_raw, words_inv = _word_planes(data)
-    return _viterbi_planes(words_raw, words_inv, model.alpha, model.beta,
-                           prev)
+    planes = _edge_planes(*_word_planes(data), prev)
+    flags, costs = _viterbi_planes(planes, model.alpha, model.beta,
+                                   data.shape[1])
+    return np.ascontiguousarray(flags[:, 0, :, 0].T), costs[0, :, 0]
 
 
-def _viterbi_planes(words_raw, words_inv, alpha: float, beta: float, prev,
-                    width: int = WORD_WIDTH):
-    """The two-state Viterbi recursion over prepared word planes.
+def _viterbi_planes(planes, alpha: float, beta: float, span: int,
+                    commit: Optional[int] = None, windows: int = 1,
+                    states: int = 1):
+    """The two-state Viterbi recursion, over every window of a row at once.
 
-    The compute core of :func:`solve_batch`, split out so windowed
-    callers (:class:`repro.core.streaming.BatchStreamingEncoder`) can
-    slice precomputed ``(batch, n)`` raw/inverted wire-word planes round
-    by round without re-packing.  Performs the same IEEE-754 double
-    operations in the same order as :func:`repro.core.trellis.solve`;
-    all guarantees of :func:`solve_batch` flow from this function.
+    The compute core of :func:`solve_batch`, of the windowed
+    :class:`repro.core.streaming.BatchStreamingEncoder` and of the
+    grouped-DBI trellises.  *planes* are the ``(same, cross, zeros_raw,
+    zeros_inv)`` integer planes of :func:`_edge_planes`.  Window *k* of a
+    row covers columns ``[k*commit, k*commit + span)``: its step-*i* edge
+    weights are read as strided views at column ``k*commit + i``, so
+    overlapping windows share one set of planes.  ``commit`` defaults to
+    ``span`` (one window per row for ``windows=1``).
 
-    ``width`` is the lane count of one word (the zeros term counts
-    ``width - popcount``): 9 for the paper's byte+DBI words, ``g + 1``
-    for the grouped-DBI trellises of
-    :class:`repro.extensions.granularity.GroupedDbiOptimal`.  Words must
-    stay below 2**9 so the shared popcount table applies.
+    With ``states=2`` every window ``k >= 1`` is solved twice: from the
+    raw (state 0) and from the inverted (state 1) word of byte
+    ``k*commit - 1``, the two words that byte can be sent as.  Window 0
+    has one boundary, the word column 0 counts from, so only its state 0
+    is meaningful.
+
+    Each window performs the same IEEE-754 double operations in the same
+    order as :func:`repro.core.trellis.solve`; all guarantees of
+    :func:`solve_batch` flow from this function.  Windows are solved in
+    tiles of at most :data:`TILE_CELLS` row × window × state cells.
+
+    Returns ``(flags, costs)``: ``flags`` is ``(commit, states, rows,
+    windows)`` bool, the first ``commit`` decisions of each window (True
+    = transmit inverted), and ``costs`` is ``(states, rows, windows)``
+    float64, each window's optimal path cost.
     """
     np = _require_numpy()
-    if not 0 < width <= WORD_WIDTH:
-        raise ValueError(f"width must be in [1, {WORD_WIDTH}], got {width}")
-    batch, n = words_raw.shape
-    pop = popcount_table()
-
-    def edge(prev_w, word):
-        # Same IEEE ops, same order, as CostModel.word_cost.
-        return alpha * pop[prev_w ^ word] + beta * (width - pop[word])
-
-    cost_raw = edge(prev, words_raw[:, 0])
-    cost_inv = edge(prev, words_inv[:, 0])
-    choice_raw = np.zeros((batch, n), dtype=bool)
-    choice_inv = np.zeros((batch, n), dtype=bool)
-
-    for i in range(1, n):
-        wr_prev, wi_prev = words_raw[:, i - 1], words_inv[:, i - 1]
-        wr, wi = words_raw[:, i], words_inv[:, i]
-
-        via_raw = cost_raw + edge(wr_prev, wr)
-        via_inv = cost_inv + edge(wi_prev, wr)
-        from_inv_raw = via_inv < via_raw
-        next_raw = np.where(from_inv_raw, via_inv, via_raw)
-
-        via_raw = cost_raw + edge(wr_prev, wi)
-        via_inv = cost_inv + edge(wi_prev, wi)
-        from_inv_inv = via_inv < via_raw
-        next_inv = np.where(from_inv_inv, via_inv, via_raw)
-
-        cost_raw, cost_inv = next_raw, next_inv
-        choice_raw[:, i] = from_inv_raw
-        choice_inv[:, i] = from_inv_inv
-
-    flags = np.zeros((batch, n), dtype=bool)
-    current = cost_inv < cost_raw
-    totals = np.where(current, cost_inv, cost_raw)
-    for i in range(n - 1, -1, -1):
-        flags[:, i] = current
-        current = np.where(current, choice_inv[:, i], choice_raw[:, i])
-    return flags, totals
+    # Integer coefficients would otherwise multiply in the planes' uint8.
+    alpha, beta = float(alpha), float(beta)
+    commit = span if commit is None else commit
+    rows = planes[0].shape[0]
+    flags = np.empty((commit, states, rows, windows), dtype=bool)
+    costs = np.empty((states, rows, windows))
+    tile_rows = max(1, min(rows, TILE_CELLS // states))
+    tile_windows = max(1, TILE_CELLS // (tile_rows * states))
+    for first_row in range(0, rows, tile_rows):
+        row_slice = slice(first_row, first_row + tile_rows)
+        for first in range(0, windows, tile_windows):
+            tile = (row_slice, slice(first, first + tile_windows))
+            _viterbi_tile(planes, alpha, beta, span, commit, row_slice,
+                          first, flags[(...,) + tile], costs[(...,) + tile])
+    return flags, costs
 
 
-def solve_stream_batch(data, model,
-                       prev_words: Union[int, Sequence[int]] = ALL_ONES_WORD):
-    """Batched :func:`repro.core.streaming.solve_stream`.
+def _pick(cond, if_true, if_false):
+    """``np.where(cond, if_true, if_false)`` for bool arrays, as bitwise
+    operations (several times faster than ``where`` on bools)."""
+    return if_false ^ (cond & (if_true ^ if_false))
 
-    Each row of ``data`` is an independent byte *stream* solved jointly
-    optimally from its own boundary word — the batched counterpart of the
-    streaming/chained mode.  The trellis of a stream is identical to the
-    trellis of one long burst, so this shares :func:`solve_batch`; the
-    separate name documents the intent and keeps per-row ``prev_words``
-    front and centre.
+
+def _viterbi_tile(planes, alpha: float, beta: float, span: int, commit: int,
+                  rows: slice, first: int, flags, costs) -> None:
+    """Solve one tile of :func:`_viterbi_planes` into *flags*/*costs*.
+
+    The tile is the row slice *rows* × the windows starting at *first*,
+    as many as the ``flags``/``costs`` views hold.
     """
-    return solve_batch(data, model, prev_words=prev_words)
+    np = _require_numpy()
+    states, tile_windows = costs.shape[0], costs.shape[2]
+    stop = (tile_windows - 1) * commit + 1
+
+    def edges(i):
+        """``(rr, ir, ri, ii)`` edge weights into column ``k*commit + i``
+        of every window *k* of the tile, ``(rows, windows)`` each."""
+        start = first * commit + i
+        same, cross, zeros_raw, zeros_inv = (
+            plane[rows, start:start + stop:commit] for plane in planes)
+        # Same IEEE ops, same order, as CostModel.word_cost.
+        a_same, a_cross = alpha * same, alpha * cross
+        b_raw, b_inv = beta * zeros_raw, beta * zeros_inv
+        return a_same + b_raw, a_cross + b_raw, a_cross + b_inv, a_same + b_inv
+
+    rr, ir, ri, ii = edges(0)
+    cost_raw = np.stack((rr, ir)[:states])
+    cost_inv = np.stack((ri, ii)[:states])
+    choice_raw = np.empty((span,) + cost_raw.shape, dtype=bool)
+    choice_inv = np.empty((span,) + cost_raw.shape, dtype=bool)
+
+    for i in range(1, span):
+        rr, ir, ri, ii = edges(i)
+
+        via_raw = cost_raw + rr
+        via_inv = cost_inv + ir
+        from_inv = np.less(via_inv, via_raw, out=choice_raw[i])
+        next_raw = np.where(from_inv, via_inv, via_raw)
+
+        via_raw = cost_raw + ri
+        via_inv = cost_inv + ii
+        from_inv = np.less(via_inv, via_raw, out=choice_inv[i])
+        cost_inv = np.where(from_inv, via_inv, via_raw)
+        cost_raw = next_raw
+
+    current = cost_inv < cost_raw
+    costs[...] = np.where(current, cost_inv, cost_raw)
+    for i in range(span - 1, -1, -1):
+        if i < commit:
+            flags[i] = current
+        if i:
+            current = _pick(current, choice_inv[i], choice_raw[i])
 
 
 # -- baseline scheme kernels -------------------------------------------------
@@ -426,7 +502,8 @@ def flags_to_words(data, flags):
     np = _require_numpy()
     data = pack_bursts(data)
     words_raw, words_inv = _word_planes(data)
-    return np.where(np.asarray(flags, dtype=bool), words_inv, words_raw)
+    words = np.where(np.asarray(flags, dtype=bool), words_inv, words_raw)
+    return words.astype(np.int64)
 
 
 def batch_activity(words, prev_words: Union[int, Sequence[int]] = ALL_ONES_WORD,

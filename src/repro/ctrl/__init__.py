@@ -14,20 +14,18 @@ Backend selection
 * ``vector`` (what ``auto`` resolves to with NumPy installed) — the
   batched write path: :meth:`MemoryController.submit` steers whole
   transaction batches, stripes cache lines across channels × lanes as
-  packed byte strings, and advances every lane in lock-step through one
-  :class:`~repro.core.streaming.BatchStreamingEncoder` round per commit
-  window; statistics are tallied per lane as integer arrays, never per
-  byte.
+  packed byte strings, and hands every lane to one
+  :class:`~repro.core.streaming.BatchStreamingEncoder`, which solves all
+  full lookahead windows of a batch at once; statistics are tallied per
+  lane as integer arrays, never per byte.
 
 Both backends are bit-identical — per-lane invert decisions and integer
 (zeros, transitions, beats) tallies — enforced by
 ``tests/ctrl/test_batch_parity.py`` across POD/SSTL/LVSTL operating
 points, and ``benchmarks/test_ctrl_throughput.py`` gates the batched
-path at >= 10x the reference on a 10k-transaction replay.  ``auto``
-additionally falls back to the reference below
-:data:`~repro.ctrl.controller.AUTO_VECTOR_MIN_CELLS` trellis cells per
-lock-step round (small links lose to NumPy call overhead); explicit
-``"vector"`` is always honoured.
+path at >= 10x the reference on a 10k-transaction replay at every
+benchmarked link geometry, down to 2 channels × 4 lanes.  So ``auto``
+picks ``vector`` whenever NumPy is installed, however small the link.
 
 Streaming ingestion and adaptive operating points
 -------------------------------------------------
@@ -59,7 +57,6 @@ from .adaptive import (
     TrackingConfig,
 )
 from .controller import (
-    AUTO_VECTOR_MIN_CELLS,
     CACHE_LINE_BYTES,
     ControllerStatistics,
     LaneState,
@@ -73,7 +70,6 @@ from .controller import (
 )
 
 __all__ = [
-    "AUTO_VECTOR_MIN_CELLS",
     "AdaptiveCostTracker",
     "CACHE_LINE_BYTES",
     "ControllerStatistics",

@@ -13,11 +13,12 @@ Two execution backends share one semantics (see
 
 * ``reference`` — one :class:`~repro.core.streaming.StreamingOptimalEncoder`
   per (channel, lane), fed byte by byte: the executable specification.
-* ``vector`` — all ``channels × byte_lanes`` lane streams advance in
-  lock-step through one :class:`~repro.core.streaming.BatchStreamingEncoder`
-  (the PR-1 batched Viterbi kernel with per-row boundary words), with
-  payload striping done as packed byte-string slices and statistics
-  tallied per lane without any per-byte bookkeeping.
+* ``vector`` — all ``channels × byte_lanes`` lane streams share one
+  :class:`~repro.core.streaming.BatchStreamingEncoder`, which solves
+  every full lookahead window of a submitted batch at once (the batched
+  Viterbi kernel of :mod:`repro.core.vectorized`), with payload striping
+  done as packed byte-string slices and statistics tallied per lane
+  without any per-byte bookkeeping.
 
 The two are **bit-identical** — same per-lane invert decisions, same
 integer activity tallies — which ``tests/ctrl/test_batch_parity.py``
@@ -37,23 +38,13 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from ..core.bitops import WORD_WIDTH, make_word, transitions, zeros_in_word
 from ..core.costs import CostModel
 from ..core.streaming import BatchStreamingEncoder, StreamingOptimalEncoder
-from ..core.vectorized import get_default_backend, resolve_backend
+from ..core.vectorized import resolve_backend
 from ..phy.bus import BusStatistics
 from ..phy.power import InterfaceEnergyModel
 from .adaptive import AdaptiveCostTracker, OperatingPoint, OperatingPointSchedule
 
 #: Typical cache-line size; transactions default to this granularity.
 CACHE_LINE_BYTES = 64
-
-#: ``backend="auto"`` picks the vector path only when the batch holds at
-#: least this many (channels × byte_lanes) × window trellis cells per
-#: lock-step round.  Below it, NumPy call overhead dominates the tiny
-#: arrays and the per-byte reference is as fast or faster (measured
-#: crossover ≈ 32–64 cells; ``BENCH_ctrl_throughput.json`` showed 1.9×
-#: *ungated* at the 2ch×4lane GDDR-like geometry precisely because the
-#: vector win shrinks with the row count).  Explicit ``backend="vector"``
-#: is always honoured.
-AUTO_VECTOR_MIN_CELLS = 64
 
 
 @dataclass(frozen=True)
@@ -208,11 +199,9 @@ class MemoryController:
         addresses were laid out with, or whole channels sit idle.
     backend:
         ``"reference"`` / ``"vector"`` / ``"auto"`` / ``None`` (process
-        default) — resolved once at construction.  ``auto`` additionally
-        falls back to the reference path when the link geometry is too
-        small for batching to win (fewer than
-        :data:`AUTO_VECTOR_MIN_CELLS` trellis cells per lock-step
-        round); an explicit ``"vector"`` is always honoured.
+        default) — resolved once at construction, like every batch
+        entry point: ``auto`` is ``vector`` whenever NumPy is installed,
+        at any link geometry.
     record:
         Keep every committed (byte, invert-flag) decision per lane, for
         differential and round-trip checks (costs memory; off by
@@ -281,11 +270,7 @@ class MemoryController:
             self._active_label: Optional[str] = initial.label
         else:
             self._active_label = None
-        requested = backend if backend is not None else get_default_backend()
         self.backend = resolve_backend(backend)
-        if (requested == "auto" and self.backend == "vector"
-                and channels * byte_lanes * window < AUTO_VECTOR_MIN_CELLS):
-            self.backend = "reference"
         self.record = record
         self._transactions = 0
         self._bytes_written = 0

@@ -21,12 +21,13 @@ Backend selection follows the library-wide vocabulary
 (``"auto" | "reference" | "vector"``, see :mod:`repro.core.vectorized`):
 the vector path stripes the ``8 // g`` group lanes of every burst along
 the batch axis — an 8-byte burst at ``group_size=4`` becomes two
-independent 5-lane trellis columns — and solves them in a single
-:func:`repro.core.vectorized._viterbi_planes` call with
-``width = group_size + 1``.  Invert flags, zeros and transitions are
-bit-identical to the scalar :meth:`GroupedDbiOptimal._solve_group`
-reference (same IEEE-754 operations in the same order; the differential
-suite in ``tests/extensions/test_granularity.py`` enforces this).
+independent 5-lane trellis columns — and solves them as one window per
+row in a single :func:`repro.core.vectorized._viterbi_planes` call, over
+edge planes counted with ``width = group_size + 1``.  Invert flags,
+zeros and transitions are bit-identical to the scalar
+:meth:`GroupedDbiOptimal._solve_group` reference (same IEEE-754
+operations in the same order; the differential suite in
+``tests/extensions/test_granularity.py`` enforces this).
 """
 
 from __future__ import annotations
@@ -203,7 +204,8 @@ class GroupedDbiOptimal:
         """
         import numpy as np
 
-        from ..core.vectorized import _viterbi_planes, batch_activity
+        from ..core.vectorized import (_edge_planes, _viterbi_planes,
+                                       batch_activity)
 
         g = self.group_size
         k = self.groups_per_byte
@@ -211,7 +213,7 @@ class GroupedDbiOptimal:
         mask = (1 << g) - 1
         dbi_bit = 1 << g
         idle = (1 << (g + 1)) - 1
-        wide = packed.astype(np.int64)
+        wide = packed.astype(np.uint16)
         # Stripe group lanes along the batch axis: row ``lane * batch + b``
         # carries group lane ``lane`` of burst ``b`` — every row is an
         # independent (g+1)-lane trellis with an idle-high boundary.
@@ -220,9 +222,10 @@ class GroupedDbiOptimal:
         words_raw = values | dbi_bit
         words_inv = values ^ mask
         prev = np.full(k * batch, idle, dtype=np.int64)
-        flags, _costs = _viterbi_planes(words_raw, words_inv,
-                                        self.model.alpha, self.model.beta,
-                                        prev, width=g + 1)
+        planes = _edge_planes(words_raw, words_inv, prev, width=g + 1)
+        flags, _costs = _viterbi_planes(planes, self.model.alpha,
+                                        self.model.beta, n)
+        flags = np.ascontiguousarray(flags[:, 0, :, 0].T)
         words = np.where(flags, words_inv, words_raw)
         transitions, zeros = batch_activity(words, idle, width=g + 1)
         return (flags.reshape(k, batch, n),

@@ -25,7 +25,6 @@ from repro.core.vectorized import (
     pack_bursts,
     resolve_backend,
     solve_batch,
-    solve_stream_batch,
     try_pack_bursts,
 )
 
@@ -50,9 +49,10 @@ def reference_rows(data, model, prev_words):
 
 class TestSolveBatchParity:
     @pytest.mark.parametrize("ac_fraction", AC_FRACTIONS)
-    @pytest.mark.parametrize("length", list(range(1, 17)))
+    @pytest.mark.parametrize("length", list(range(1, 17)) + [24])
     def test_alpha_grid_all_lengths(self, ac_fraction, length):
-        """Flags and costs bit-identical across the alpha/beta grid."""
+        """Flags and costs bit-identical across the alpha/beta grid, with
+        per-row boundary words: every row is one solve_stream call."""
         rng = np.random.default_rng(1000 * length + int(ac_fraction * 100))
         model = CostModel.from_ac_fraction(ac_fraction)
         data = random_batch(rng, 48, length)
@@ -61,6 +61,10 @@ class TestSolveBatchParity:
         ref_flags, ref_costs = reference_rows(data, model, prev_words)
         assert (flags == ref_flags).all()
         assert (costs == ref_costs).all()
+        for row in range(48):
+            assert solve_stream(data[row].tolist(), model,
+                                prev_word=int(prev_words[row])) == \
+                (tuple(map(bool, flags[row])), costs[row])
 
     def test_quantized_model(self):
         model = QuantizedCostModel.from_cost_model(
@@ -105,19 +109,6 @@ class TestSolveBatchParity:
 
 
 class TestStreamingParity:
-    def test_solve_stream_batch_matches_reference(self):
-        """Batched streaming solve vs solve_stream, arbitrary boundaries."""
-        rng = np.random.default_rng(99)
-        model = CostModel.from_ac_fraction(0.61)
-        data = random_batch(rng, 80, 24)
-        prev_words = rng.integers(0, 512, size=80)
-        flags, costs = solve_stream_batch(data, model, prev_words=prev_words)
-        for row in range(80):
-            ref_flags, ref_cost = solve_stream(data[row].tolist(), model,
-                                               prev_word=int(prev_words[row]))
-            assert tuple(map(bool, flags[row])) == ref_flags
-            assert costs[row] == ref_cost
-
     def test_chained_evaluation_parity(self):
         """Runner chained mode: identical metrics on both backends."""
         from repro.sim.runner import evaluate

@@ -1,4 +1,4 @@
-"""Adaptive operating points: schedules, online tracking, auto fallback.
+"""Adaptive operating points: schedules, online tracking, auto backend.
 
 Three contracts:
 
@@ -10,15 +10,12 @@ Three contracts:
   *different* operating points, online tracking must land strictly below
   **every** fixed point, and the switch log must show the re-pricing
   happening mid-trace.
-* **Auto fallback** — ``backend="auto"`` drops to the reference
-  implementation below ``AUTO_VECTOR_MIN_CELLS`` trellis cells (where
-  NumPy call overhead loses); an explicit ``"vector"`` is always
-  honoured.
+* **Auto is vector** — with NumPy installed, ``backend="auto"`` picks
+  the batched path even on the smallest link.
 """
 
 import pytest
 
-from repro.core.costs import CostModel
 from repro.core.vectorized import available_backends
 from repro.ctrl.adaptive import (
     AdaptiveCostTracker,
@@ -26,11 +23,7 @@ from repro.ctrl.adaptive import (
     OperatingPointSchedule,
     TrackingConfig,
 )
-from repro.ctrl.controller import (
-    AUTO_VECTOR_MIN_CELLS,
-    MemoryController,
-    transactions_from_bytes,
-)
+from repro.ctrl.controller import MemoryController, transactions_from_bytes
 from repro.phy.power import GBPS, PICOFARAD
 from repro.workloads.source import BytesTraceSource
 
@@ -259,42 +252,8 @@ class TestTwoPhaseTracking:
         assert results[0] == results[1]
 
 
-class TestAutoFallback:
-    @pytest.mark.skipif(not HAVE_VECTOR, reason="needs NumPy installed")
-    def test_small_links_fall_back_to_reference(self):
-        controller = MemoryController(channels=1, byte_lanes=2, window=16,
-                                      backend="auto")
-        assert controller.channels * controller.byte_lanes * 16 \
-            < AUTO_VECTOR_MIN_CELLS
-        assert controller.backend == "reference"
-
-    @pytest.mark.skipif(not HAVE_VECTOR, reason="needs NumPy installed")
-    def test_large_links_stay_vectorized(self):
-        controller = MemoryController(channels=2, byte_lanes=4, window=16,
-                                      backend="auto")
-        assert controller.backend == "vector"
-
-    @pytest.mark.skipif(not HAVE_VECTOR, reason="needs NumPy installed")
-    def test_explicit_vector_is_honoured(self):
-        controller = MemoryController(channels=1, byte_lanes=2, window=16,
-                                      backend="vector")
-        assert controller.backend == "vector"
-
-    def test_reference_is_always_allowed(self):
-        controller = MemoryController(channels=1, byte_lanes=1, window=1,
-                                      backend="reference")
-        assert controller.backend == "reference"
-
-    @pytest.mark.skipif(not HAVE_VECTOR, reason="needs NumPy installed")
-    def test_fallback_is_bit_identical_anyway(self):
-        """The fallback is a pure perf decision — results never change."""
-        payload = bytes((i * 31) & 0xFF for i in range(4096))
-        stats = []
-        for backend in ("auto", "vector"):
-            controller = MemoryController(channels=1, byte_lanes=2,
-                                          window=16, backend=backend,
-                                          model=CostModel(1.0, 0.5))
-            controller.submit(transactions_from_bytes(payload, 64))
-            controller.flush()
-            stats.append(controller.statistics())
-        assert stats[0] == stats[1]
+@pytest.mark.skipif(not HAVE_VECTOR, reason="needs NumPy installed")
+def test_auto_is_vector_on_the_smallest_link():
+    controller = MemoryController(channels=1, byte_lanes=1, window=1,
+                                  backend="auto")
+    assert controller.backend == "vector"
