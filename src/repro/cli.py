@@ -70,7 +70,6 @@ from .sim.experiments import (
     run_replay,
     run_sso,
     save_artifact,
-    save_replay_artifact,
     sso_experiment,
 )
 from .sim.report import (
@@ -157,12 +156,8 @@ def _run_or_load(args: argparse.Namespace, build_spec, figure: str,
     Returns ``(result, sweep)``, or ``None`` for a handled usage error
     (message already on stderr, caller exits 2).
     """
-    if args.out:
-        out_dir = os.path.dirname(os.path.abspath(args.out))
-        if not os.path.isdir(out_dir):
-            print(f"--out {args.out}: directory {out_dir} does not exist",
-                  file=sys.stderr)
-            return None
+    if not _check_out(args.out):
+        return None
     if args.from_artifact:
         ignored = [f"--{name}" for name, default in _SIM_FLAG_DEFAULTS.items()
                    if getattr(args, name, default) != default]
@@ -204,23 +199,16 @@ def _run_or_load(args: argparse.Namespace, build_spec, figure: str,
                                     jobs=args.jobs,
                                     cache=open_cache(args.cache_dir))
         sweep = converter(result)
-    if args.out:
-        try:
-            save_artifact(result, args.out)
-        except OSError as error:
-            print(f"--out {args.out}: cannot write artifact ({error})",
-                  file=sys.stderr)
-            return None
     return result, sweep
 
 
 def _print_provenance(args: argparse.Namespace,
-                      result: ExperimentResult) -> None:
+                      result: ExperimentResult) -> int:
+    """The sweeps' footer: provenance, then the ``--out`` report."""
     if args.out or args.from_artifact:
         print()
         print(format_provenance(result))
-        if args.out:
-            print(f"# artifact written to {args.out}")
+    return _write_out(args, result)
 
 
 def _cmd_sweep_alpha(args: argparse.Namespace) -> int:
@@ -246,8 +234,7 @@ def _cmd_sweep_alpha(args: argparse.Namespace) -> int:
                           for name in ("raw", "dbi-dc", "dbi-ac", "dbi-opt")},
                          title="energy per burst vs AC cost",
                          x_label="AC cost"))
-    _print_provenance(args, result)
-    return 0
+    return _print_provenance(args, result)
 
 
 def _interface(name: str):
@@ -276,8 +263,7 @@ def _cmd_sweep_rate(args: argparse.Namespace) -> int:
                          title=f"normalised energy ({args.interface}, "
                                f"{args.c_load_pf:g} pF)",
                          x_label="data rate [Gbps]"))
-    _print_provenance(args, result)
-    return 0
+    return _print_provenance(args, result)
 
 
 def _cmd_sweep_load(args: argparse.Namespace) -> int:
@@ -298,8 +284,7 @@ def _cmd_sweep_load(args: argparse.Namespace) -> int:
         rate, value = sweep.best_gain(load)
         print(f"{load * 1e12:.0f} pF: best saving {100 * (1 - value):.2f}% "
               f"at {rate / 1e9:.1f} Gbps")
-    _print_provenance(args, result)
-    return 0
+    return _print_provenance(args, result)
 
 
 def _ctrl_trace(args: argparse.Namespace) -> Optional[dict]:
@@ -446,53 +431,67 @@ def _cmd_ctrl(args: argparse.Namespace) -> int:
     for point in spec.points:
         priced = result.series[point.label]
         totals = result.totals_for(point.label)
-        rows: List[List[object]] = []
-        for channel, ((zeros, transitions, beats), energy) in enumerate(
-                zip(totals.channels, priced["per_channel_energy"])):
-            rows.append([channel, beats, zeros, transitions,
-                         f"{energy / PICOJOULE:.1f}",
-                         f"{energy / beats / PICOJOULE:.3f}" if beats else "-"])
-        rows.append(["total", totals.bytes_written, totals.zeros,
-                     totals.transitions,
-                     f"{priced['energy_joules'] / PICOJOULE:.1f}",
-                     f"{priced['energy_per_byte'] / PICOJOULE:.3f}"])
-        print(f"\n## {point.label}")
-        print(markdown_table(
-            ["channel", "bytes", "zeros", "transitions", "energy [pJ]",
-             "pJ/byte"], rows))
+        _print_energy_table(
+            point.label, ["channel", "bytes"], totals, priced,
+            [(channel, *counts, energy) for channel, (counts, energy)
+             in enumerate(zip(totals.channels,
+                              priced["per_channel_energy"]))])
     adaptive_label = spec.adaptive_label
     if adaptive_label is not None and adaptive_label in result.series:
         priced = result.series[adaptive_label]
         totals = result.totals_for(adaptive_label)
-        rows = []
-        for (label, zeros, transitions, beats), segment in zip(
-                totals.segments, priced["per_segment_energy"]):
-            energy = segment["energy_joules"]
-            rows.append([label, beats, zeros, transitions,
-                         f"{energy / PICOJOULE:.1f}",
-                         f"{energy / beats / PICOJOULE:.3f}" if beats else "-"])
-        rows.append(["total", totals.bytes_written, totals.zeros,
-                     totals.transitions,
-                     f"{priced['energy_joules'] / PICOJOULE:.1f}",
-                     f"{priced['energy_per_byte'] / PICOJOULE:.3f}"])
         kind = "schedule" if spec.schedule is not None else "tracking"
-        print(f"\n## {adaptive_label} ({kind}, per segment)")
-        print(markdown_table(
-            ["segment", "beats", "zeros", "transitions", "energy [pJ]",
-             "pJ/byte"], rows))
-    if args.out:
-        try:
-            save_replay_artifact(result, args.out)
-        except OSError as error:
-            print(f"--out {args.out}: cannot write artifact ({error})",
-                  file=sys.stderr)
-            return 2
-        print(f"\n# artifact written to {args.out}")
+        _print_energy_table(
+            f"{adaptive_label} ({kind}, per segment)", ["segment", "beats"],
+            totals, priced,
+            [(*segment, part["energy_joules"]) for segment, part
+             in zip(totals.segments, priced["per_segment_energy"])])
+    return _finish(args, result, "replays")
+
+
+def _print_energy_table(title: str, headers: List[str], totals, priced,
+                        parts) -> None:
+    """One replay series: a row per ``(name, zeros, transitions, beats,
+    joules)`` part (channel or segment), then the totals row."""
+    rows: List[List[object]] = [
+        [name, beats, zeros, transitions, f"{energy / PICOJOULE:.1f}",
+         f"{energy / beats / PICOJOULE:.3f}" if beats else "-"]
+        for name, zeros, transitions, beats, energy in parts]
+    rows.append(["total", totals.bytes_written, totals.zeros,
+                 totals.transitions,
+                 f"{priced['energy_joules'] / PICOJOULE:.1f}",
+                 f"{priced['energy_per_byte'] / PICOJOULE:.3f}"])
+    print(f"\n## {title}")
+    print(markdown_table(
+        headers + ["zeros", "transitions", "energy [pJ]", "pJ/byte"], rows))
+
+
+def _write_out(args: argparse.Namespace, result) -> int:
+    """Persist *result* to ``--out`` (if given) and report it.
+
+    Returns the command's exit code: 2 after a reported write error.
+    """
+    if not args.out:
+        return 0
+    try:
+        save_artifact(result, args.out)
+    except OSError as error:
+        print(f"--out {args.out}: cannot write artifact ({error})",
+              file=sys.stderr)
+        return 2
+    print(f"# artifact written to {args.out}")
+    return 0
+
+
+def _finish(args: argparse.Namespace, result, *fields: str) -> int:
+    """The tail of the replay, faults, granularity and sso commands: the
+    ``--out`` report, then a one-line provenance footer."""
+    if _write_out(args, result):
+        return 2
     provenance = result.provenance
-    print(f"\n# backend={provenance['backend']} "
-          f"replays={provenance['replays']} "
-          f"cache_hits={provenance['cache_hits']} "
-          f"elapsed={provenance['elapsed_s']:.3f}s"
+    print("\n# " + " ".join(f"{name}={provenance[name]}"
+                            for name in ("backend", *fields, "cache_hits"))
+          + f" elapsed={provenance['elapsed_s']:.3f}s"
           + (f" | loaded from {provenance['loaded_from']}"
              if "loaded_from" in provenance else ""))
     return 0
@@ -545,21 +544,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     print(markdown_table(
         ["scheme", "fault rate", "injected", "bit errors", "BER",
          "beat ER", "amplification"], rows))
-    if args.out:
-        try:
-            result.save(args.out)
-        except OSError as error:
-            print(f"--out {args.out}: cannot write artifact ({error})",
-                  file=sys.stderr)
-            return 2
-        print(f"# artifact written to {args.out}")
-    provenance = result.provenance
-    print(f"\n# backend={provenance['backend']} "
-          f"word_impl={provenance['word_impl']} "
-          f"injections={provenance['injections']} "
-          f"cache_hits={provenance['cache_hits']} "
-          f"elapsed={provenance['elapsed_s']:.3f}s")
-    return 0
+    return _finish(args, result, "word_impl", "injections")
 
 
 def _cmd_granularity(args: argparse.Namespace) -> int:
@@ -579,20 +564,7 @@ def _cmd_granularity(args: argparse.Namespace) -> int:
         ["group size", "zeros/burst", "transitions/burst",
          f"cost (a={args.alpha:g}, b={args.beta:g})", "lines/byte lane"],
         rows))
-    if args.out:
-        try:
-            result.save(args.out)
-        except OSError as error:
-            print(f"--out {args.out}: cannot write artifact ({error})",
-                  file=sys.stderr)
-            return 2
-        print(f"# artifact written to {args.out}")
-    provenance = result.provenance
-    print(f"\n# backend={provenance['backend']} "
-          f"encodes={provenance['encodes']} "
-          f"cache_hits={provenance['cache_hits']} "
-          f"elapsed={provenance['elapsed_s']:.3f}s")
-    return 0
+    return _finish(args, result, "encodes")
 
 
 def _cmd_sso(args: argparse.Namespace) -> int:
@@ -623,21 +595,7 @@ def _cmd_sso(args: argparse.Namespace) -> int:
     print(markdown_table(
         ["scheme", "interface", "max SSO", "mean SSO",
          f">{spec.threshold} lanes", "peak mA", "mean mA"], rows))
-    if args.out:
-        try:
-            result.save(args.out)
-        except OSError as error:
-            print(f"--out {args.out}: cannot write artifact ({error})",
-                  file=sys.stderr)
-            return 2
-        print(f"# artifact written to {args.out}")
-    provenance = result.provenance
-    print(f"\n# backend={provenance['backend']} "
-          f"word_impl={provenance['word_impl']} "
-          f"encodes={provenance['encodes']} "
-          f"cache_hits={provenance['cache_hits']} "
-          f"elapsed={provenance['elapsed_s']:.3f}s")
-    return 0
+    return _finish(args, result, "word_impl", "encodes")
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -706,6 +664,27 @@ def _add_cache_dir_argument(parser: argparse.ArgumentParser) -> None:
                         help="persistent on-disk activity cache shared "
                              "across runs and processes (default: "
                              "REPRO_CACHE_DIR, else in-memory)")
+
+
+def _add_axis_arguments(parser: argparse.ArgumentParser,
+                        word_impl: bool = True) -> None:
+    """Flags the faults, granularity and sso commands share."""
+    _add_population_arguments(parser)
+    parser.add_argument("--patterns", nargs="*", metavar="NAME",
+                        choices=PATTERN_NAMES, default=None,
+                        help="use the directed pattern suite (optionally a "
+                             "subset) instead of random bursts")
+    if word_impl:
+        parser.add_argument("--word-impl", dest="word_impl",
+                            choices=("auto", "int", "uint64"),
+                            default="auto",
+                            help="word-parallel representation (default: "
+                                 "auto — uint64 lanes with NumPy, big ints "
+                                 "without)")
+    _add_backend_argument(parser)
+    _add_cache_dir_argument(parser)
+    parser.add_argument("--out", metavar="PATH",
+                        help="persist the run as a JSON experiment artifact")
 
 
 def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
@@ -860,11 +839,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     faults = sub.add_parser(
         "faults", help="fault-injection coverage curves across schemes")
-    _add_population_arguments(faults)
-    faults.add_argument("--patterns", nargs="*", metavar="NAME",
-                        choices=PATTERN_NAMES, default=None,
-                        help="use the directed pattern suite (optionally a "
-                             "subset) instead of random bursts")
+    _add_axis_arguments(faults)
     faults.add_argument("--schemes", nargs="+", metavar="SCHEME",
                         choices=available_schemes(),
                         default=["raw", "dbi-dc", "dbi-ac", "dbi-opt"],
@@ -875,25 +850,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="per-lane-beat fault probabilities")
     faults.add_argument("--fault-seed", dest="fault_seed", type=int,
                         default=7, help="error-mask stream seed (default: 7)")
-    faults.add_argument("--word-impl", dest="word_impl",
-                        choices=("auto", "int", "uint64"), default="auto",
-                        help="mask-parallel word representation (default: "
-                             "auto — uint64 lanes with NumPy, big ints "
-                             "without)")
-    _add_backend_argument(faults)
-    _add_cache_dir_argument(faults)
-    faults.add_argument("--out", metavar="PATH",
-                        help="persist the run as a JSON experiment artifact")
     faults.set_defaults(handler=_cmd_faults)
 
     granularity = sub.add_parser(
         "granularity", help="grouped-DBI granularity ablation")
-    _add_population_arguments(granularity)
-    granularity.add_argument("--patterns", nargs="*", metavar="NAME",
-                             choices=PATTERN_NAMES, default=None,
-                             help="use the directed pattern suite "
-                                  "(optionally a subset) instead of random "
-                                  "bursts")
+    _add_axis_arguments(granularity, word_impl=False)
     granularity.add_argument("--alpha", type=float, default=1.0,
                              help="transition cost (default: 1)")
     granularity.add_argument("--beta", type=float, default=1.0,
@@ -902,20 +863,11 @@ def build_parser() -> argparse.ArgumentParser:
                              nargs="+", choices=VALID_GROUP_SIZES,
                              default=list(VALID_GROUP_SIZES),
                              help="data lanes per DBI line")
-    _add_backend_argument(granularity)
-    _add_cache_dir_argument(granularity)
-    granularity.add_argument("--out", metavar="PATH",
-                             help="persist the run as a JSON experiment "
-                                  "artifact")
     granularity.set_defaults(handler=_cmd_granularity)
 
     sso = sub.add_parser(
         "sso", help="rank schemes × interfaces by simultaneous switching")
-    _add_population_arguments(sso)
-    sso.add_argument("--patterns", nargs="*", metavar="NAME",
-                     choices=PATTERN_NAMES, default=None,
-                     help="use the directed pattern suite (optionally a "
-                          "subset) instead of random bursts")
+    _add_axis_arguments(sso)
     sso.add_argument("--schemes", nargs="+", metavar="SCHEME",
                      choices=available_schemes(),
                      default=["raw", "dbi-dc", "dbi-ac", "dbi-opt"],
@@ -931,15 +883,6 @@ def build_parser() -> argparse.ArgumentParser:
     sso.add_argument("--threshold", type=int, default=4, metavar="K",
                      help="report the fraction of beats with more than K "
                           "toggling lanes (default: 4)")
-    sso.add_argument("--word-impl", dest="word_impl",
-                     choices=("auto", "int", "uint64"), default="auto",
-                     help="word-parallel tally representation (default: "
-                          "auto — uint64 lanes with NumPy, big ints "
-                          "without)")
-    _add_backend_argument(sso)
-    _add_cache_dir_argument(sso)
-    sso.add_argument("--out", metavar="PATH",
-                     help="persist the run as a JSON experiment artifact")
     sso.set_defaults(handler=_cmd_sso)
 
     serve = sub.add_parser(

@@ -47,9 +47,9 @@ DEFAULT_HALF_LIFE_BYTES = 4096.0
 class OperatingPoint:
     """One electrical operating point a controller can run at.
 
-    Structurally identical to :class:`repro.sim.experiments.ReplayPoint`
-    (interface preset × data rate × load), duplicated here so the
-    controller layer never imports the experiment engine.
+    Interface preset × data rate × load.  The experiment engine's replay
+    axis uses this class for its fixed points too
+    (:data:`repro.sim.experiments.ReplayPoint`).
     """
 
     interface: str

@@ -11,19 +11,16 @@ On-disk layout
 --------------
 
 One JSON file per cache key, named ``sha256(key).json`` inside the cache
-directory, containing the key itself (collision/corruption guard), a
-``kind`` discriminator and the integer record::
+directory, containing the key itself (collision/corruption guard) and
+the ``(kind, record)`` pair of the engine's one totals codec,
+:func:`~repro.sim.experiments.totals_to_json` — the same records an
+artifact's ``totals`` member holds::
 
     {"format": "repro.cache/1", "key": "...", "kind": "activity",
      "record": {"transitions": ..., "zeros": ..., "bursts": ...}}
 
-All four record families of the engine round-trip:
-:class:`~repro.sim.experiments.ActivityTotals` (encode entries),
-:class:`~repro.sim.experiments.ReplayTotals` (controller replays),
-:class:`~repro.extensions.reliability.FaultCoverageRow` (fault-coverage
-rows) and :class:`~repro.analysis.sso.SsoStatistics`
-(simultaneous-switching tallies; histogram keys are stringified in JSON
-and restored to ints on decode).
+That codec covers all four totals types (``activity``, ``replay``,
+``fault`` and ``sso`` records), so this module has none of its own.
 
 Concurrency
 -----------
@@ -63,11 +60,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional
 
-from ..analysis.sso import SsoStatistics
-from ..extensions.reliability import FaultCoverageRow
-from ..sim.experiments import ActivityCache, ActivityTotals, ReplayTotals
+from ..sim.experiments import ActivityCache, totals_from_json, totals_to_json
 
 #: Identifier written into every cache entry file.
 CACHE_FORMAT = "repro.cache/1"
@@ -76,77 +71,10 @@ CACHE_FORMAT = "repro.cache/1"
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 
-# -- record (de)serialisation ------------------------------------------------
-
-def encode_record(totals) -> Tuple[str, Dict[str, object]]:
-    """``(kind, JSON record)`` for any cached-totals value."""
-    if isinstance(totals, ActivityTotals):
-        return "activity", {"transitions": totals.transitions,
-                            "zeros": totals.zeros,
-                            "bursts": totals.bursts}
-    if isinstance(totals, ReplayTotals):
-        record: Dict[str, object] = {
-            "transactions": totals.transactions,
-            "bytes_written": totals.bytes_written,
-            "beats": totals.beats,
-            "channels": [list(channel) for channel in totals.channels]}
-        if totals.segments:
-            # Adaptive replays only; absent for fixed-point entries, so
-            # pre-existing cache files keep decoding (and re-encoding a
-            # fixed-point entry reproduces the old bytes exactly).
-            record["segments"] = [list(segment)
-                                  for segment in totals.segments]
-        return "replay", record
-    if isinstance(totals, FaultCoverageRow):
-        return "fault", {"rate": totals.rate,
-                         "injected_faults": totals.injected_faults,
-                         "total_beats": totals.total_beats,
-                         "bit_errors": totals.bit_errors,
-                         "corrupted_beats": totals.corrupted_beats,
-                         "dbi_lane_faults": totals.dbi_lane_faults}
-    if isinstance(totals, SsoStatistics):
-        return "sso", {"beats": totals.beats,
-                       "max_switching": totals.max_switching,
-                       "total_switching": totals.total_switching,
-                       "histogram": {str(k): count for k, count
-                                     in sorted(totals.histogram.items())}}
-    raise TypeError(f"cannot persist cache record of type "
-                    f"{type(totals).__name__}")
-
-
-def decode_record(kind: str, record: Dict[str, object]):
-    """Inverse of :func:`encode_record`."""
-    if kind == "activity":
-        return ActivityTotals(transitions=int(record["transitions"]),
-                              zeros=int(record["zeros"]),
-                              bursts=int(record["bursts"]))
-    if kind == "replay":
-        return ReplayTotals(
-            transactions=int(record["transactions"]),
-            bytes_written=int(record["bytes_written"]),
-            beats=int(record["beats"]),
-            channels=tuple(tuple(int(value) for value in channel)
-                           for channel in record["channels"]),
-            segments=tuple(
-                (str(label), int(zeros), int(transitions), int(beats))
-                for label, zeros, transitions, beats
-                in record.get("segments", ())))
-    if kind == "fault":
-        return FaultCoverageRow(
-            rate=float(record["rate"]),
-            injected_faults=int(record["injected_faults"]),
-            total_beats=int(record["total_beats"]),
-            bit_errors=int(record["bit_errors"]),
-            corrupted_beats=int(record["corrupted_beats"]),
-            dbi_lane_faults=int(record["dbi_lane_faults"]))
-    if kind == "sso":
-        return SsoStatistics(
-            beats=int(record["beats"]),
-            max_switching=int(record["max_switching"]),
-            total_switching=int(record["total_switching"]),
-            histogram={int(k): int(count) for k, count
-                       in record["histogram"].items()})
-    raise ValueError(f"unknown cache record kind {kind!r}")
+#: The entry record codec is the engine's one totals codec, shared with
+#: artifact ``totals`` (these names predate it).
+encode_record = totals_to_json
+decode_record = totals_from_json
 
 
 # -- the disk tier -----------------------------------------------------------
@@ -233,7 +161,7 @@ class DiskActivityCache(ActivityCache):
             self._quarantine(path)
             return None
         try:
-            totals = decode_record(payload["kind"], payload["record"])
+            totals = totals_from_json(payload["kind"], payload["record"])
         except (ValueError, KeyError, TypeError):
             self._quarantine(path)
             return None
@@ -254,7 +182,7 @@ class DiskActivityCache(ActivityCache):
         os.replace(temp, path)
 
     def store(self, key: str, totals) -> None:
-        kind, record = encode_record(totals)
+        kind, record = totals_to_json(totals)
         self._totals[key] = totals
         if self._disk_disabled:
             return  # degraded: memory-only tier keeps serving

@@ -49,9 +49,7 @@ absorbs both:
 
 from __future__ import annotations
 
-import json
 import os
-import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -63,8 +61,9 @@ from ..sim.experiments import (
     ExperimentResult,
     ExperimentSpec,
     load_artifact,
-    result_to_json,
+    provenance_stamp,
     run_experiment,
+    save_artifact,
 )
 from ..workloads.population import DEFAULT_CHUNK_SIZE
 from .diskcache import DiskActivityCache
@@ -217,12 +216,8 @@ def merge_shards(results: Sequence[ExperimentResult]) -> ExperimentResult:
         "population_bursts": len(reference.population),
         "elapsed_s": sum(float(result.provenance.get("elapsed_s", 0.0))
                          for result in tagged),
-        "python": platform.python_version(),
-        "created_unix": time.time(),
+        **provenance_stamp(),
     }
-    from .. import __version__
-
-    provenance["repro_version"] = __version__
     return ExperimentResult(spec=spec, series=series, totals=totals,
                             provenance=provenance)
 
@@ -251,9 +246,7 @@ def _store_checkpoint(path: str, result: ExperimentResult) -> None:
     """Atomically persist one shard result as an ordinary artifact."""
     temp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(temp, "w", encoding="utf-8") as handle:
-            json.dump(result_to_json(result), handle, indent=1)
-            handle.write("\n")
+        save_artifact(result, temp)
         os.replace(temp, path)
     finally:
         try:

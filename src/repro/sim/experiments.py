@@ -1,62 +1,49 @@
-"""Declarative experiment engine behind every figure sweep.
+"""Declarative experiment engine behind every figure, replay and ablation.
 
-The paper's figures are all the same computation — encode a burst
-population under each scheme, then price the (transitions, zeros) totals
-under a grid of operating points.  This module makes that shape explicit:
+Every result the repro reports is one computation: run a workload (a
+burst population, or a byte trace through the memory controller) under
+each scheme, tally exact integer totals, then price those totals at a
+grid of operating points.  Totals live in a content-addressed
+:class:`ActivityCache` keyed by *what produced them* (scheme fingerprint,
+cost-model ratio, fault rate, ... ``@`` population or trace digest), so
+two requests that provably produce the same totals share one entry and
+pricing never re-encodes.
 
-* :class:`ExperimentSpec` — schemes × operating-point grid × population
-  source, declared up front (the declarative parameter-sweep style);
-* :class:`ActivityCache` — content-addressed totals store keyed by
-  *scheme fingerprint + population digest*, so RAW/DC/AC/OPT (Fixed)
-  encode exactly once per experiment and OPT re-encodes only when the
-  alpha/beta *ratio* actually changes across grid points;
-* :func:`run_experiment` — the executor: plans the unique encode tasks,
-  runs them serially or on a process pool (``jobs``), merges in
-  deterministic declaration order, and prices every grid cell from the
-  cached totals (the per-cell :class:`~repro.phy.power.InterfaceEnergyModel`
-  coefficients are hoisted into the grid at spec-build time);
-* :func:`save_artifact` / :func:`load_artifact` — JSON persistence of
-  spec + results + provenance, so figures re-render without simulating.
+Each experiment kind is one :class:`Axis` entry holding only what differs
+between kinds: plan the cache keys, execute the missing ones, price, and
+convert the spec to and from JSON.  One run loop owns the rest — backend
+resolution, the fresh-cache default, hit/miss accounting, the render-only
+refusal, ``elapsed_s`` and the version stamp — and one
+``repro.experiment/1`` artifact codec (discriminated by ``kind``) plus one
+totals codec (:func:`totals_to_json`, also the disk cache's record
+format) persist every kind::
 
-Three spec builders (:func:`alpha_experiment`, :func:`rate_experiment`,
-:func:`load_experiment`) reproduce Figs. 3/4, 7 and 8; the legacy
-functions in :mod:`repro.sim.sweep` are thin wrappers over them with
-bit-identical results.
+    kind         spec builder                 run function     loader
+    -----------  ---------------------------  ---------------  -------------------------
+    experiment   alpha_experiment,            run_experiment   load_artifact
+                 rate_experiment,
+                 load_experiment
+    replay       interface_replay_experiment  run_replay       load_replay_artifact
+    faults       fault_experiment             run_faults       load_fault_artifact
+    granularity  granularity_experiment       run_granularity  load_granularity_artifact
+    sso          sso_experiment               run_sso          load_sso_artifact
 
-Since PR 5 the engine has a second experiment axis, **controller
-replay**: :class:`ReplaySpec` drives a byte payload (a
-:mod:`repro.workloads.traces` class, a memory dump, ...) through the
-multi-channel write path of :class:`repro.ctrl.controller.MemoryController`
-at a grid of electrical operating points
-(:class:`ReplayPoint` — interface preset × data rate × load), with the
-same ``backend=`` / ``jobs=`` / ``cache=`` machinery:
-:func:`run_replay` deduplicates replays by the controller's *cost-model
-ratio* (operating points whose differential alpha/beta ratio coincides —
-e.g. SSTL and LVSTL, both transition-only — replay once) and prices
-per-channel energy from the cached integer tallies.
+    kind         cache key                                        counter
+    -----------  -----------------------------------------------  ----------
+    experiment   fingerprint@population                           encodes
+    replay       ctrl[link,r=ratio]@trace (fixed points),         replays
+                 ctrl[link,sched=...|track=...]@trace (adaptive)
+    faults       fault[p=rate,s=seed]fingerprint@population       injections
+    granularity  fingerprint@population                           encodes
+    sso          sso[chained=0|1]fingerprint@population           encodes
 
-PR 6 adds two more axes with the same cache discipline and the same
-``repro.experiment/1`` artifact format (discriminated by a ``kind``
-field):
-
-* **reliability** — :class:`FaultSpec` / :func:`run_faults` injects the
-  mask-parallel fault engine of :mod:`repro.extensions.reliability`
-  across a scheme × fault-rate grid, one cached coverage row per
-  (scheme fingerprint, rate, seed, population digest);
-* **granularity** — :class:`GranularitySpec` / :func:`run_granularity`
-  runs the grouped-DBI ablation of :mod:`repro.extensions.granularity`
-  over a grid of group sizes, sharing encode entries with figure sweeps
-  through the grouped scheme's ratio-keyed fingerprint.
-
-PR 8 adds **simultaneous switching** as a fifth axis: :class:`SsoSpec` /
-:func:`run_sso` tallies per-beat switching histograms with the
-word-parallel engine of :mod:`repro.analysis.sso`
-(:func:`~repro.analysis.sso.sso_of_scheme_batch`), one cached
-:class:`~repro.analysis.sso.SsoStatistics` per (scheme fingerprint,
-chained flag, population digest), then prices peak/mean supply-current
-proxies for every electrical interface preset — interfaces enter only at
-pricing, so one encode serves the whole interface column, mirroring the
-fault axis.
+The figure kind reproduces Figs. 3/4, 7 and 8 (the legacy functions in
+:mod:`repro.sim.sweep` are thin wrappers with bit-identical results);
+granularity entries share the figure kind's keys, so an ablation reuses
+any encode a sweep already paid for.  Replays deduplicate operating
+points by differential cost ratio (SSTL and LVSTL, both transition-only,
+replay once), faults by (rate, seed, fingerprint), and SSO tallies are
+interface-independent, so one encode serves a whole interface column.
 
 Pricing is the linear form shared by the abstract cost model and the
 physical energy model: ``alpha`` per transition, ``beta`` per zero.  Two
@@ -67,14 +54,19 @@ code paths (``cost`` mirrors :meth:`~repro.core.costs.CostModel.activity_cost`,
 
 from __future__ import annotations
 
+import copy
+import functools
 import hashlib
+import itertools
 import json
 import os
 import platform
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field, fields
+from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 from ..baselines import DbiAc, DbiDc, Raw
 from ..core.bitops import WORD_WIDTH
@@ -87,11 +79,7 @@ from ..ctrl.adaptive import (
     OperatingPointSchedule,
     TrackingConfig,
 )
-from ..ctrl.controller import (
-    CACHE_LINE_BYTES,
-    MemoryController,
-    transactions_from_bytes,
-)
+from ..ctrl.controller import CACHE_LINE_BYTES, MemoryController
 from ..extensions.granularity import GroupedDbiOptimal, VALID_GROUP_SIZES
 from ..extensions.reliability import (
     DEFAULT_FAULT_RATES,
@@ -195,29 +183,26 @@ def population_activity(scheme: DbiScheme, population,
 # -- the activity cache ------------------------------------------------------
 
 class ActivityCache:
-    """Content-addressed store of activity-totals records.
+    """Content-addressed store of every kind's totals records.
 
-    Two families of entries share the store, distinguishable by key
-    shape; both key halves identify *content*, not object identity, so
-    any two requests that provably produce the same totals collapse to
-    one entry:
+    A key (shapes in the module docstring) names what produced its
+    totals — *content*, not object identity — so any two requests that
+    provably produce the same totals collapse to one entry: OPT (Fixed)
+    and the tracking OPT slot at AC fraction 0.5, two replay points with
+    one differential cost ratio, or a granularity row and a figure
+    encode of the same scheme.
 
-    * encode entries — ``scheme.fingerprint() + "@" +
-      population.digest()`` mapping to :class:`ActivityTotals` (e.g. OPT
-      (Fixed) and the tracking OPT slot at AC fraction 0.5 share one);
-    * controller-replay entries — :meth:`ReplaySpec.replay_key` strings
-      mapping to :class:`ReplayTotals` (operating points with one
-      differential cost ratio share one).
-
-    ``hits`` and ``misses`` count unique key lookups per
-    :func:`run_experiment` / :func:`run_replay` plan; ``misses`` equals
-    the number of encodes/replays actually executed.
+    ``hits`` and ``misses`` count unique key lookups per run on every
+    kind; ``misses`` equals the number of encodes/replays/injections
+    actually executed.  Threads sharing one cache (the service daemon's)
+    update them through :meth:`count_lookups`, under a lock.
     """
 
     def __init__(self) -> None:
         self._totals: Dict[str, "CachedTotals"] = {}
         self.hits = 0
         self.misses = 0
+        self._counter_lock = threading.Lock()
 
     @staticmethod
     def key_for(scheme: DbiScheme, population: BurstPopulation) -> str:
@@ -235,10 +220,17 @@ class ActivityCache:
     def store(self, key: str, totals: "CachedTotals") -> None:
         self._totals[key] = totals
 
+    def count_lookups(self, hits: int, misses: int) -> None:
+        """Add one run's hit/miss tallies (``+=`` is not atomic)."""
+        with self._counter_lock:
+            self.hits += hits
+            self.misses += misses
+
     def clear(self) -> None:
         self._totals.clear()
-        self.hits = 0
-        self.misses = 0
+        with self._counter_lock:
+            self.hits = 0
+            self.misses = 0
 
     def health(self) -> Dict[str, object]:
         """Degradation/health snapshot; a plain memory tier never degrades.
@@ -342,11 +334,16 @@ class SchemeSlot:
         """The scheme to run for *point* (static slots ignore the point)."""
         if self.tracks_point:
             return DbiOptimal(CostModel(point.alpha, point.beta))
-        if self.scheme is None:
-            raise RuntimeError(
-                f"slot {self.name!r} is render-only (loaded from an "
-                "artifact without a registry-reconstructible scheme)")
-        return self.scheme
+        return _require_scheme(self.name, self.scheme)
+
+
+def _require_scheme(slot_name: str, scheme: Optional[DbiScheme]) -> DbiScheme:
+    """A slot's scheme, or the render-only refusal when it did not rebuild."""
+    if scheme is None:
+        raise RuntimeError(
+            f"slot {slot_name!r} is render-only (loaded from an "
+            "artifact without a registry-reconstructible scheme)")
+    return scheme
 
 
 @dataclass(frozen=True)
@@ -368,16 +365,19 @@ class ExperimentSpec:
     figure_params: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not self.slots:
-            raise ValueError("spec needs at least one scheme slot")
+        _check_slot_names("spec", [slot.name for slot in self.slots])
         if not self.grid:
             raise ValueError("spec needs at least one grid point")
         if self.pricing not in PRICINGS:
             raise ValueError(
                 f"unknown pricing {self.pricing!r}; choose from {PRICINGS}")
-        names = [slot.name for slot in self.slots]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate slot names in {names}")
+
+
+def _check_slot_names(what: str, names: Sequence[str]) -> None:
+    if not names:
+        raise ValueError(f"{what} needs at least one scheme slot")
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate slot names in {names}")
 
 
 # -- the executor ------------------------------------------------------------
@@ -409,118 +409,41 @@ def _price_cell(totals: ActivityTotals, point: GridPoint,
             + totals.transitions * point.alpha) / totals.bursts
 
 
-#: Worker-process state: the population is shipped once per worker via
-#: the pool initializer instead of once per task, so explicit in-memory
-#: populations don't pay a per-task pickling cost.
-_WORKER_POPULATION: Optional[BurstPopulation] = None
-
-
-def _pool_initializer(population: BurstPopulation) -> None:
-    global _WORKER_POPULATION
-    _WORKER_POPULATION = population
-
-
-def _encode_task(scheme: DbiScheme, backend: Optional[str],
-                 chunk_size: int) -> Tuple[int, int, int]:
-    """Process-pool payload: one population encode, returned as ints."""
-    totals = population_activity(scheme, _WORKER_POPULATION, backend=backend,
-                                 chunk_size=chunk_size)
-    return totals.transitions, totals.zeros, totals.bursts
-
-
-def run_experiment(spec: ExperimentSpec, backend: Optional[str] = None,
-                   jobs: int = 1, cache: Optional[ActivityCache] = None,
-                   chunk_size: int = DEFAULT_CHUNK_SIZE) -> ExperimentResult:
-    """Execute a spec: plan unique encodes, run them, price the grid.
-
-    ``jobs > 1`` fans the missing encode tasks out to a process pool;
-    results are merged back in deterministic declaration order, and the
-    totals are exact integers, so the output is bit-identical to a
-    serial run.  ``cache`` defaults to a fresh per-run
-    :class:`ActivityCache`; pass :func:`shared_cache` (or your own) to
-    reuse encodes across experiments.
-    """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    resolved = resolve_backend(backend)
-    if cache is None:
-        cache = ActivityCache()
-    start = time.perf_counter()
-
-    # Plan: one cache key per (slot, relevant point), deduplicated in
-    # declaration order.  Static slots contribute a single key; tracking
-    # slots contribute one key per *distinct ratio fingerprint*.
-    cell_keys: Dict[Tuple[str, int], str] = {}
-    needed: Dict[str, DbiScheme] = {}
+def _plan_grid(spec: ExperimentSpec):
+    """Static slots resolve once; tracking slots once per grid point
+    (points with one alpha/beta ratio share a fingerprint, hence a key)."""
     for slot in spec.slots:
+        key = None
         for index, point in enumerate(spec.grid):
-            if not slot.tracks_point and index > 0:
-                cell_keys[(slot.name, index)] = cell_keys[(slot.name, 0)]
-                continue
-            scheme = slot.resolve(point)
-            key = cache.key_for(scheme, spec.population)
-            cell_keys[(slot.name, index)] = key
-            if key not in needed:
-                needed[key] = scheme
+            if key is None or slot.tracks_point:
+                scheme = slot.resolve(point)
+                key = ActivityCache.key_for(scheme, spec.population)
+            yield (slot.name, index), key, scheme
 
-    todo: List[Tuple[str, DbiScheme]] = []
-    for key, scheme in needed.items():
-        if key in cache:
-            cache.hits += 1
-        else:
-            cache.misses += 1
-            todo.append((key, scheme))
 
-    if todo:
-        if jobs == 1 or len(todo) == 1:
-            for key, scheme in todo:
-                cache.store(key, population_activity(
-                    scheme, spec.population, backend=resolved,
-                    chunk_size=chunk_size))
-        else:
-            # jobs is an explicit request — honour it (capped by the
-            # task count); over-subscribing cores costs little here.
-            workers = min(jobs, len(todo))
-            with ProcessPoolExecutor(max_workers=workers,
-                                     initializer=_pool_initializer,
-                                     initargs=(spec.population,)) as pool:
-                futures = [pool.submit(_encode_task, scheme, resolved,
-                                       chunk_size)
-                           for __, scheme in todo]
-                # Merge in submission (declaration) order, not completion
-                # order, so the cache fill is deterministic.
-                for (key, __), future in zip(todo, futures):
-                    transitions, zeros, bursts = future.result()
-                    cache.store(key, ActivityTotals(
-                        transitions=transitions, zeros=zeros, bursts=bursts))
+def _encode_task(population: BurstPopulation, scheme: DbiScheme,
+                 backend: str, chunk_size: int) -> ActivityTotals:
+    return population_activity(scheme, population, backend=backend,
+                               chunk_size=chunk_size)
 
-    series: Dict[str, List[float]] = {}
-    for slot in spec.slots:
-        series[slot.name] = [
-            _price_cell(cache.get(cell_keys[(slot.name, index)]), point,
-                        spec.pricing)
-            for index, point in enumerate(spec.grid)
-        ]
 
-    provenance = {
-        "backend": resolved,
-        "jobs": jobs,
-        "encodes": len(todo),
-        "cache_hits": len(needed) - len(todo),
-        "cache_misses": len(todo),
-        "grid_cells": len(spec.grid),
-        "population": spec.population.digest(),
-        "population_bursts": len(spec.population),
-        "elapsed_s": time.perf_counter() - start,
-        "python": platform.python_version(),
-        "created_unix": time.time(),
-    }
-    from .. import __version__
+def _encode_missing(spec: ExperimentSpec, schemes, backend: str, jobs: int,
+                    chunk_size: int):
+    return _fan_out(jobs, spec.population, _encode_task,
+                    [(scheme, backend, chunk_size) for scheme in schemes])
 
-    provenance["repro_version"] = __version__
-    totals = {key: cache.get(key) for key in needed}
-    return ExperimentResult(spec=spec, series=series, totals=totals,
-                            provenance=provenance)
+
+def _price_grid(spec: ExperimentSpec, cells, cache) -> Dict[str, object]:
+    return {"series": {
+        slot.name: [_price_cell(cache.get(cells[(slot.name, index)]), point,
+                                spec.pricing)
+                    for index, point in enumerate(spec.grid)]
+        for slot in spec.slots}}
+
+
+def _describe_grid(spec: ExperimentSpec) -> Dict[str, object]:
+    return {"grid_cells": len(spec.grid),
+            **_population_provenance(spec.population)}
 
 
 # -- figure spec builders ----------------------------------------------------
@@ -635,30 +558,10 @@ def load_experiment(population, interface: Optional[PodInterface] = None,
 
 # -- the controller-replay axis ----------------------------------------------
 
-@dataclass(frozen=True)
-class ReplayPoint:
-    """One electrical operating point of a controller replay.
-
-    ``interface`` names a preset from
-    :data:`repro.phy.interface.INTERFACES`; the per-event energies follow
-    from (interface, data rate, load) exactly as in the figure sweeps.
-    """
-
-    interface: str
-    data_rate_hz: float
-    c_load_farads: float
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.label:
-            object.__setattr__(
-                self, "label",
-                f"{self.interface}@{self.data_rate_hz / GBPS:g}Gbps"
-                f"/{self.c_load_farads / PICOFARAD:g}pF")
-
-    def energy_model(self) -> InterfaceEnergyModel:
-        return InterfaceEnergyModel(get_interface(self.interface),
-                                    self.data_rate_hz, self.c_load_farads)
+#: One electrical operating point of a controller replay (interface
+#: preset × data rate × load): the controller's own point type, so fixed
+#: points, schedules and trackers share one class and one codec.
+ReplayPoint = OperatingPoint
 
 
 @dataclass(frozen=True)
@@ -757,9 +660,7 @@ class ReplaySpec:
         ratios collapse to one replay.  Chunked and inline replays of
         the same bytes share keys (chunk seams never change decisions).
         """
-        return (f"ctrl[ch={self.channels},l={self.byte_lanes},"
-                f"w={self.window},line={self.line_bytes},"
-                f"r={model.ac_fraction.hex()}]@{self.payload_digest()}")
+        return self._link_key(f"r={model.ac_fraction.hex()}")
 
     def adaptive_key(self) -> str:
         """Cache key of the adaptive replay (requires one adaptive axis).
@@ -778,6 +679,9 @@ class ReplaySpec:
         else:
             raise ValueError(
                 f"spec {self.name!r} has no schedule/tracking axis")
+        return self._link_key(axis)
+
+    def _link_key(self, axis: str) -> str:
         return (f"ctrl[ch={self.channels},l={self.byte_lanes},"
                 f"w={self.window},line={self.line_bytes},"
                 f"{axis}]@{self.payload_digest()}")
@@ -831,7 +735,8 @@ class ReplayTotals:
 
 
 #: What an :class:`ActivityCache` stores (see its docstring).
-CachedTotals = Union[ActivityTotals, ReplayTotals, FaultCoverageRow]
+CachedTotals = Union[ActivityTotals, ReplayTotals, FaultCoverageRow,
+                     "SsoStatistics"]
 
 
 @dataclass
@@ -855,8 +760,30 @@ class ReplayResult:
         return self.totals[self.point_keys[label]]
 
 
-def _totals_of(controller: MemoryController,
-               stats) -> ReplayTotals:
+def _replay_once(spec: ReplaySpec, model: Optional[CostModel],
+                 backend: str) -> ReplayTotals:
+    """One streaming pass of the spec's trace through the write path.
+
+    At the fixed cost ``model``, or under the spec's schedule or tracker
+    when ``model`` is ``None``.  Streaming an inline payload is
+    bit-identical to submitting it in one shot — the lane encoders'
+    pending state depends only on cumulative pushed bytes, never on how
+    submissions were chunked (the chunk-seam invariant
+    ``tests/ctrl/test_chunk_seams.py`` enforces).
+    """
+    if model is not None:
+        setting = {"model": model}
+    elif spec.schedule is not None:
+        setting = {"schedule": spec.schedule}
+    else:
+        setting = {"tracker": spec.tracking.build()}
+    controller = MemoryController(channels=spec.channels,
+                                  byte_lanes=spec.byte_lanes,
+                                  window=spec.window,
+                                  line_bytes=spec.line_bytes,
+                                  backend=backend, **setting)
+    controller.submit_source(spec.trace_source())
+    stats = controller.flush()
     per_channel = tuple(
         (merged.zeros, merged.transitions, merged.beats)
         for merged in (controller.channel_statistics(channel)
@@ -870,81 +797,31 @@ def _totals_of(controller: MemoryController,
                         segments=segments)
 
 
-def _execute_replay(payload: bytes, model: CostModel, channels: int,
-                    byte_lanes: int, window: int, line_bytes: int,
-                    backend: str) -> ReplayTotals:
-    """One full one-shot pass of a payload through the write path."""
-    controller = MemoryController(channels=channels, byte_lanes=byte_lanes,
-                                  model=model, window=window,
-                                  line_bytes=line_bytes, backend=backend)
-    controller.submit(transactions_from_bytes(payload, line_bytes))
-    return _totals_of(controller, controller.flush())
+def _replay_missing(spec: ReplaySpec, models, backend: str, jobs: int):
+    """Source-backed specs replay serially: the trace never ships to
+    worker processes."""
+    return _fan_out(jobs if spec.source is None else 1, spec, _replay_once,
+                    [(model, backend) for model in models])
 
 
-def _execute_replay_stream(source, model: CostModel, channels: int,
-                           byte_lanes: int, window: int, line_bytes: int,
-                           backend: str) -> ReplayTotals:
-    """One full streaming pass of a trace source through the write path.
-
-    Bit-identical to :func:`_execute_replay` on the same bytes — the
-    lane encoders' pending state depends only on cumulative pushed
-    bytes, never on how submissions were chunked (the chunk-seam
-    invariant ``tests/ctrl/test_chunk_seams.py`` enforces).
-    """
-    controller = MemoryController(channels=channels, byte_lanes=byte_lanes,
-                                  model=model, window=window,
-                                  line_bytes=line_bytes, backend=backend)
-    controller.submit_source(source)
-    return _totals_of(controller, controller.flush())
-
-
-def _execute_adaptive_replay(spec: "ReplaySpec",
-                             backend: str) -> ReplayTotals:
-    """One streaming pass under the spec's schedule or tracking axis."""
-    adaptive = ({"schedule": spec.schedule}
-                if spec.schedule is not None
-                else {"tracker": spec.tracking.build()})
-    controller = MemoryController(channels=spec.channels,
-                                  byte_lanes=spec.byte_lanes,
-                                  window=spec.window,
-                                  line_bytes=spec.line_bytes,
-                                  backend=backend, **adaptive)
-    controller.submit_source(spec.trace_source())
-    return _totals_of(controller, controller.flush())
-
-
-#: Worker-process state, mirroring the population initializer: the
-#: payload ships once per worker, tasks carry only scalars.
-_WORKER_PAYLOAD: Optional[bytes] = None
-
-
-def _replay_pool_initializer(payload: bytes) -> None:
-    global _WORKER_PAYLOAD
-    _WORKER_PAYLOAD = payload
-
-
-def _replay_task(alpha: float, beta: float, channels: int, byte_lanes: int,
-                 window: int, line_bytes: int, backend: str) -> ReplayTotals:
-    return _execute_replay(_WORKER_PAYLOAD, CostModel(alpha, beta), channels,
-                           byte_lanes, window, line_bytes, backend)
+def _priced(totals: ReplayTotals, energy: float,
+            **breakdown) -> Dict[str, object]:
+    return {"energy_joules": energy,
+            "energy_per_byte": (energy / totals.bytes_written
+                                if totals.bytes_written else 0.0),
+            **breakdown}
 
 
 def _price_replay(totals: ReplayTotals,
                   energy_model: InterfaceEnergyModel) -> Dict[str, object]:
-    per_channel_energy = [
-        energy_model.burst_energy(transitions, zeros,
-                                  lane_beats=WORD_WIDTH * beats)
-        for zeros, transitions, beats in totals.channels
-    ]
-    energy = energy_model.burst_energy(
-        totals.transitions, totals.zeros,
-        lane_beats=WORD_WIDTH * totals.beats)
-    return {
-        "energy_joules": energy,
-        "energy_per_byte": (energy / totals.bytes_written
-                            if totals.bytes_written else 0.0),
-        "per_channel_energy": per_channel_energy,
-    }
+    return _priced(
+        totals, energy_model.burst_energy(
+            totals.transitions, totals.zeros,
+            lane_beats=WORD_WIDTH * totals.beats),
+        per_channel_energy=[
+            energy_model.burst_energy(transitions, zeros,
+                                      lane_beats=WORD_WIDTH * beats)
+            for zeros, transitions, beats in totals.channels])
 
 
 def _price_adaptive(totals: ReplayTotals,
@@ -959,137 +836,42 @@ def _price_adaptive(totals: ReplayTotals,
         per_segment.append({"label": label, "beats": beats,
                             "energy_joules": segment_energy})
         energy += segment_energy
-    return {
-        "energy_joules": energy,
-        "energy_per_byte": (energy / totals.bytes_written
-                            if totals.bytes_written else 0.0),
-        "per_segment_energy": per_segment,
-    }
+    return _priced(totals, energy, per_segment_energy=per_segment)
 
 
-def run_replay(spec: ReplaySpec, backend: Optional[str] = None,
-               jobs: int = 1, cache: Optional[ActivityCache] = None) -> ReplayResult:
-    """Execute a replay spec: plan unique replays, run them, price points.
-
-    The shape mirrors :func:`run_experiment`: points are deduplicated by
-    :meth:`ReplaySpec.replay_key`, missing replays run serially or on a
-    process pool (``jobs``; merged in declaration order, so results are
-    bit-identical to a serial run), and every operating point is priced
-    from the cached integer totals.
-
-    Source-backed specs stream every replay through
-    :meth:`~repro.ctrl.controller.MemoryController.submit_source` in
-    bounded memory and always run serially (the trace never ships to
-    worker processes); the totals — and therefore the cache entries and
-    priced energies — are bit-identical to an inline replay of the same
-    bytes.  A spec's ``schedule``/``tracking`` axis adds one more series
-    under :attr:`ReplaySpec.adaptive_label`, priced per segment at that
-    segment's own operating point.
-    """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    resolved = resolve_backend(backend)
-    if cache is None:
-        cache = ActivityCache()
-    start = time.perf_counter()
-
-    point_keys: Dict[str, str] = {}
-    needed: Dict[str, CostModel] = {}
+def _plan_replays(spec: ReplaySpec):
+    """One key per point label; the adaptive axis's task is ``None``."""
     for point in spec.points:
         model = point.energy_model().cost_model()
-        key = spec.replay_key(model)
-        point_keys[point.label] = key
-        if key not in needed:
-            needed[key] = model
-    adaptive_key: Optional[str] = None
+        yield point.label, spec.replay_key(model), model
     if spec.adaptive_label is not None:
-        adaptive_key = spec.adaptive_key()
-        point_keys[spec.adaptive_label] = adaptive_key
+        yield spec.adaptive_label, spec.adaptive_key(), None
 
-    todo: List[Tuple[str, CostModel]] = []
-    for key, model in needed.items():
-        if key in cache:
-            cache.hits += 1
-        else:
-            cache.misses += 1
-            todo.append((key, model))
-    adaptive_todo = False
-    if adaptive_key is not None:
-        if adaptive_key in cache:
-            cache.hits += 1
-        else:
-            cache.misses += 1
-            adaptive_todo = True
 
-    if (todo or adaptive_todo) and getattr(spec, "_render_only", False):
-        missing = [key for key, __ in todo]
-        if adaptive_todo:
-            missing.append(adaptive_key)
-        raise RuntimeError(
-            f"replay spec {spec.name!r} was loaded from an artifact "
-            "without its trace and cannot re-execute; pass a cache "
-            "holding its totals, or re-run with the original trace "
-            f"(missing: {missing})")
-
-    if todo:
-        if spec.source is not None:
-            for key, model in todo:
-                cache.store(key, _execute_replay_stream(
-                    spec.source, model, spec.channels, spec.byte_lanes,
-                    spec.window, spec.line_bytes, resolved))
-        elif jobs == 1 or len(todo) == 1:
-            for key, model in todo:
-                cache.store(key, _execute_replay(
-                    spec.payload, model, spec.channels, spec.byte_lanes,
-                    spec.window, spec.line_bytes, resolved))
-        else:
-            workers = min(jobs, len(todo))
-            with ProcessPoolExecutor(max_workers=workers,
-                                     initializer=_replay_pool_initializer,
-                                     initargs=(spec.payload,)) as pool:
-                futures = [pool.submit(_replay_task, model.alpha, model.beta,
-                                       spec.channels, spec.byte_lanes,
-                                       spec.window, spec.line_bytes, resolved)
-                           for __, model in todo]
-                for (key, __), future in zip(todo, futures):
-                    cache.store(key, future.result())
-    if adaptive_todo:
-        cache.store(adaptive_key, _execute_adaptive_replay(spec, resolved))
-
+def _price_replays(spec: ReplaySpec, cells, cache) -> Dict[str, object]:
     series = {
-        point.label: _price_replay(cache.get(point_keys[point.label]),
+        point.label: _price_replay(cache.get(cells[point.label]),
                                    point.energy_model())
         for point in spec.points
     }
     if spec.adaptive_label is not None:
         axis = spec.schedule if spec.schedule is not None else spec.tracking
         series[spec.adaptive_label] = _price_adaptive(
-            cache.get(adaptive_key), axis.points_by_label())
-    replays = len(todo) + (1 if adaptive_todo else 0)
-    planned = len(needed) + (1 if adaptive_key is not None else 0)
-    provenance = {
-        "backend": resolved,
-        "jobs": jobs,
-        "replays": replays,
-        "cache_hits": planned - replays,
-        "cache_misses": replays,
+            cache.get(cells[spec.adaptive_label]), axis.points_by_label())
+    return {"series": series, "point_keys": dict(cells)}
+
+
+def _describe_replay(spec: ReplaySpec) -> Dict[str, object]:
+    provenance: Dict[str, object] = {
         "points": len(spec.points),
         "payload": spec.payload_digest(),
         "payload_bytes": spec.trace_bytes_total(),
-        "elapsed_s": time.perf_counter() - start,
-        "python": platform.python_version(),
-        "created_unix": time.time(),
     }
     if spec.source is not None:
         provenance["streamed"] = True
         provenance["chunk_bytes"] = spec.effective_chunk_bytes()
         provenance["source"] = spec.source.describe()
-    from .. import __version__
-
-    provenance["repro_version"] = __version__
-    totals = {key: cache.get(key) for key in point_keys.values()}
-    return ReplayResult(spec=spec, series=series, totals=totals,
-                        provenance=provenance, point_keys=point_keys)
+    return provenance
 
 
 def interface_replay_experiment(payload: bytes,
@@ -1143,13 +925,9 @@ class FaultSpec:
     seed: int = 7
 
     def __post_init__(self) -> None:
-        if not self.slots:
-            raise ValueError("fault spec needs at least one scheme slot")
+        _check_slot_names("fault spec", [name for name, __ in self.slots])
         if not self.rates:
             raise ValueError("fault spec needs at least one fault rate")
-        names = [slot_name for slot_name, __ in self.slots]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate slot names in {names}")
 
     def coverage_key(self, scheme: DbiScheme, rate: float) -> str:
         """Cache key of one (scheme, rate) coverage row."""
@@ -1158,17 +936,12 @@ class FaultSpec:
 
 
 def _coverage_row_json(row: FaultCoverageRow) -> Dict[str, object]:
-    return {
-        "rate": row.rate,
-        "injected_faults": row.injected_faults,
-        "total_beats": row.total_beats,
-        "bit_errors": row.bit_errors,
-        "corrupted_beats": row.corrupted_beats,
-        "dbi_lane_faults": row.dbi_lane_faults,
-        "bit_error_rate": row.bit_error_rate,
-        "beat_error_rate": row.beat_error_rate,
-        "amplification": row.amplification,
-    }
+    """The row's totals record plus its derived rates: the fault kind's
+    series rows and artifact ``totals``."""
+    return {**totals_to_json(row)[1],
+            "bit_error_rate": row.bit_error_rate,
+            "beat_error_rate": row.beat_error_rate,
+            "amplification": row.amplification}
 
 
 @dataclass
@@ -1187,74 +960,40 @@ class FaultResult:
     provenance: Dict[str, object]
 
     def save(self, path) -> None:
-        save_fault_artifact(self, path)
+        save_artifact(self, path)
 
 
-def run_faults(spec: FaultSpec, backend: Optional[str] = None,
-               cache: Optional[ActivityCache] = None,
-               word_impl: str = "auto") -> FaultResult:
-    """Execute a fault spec: plan unique coverage rows, inject, tally.
-
-    Mirrors :func:`run_replay`'s cache discipline: rows are deduplicated
-    by :meth:`FaultSpec.coverage_key` (two slots with equal fingerprints
-    share every row), only the missing rates of a slot are injected, and
-    the result is bit-identical across backends and word implementations
-    (there is no ``jobs``: the vector engine is already mask-parallel).
-    ``backend`` follows :func:`repro.hw.bitsim.resolve_sim_backend` —
-    ``auto`` resolves to the mask-parallel engine even without NumPy.
-    """
-    from ..hw.bitsim import resolve_sim_backend
-
-    resolved = resolve_sim_backend(backend)
-    if cache is None:
-        cache = ActivityCache()
-    start = time.perf_counter()
-    bursts = spec.population.bursts()
-    executed = 0
-    hits = 0
-    series: Dict[str, List[Dict[str, object]]] = {}
-    keys_seen: Dict[str, None] = {}
+def _plan_faults(spec: FaultSpec):
     for slot_name, scheme in spec.slots:
-        keys = {rate: spec.coverage_key(scheme, rate) for rate in spec.rates}
-        missing: List[float] = []
+        scheme = _require_scheme(slot_name, scheme)
         for rate in spec.rates:
-            keys_seen.setdefault(keys[rate])
-            if keys[rate] in cache:
-                cache.hits += 1
-                hits += 1
-            else:
-                cache.misses += 1
-                missing.append(rate)
-        if missing:
-            rows = fault_coverage_curve(scheme, bursts, rates=missing,
-                                        seed=spec.seed, backend=resolved,
-                                        word_impl=word_impl)
-            for rate, row in zip(missing, rows):
-                cache.store(keys[rate], row)
-            executed += len(missing)
-        series[slot_name] = [_coverage_row_json(cache.get(keys[rate]))
-                             for rate in spec.rates]
+            yield ((slot_name, rate), spec.coverage_key(scheme, rate),
+                   (scheme, rate))
 
-    provenance = {
-        "backend": resolved,
-        "word_impl": word_impl,
-        "injections": executed,
-        "cache_hits": hits,
-        "cache_misses": executed,
-        "rates": len(spec.rates),
-        "seed": spec.seed,
-        "population": spec.population.digest(),
-        "population_bursts": len(spec.population),
-        "elapsed_s": time.perf_counter() - start,
-        "python": platform.python_version(),
-        "created_unix": time.time(),
-    }
-    from .. import __version__
 
-    provenance["repro_version"] = __version__
-    totals = {key: cache.get(key) for key in keys_seen}
-    return FaultResult(spec=spec, series=series, totals=totals,
-                       provenance=provenance)
+def _inject_missing(spec: FaultSpec, tasks, backend: str, word_impl: str):
+    """One coverage curve per slot over its missing rates only.
+
+    Rates draw per-``(seed, rate)`` independent mask streams, so a row
+    never depends on which other rates the curve computes.
+    """
+    bursts = spec.population.bursts()
+    for scheme, group in itertools.groupby(tasks, key=lambda task: task[0]):
+        yield from fault_coverage_curve(
+            scheme, bursts, rates=[rate for __, rate in group],
+            seed=spec.seed, backend=backend, word_impl=word_impl)
+
+
+def _price_faults(spec: FaultSpec, cells, cache) -> Dict[str, object]:
+    return {"series": {
+        slot_name: [_coverage_row_json(cache.get(cells[(slot_name, rate)]))
+                    for rate in spec.rates]
+        for slot_name, __ in spec.slots}}
+
+
+def _describe_faults(spec: FaultSpec) -> Dict[str, object]:
+    return {"rates": len(spec.rates), "seed": spec.seed,
+            **_population_provenance(spec.population)}
 
 
 def fault_experiment(population,
@@ -1318,43 +1057,31 @@ class GranularityResult:
     provenance: Dict[str, object]
 
     def save(self, path) -> None:
-        save_granularity_artifact(self, path)
+        save_artifact(self, path)
 
 
-def run_granularity(spec: GranularitySpec, backend: Optional[str] = None,
-                    cache: Optional[ActivityCache] = None
-                    ) -> GranularityResult:
-    """Execute a granularity spec: one cached encode per group size.
-
-    Totals are exact integers and identical across backends
-    (:meth:`GroupedDbiOptimal.activity_totals` guarantees bit-identity),
-    and the produced rows equal
-    :func:`repro.extensions.granularity.granularity_table` on the same
-    population.
-    """
-    resolved = resolve_backend(backend)
-    if cache is None:
-        cache = ActivityCache()
-    start = time.perf_counter()
-    bursts = spec.population.bursts()
-    count = len(spec.population)
-    executed = 0
-    rows: List[Dict[str, object]] = []
-    keys_seen: Dict[str, None] = {}
+def _plan_groups(spec: GranularitySpec):
     for group_size in spec.group_sizes:
         scheme = spec.scheme_for(group_size)
-        key = ActivityCache.key_for(scheme, spec.population)
-        keys_seen.setdefault(key)
-        if key in cache:
-            cache.hits += 1
-        else:
-            cache.misses += 1
-            zeros, transitions = scheme.activity_totals(bursts,
-                                                        backend=resolved)
-            cache.store(key, ActivityTotals(transitions=transitions,
-                                            zeros=zeros, bursts=count))
-            executed += 1
-        totals = cache.get(key)
+        yield group_size, ActivityCache.key_for(scheme, spec.population), scheme
+
+
+def _encode_groups(spec: GranularitySpec, schemes, backend: str):
+    """Totals are exact and identical across backends
+    (:meth:`GroupedDbiOptimal.activity_totals` guarantees bit-identity)."""
+    bursts = spec.population.bursts()
+    for scheme in schemes:
+        zeros, transitions = scheme.activity_totals(bursts, backend=backend)
+        yield ActivityTotals(transitions=transitions, zeros=zeros,
+                             bursts=len(spec.population))
+
+
+def _price_groups(spec: GranularitySpec, cells, cache) -> Dict[str, object]:
+    """Rows equal :func:`repro.extensions.granularity.granularity_table`."""
+    count = len(spec.population)
+    rows: List[Dict[str, object]] = []
+    for group_size in spec.group_sizes:
+        totals = cache.get(cells[group_size])
         rows.append({
             "group_size": group_size,
             "mean_zeros": totals.mean_zeros,
@@ -1363,25 +1090,12 @@ def run_granularity(spec: GranularitySpec, backend: Optional[str] = None,
                 totals.transitions, totals.zeros) / count,
             "lines_per_byte_lane": 8 + 8 // group_size,
         })
+    return {"rows": rows}
 
-    provenance = {
-        "backend": resolved,
-        "encodes": executed,
-        "cache_hits": len(spec.group_sizes) - executed,
-        "cache_misses": executed,
-        "group_sizes": list(spec.group_sizes),
-        "population": spec.population.digest(),
-        "population_bursts": count,
-        "elapsed_s": time.perf_counter() - start,
-        "python": platform.python_version(),
-        "created_unix": time.time(),
-    }
-    from .. import __version__
 
-    provenance["repro_version"] = __version__
-    totals_map = {key: cache.get(key) for key in keys_seen}
-    return GranularityResult(spec=spec, rows=rows, totals=totals_map,
-                             provenance=provenance)
+def _describe_groups(spec: GranularitySpec) -> Dict[str, object]:
+    return {"group_sizes": list(spec.group_sizes),
+            **_population_provenance(spec.population)}
 
 
 def granularity_experiment(population, model: Optional[CostModel] = None,
@@ -1426,13 +1140,9 @@ class SsoSpec:
     line_impedance_ohms: float = 50.0
 
     def __post_init__(self) -> None:
-        if not self.slots:
-            raise ValueError("sso spec needs at least one scheme slot")
+        _check_slot_names("sso spec", [name for name, __ in self.slots])
         if not self.interfaces:
             raise ValueError("sso spec needs at least one interface")
-        names = [slot_name for slot_name, __ in self.slots]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate slot names in {names}")
         if not 0 <= self.threshold <= WORD_WIDTH:
             raise ValueError(
                 f"threshold must be in [0, {WORD_WIDTH}], got {self.threshold}")
@@ -1464,45 +1174,32 @@ class SsoResult:
     provenance: Dict[str, object]
 
     def save(self, path) -> None:
-        save_sso_artifact(self, path)
+        save_artifact(self, path)
 
 
-def run_sso(spec: SsoSpec, backend: Optional[str] = None,
-            cache: Optional[ActivityCache] = None,
-            word_impl: str = "auto") -> SsoResult:
-    """Execute an SSO spec: encode + tally once per slot, price per interface.
-
-    Statistics come from :func:`~repro.analysis.sso.sso_of_scheme_batch`,
-    so they are bit-identical across backends and word implementations
-    (enforced by ``tests/analysis/test_sso_batch.py``); ``backend``
-    follows :func:`repro.hw.bitsim.resolve_sim_backend`.
-    """
-    from ..analysis.sso import sso_of_scheme_batch
-    from ..hw.bitsim import resolve_sim_backend
-
-    resolved = resolve_sim_backend(backend)
-    if cache is None:
-        cache = ActivityCache()
-    start = time.perf_counter()
-    bursts = spec.population.bursts()
-    executed = 0
-    hits = 0
-    series: Dict[str, List[Dict[str, object]]] = {}
-    keys_seen: Dict[str, None] = {}
-    presets = [(name, get_interface(name)) for name in spec.interfaces]
+def _plan_sso(spec: SsoSpec):
+    """One key per slot; interfaces enter only at pricing."""
     for slot_name, scheme in spec.slots:
-        key = spec.sso_key(scheme)
-        keys_seen.setdefault(key)
-        if key in cache:
-            cache.hits += 1
-            hits += 1
-        else:
-            cache.misses += 1
-            cache.store(key, sso_of_scheme_batch(
-                scheme, bursts, chained=spec.chained, backend=resolved,
-                word_impl=word_impl))
-            executed += 1
-        stats = cache.get(key)
+        scheme = _require_scheme(slot_name, scheme)
+        yield slot_name, spec.sso_key(scheme), scheme
+
+
+def _tally_switching(spec: SsoSpec, schemes, backend: str, word_impl: str):
+    """Statistics are bit-identical across backends and word
+    implementations (enforced by ``tests/analysis/test_sso_batch.py``)."""
+    from ..analysis.sso import sso_of_scheme_batch
+
+    bursts = spec.population.bursts()
+    for scheme in schemes:
+        yield sso_of_scheme_batch(scheme, bursts, chained=spec.chained,
+                                  backend=backend, word_impl=word_impl)
+
+
+def _price_interfaces(spec: SsoSpec, cells, cache) -> Dict[str, object]:
+    presets = [(name, get_interface(name)) for name in spec.interfaces]
+    series: Dict[str, List[Dict[str, object]]] = {}
+    for slot_name, __ in spec.slots:
+        stats = cache.get(cells[slot_name])
         series[slot_name] = [{
             "interface": interface_name,
             "beats": stats.beats,
@@ -1515,29 +1212,14 @@ def run_sso(spec: SsoSpec, backend: Optional[str] = None,
             "mean_current_amps": stats.mean_current_amps(
                 interface, spec.line_impedance_ohms),
         } for interface_name, interface in presets]
+    return {"series": series}
 
-    provenance = {
-        "backend": resolved,
-        "word_impl": word_impl,
-        "chained": spec.chained,
-        "threshold": spec.threshold,
-        "line_impedance_ohms": spec.line_impedance_ohms,
-        "encodes": executed,
-        "cache_hits": hits,
-        "cache_misses": executed,
-        "interfaces": len(spec.interfaces),
-        "population": spec.population.digest(),
-        "population_bursts": len(spec.population),
-        "elapsed_s": time.perf_counter() - start,
-        "python": platform.python_version(),
-        "created_unix": time.time(),
-    }
-    from .. import __version__
 
-    provenance["repro_version"] = __version__
-    totals = {key: cache.get(key) for key in keys_seen}
-    return SsoResult(spec=spec, series=series, totals=totals,
-                     provenance=provenance)
+def _describe_sso(spec: SsoSpec) -> Dict[str, object]:
+    return {"chained": spec.chained, "threshold": spec.threshold,
+            "line_impedance_ohms": spec.line_impedance_ohms,
+            "interfaces": len(spec.interfaces),
+            **_population_provenance(spec.population)}
 
 
 def sso_experiment(population,
@@ -1561,9 +1243,90 @@ def sso_experiment(population,
                    line_impedance_ohms=line_impedance_ohms)
 
 
-# -- artifact persistence ----------------------------------------------------
+# -- the totals codec --------------------------------------------------------
+
+def _int_rows(rows) -> Tuple[Tuple[int, ...], ...]:
+    return tuple(tuple(int(value) for value in row) for row in rows)
+
+
+def _segment_rows(rows) -> Tuple[Tuple[str, int, int, int], ...]:
+    return tuple((str(label), int(zeros), int(transitions), int(beats))
+                 for label, zeros, transitions, beats in rows)
+
+
+def _histogram(record: Mapping[str, object]) -> Dict[int, int]:
+    return {int(k): int(count) for k, count in record.items()}
+
+
+@functools.lru_cache(maxsize=None)
+def _totals_codec() -> Dict[str, Tuple[type, Dict[str, Callable]]]:
+    """Record kind -> (totals type, JSON decoder of each persisted field)."""
+    # Imported here: the repro.analysis package imports this module.
+    from ..analysis.sso import SsoStatistics
+
+    return {
+        "activity": (ActivityTotals, {"transitions": int, "zeros": int,
+                                      "bursts": int}),
+        "replay": (ReplayTotals, {"transactions": int, "bytes_written": int,
+                                  "beats": int, "channels": _int_rows,
+                                  "segments": _segment_rows}),
+        "fault": (FaultCoverageRow, {"rate": float, "injected_faults": int,
+                                     "total_beats": int, "bit_errors": int,
+                                     "corrupted_beats": int,
+                                     "dbi_lane_faults": int}),
+        "sso": (SsoStatistics, {"beats": int, "max_switching": int,
+                                "total_switching": int,
+                                "histogram": _histogram}),
+    }
+
+
+def totals_to_json(totals: "CachedTotals") -> Tuple[str, Dict[str, object]]:
+    """``(kind, JSON record)`` of any cached-totals value.
+
+    The one encoding of totals: artifact ``totals`` members and
+    :class:`~repro.service.diskcache.DiskActivityCache` entry files both
+    use it.  Row tuples become lists and histogram keys sorted strings;
+    an empty row field — a fixed-point replay's ``segments`` — is left
+    out, so records written before adaptive replays existed keep their
+    exact bytes.
+    """
+    for kind, (totals_type, decoders) in _totals_codec().items():
+        if isinstance(totals, totals_type):
+            break
+    else:
+        raise TypeError(f"cannot persist totals of type "
+                        f"{type(totals).__name__}")
+    record: Dict[str, object] = {}
+    for name in decoders:
+        value = getattr(totals, name)
+        if isinstance(value, tuple):
+            if not value:
+                continue
+            value = [list(row) for row in value]
+        elif isinstance(value, dict):
+            value = {str(k): count for k, count in sorted(value.items())}
+        record[name] = value
+    return kind, record
+
+
+def totals_from_json(kind: str,
+                     record: Mapping[str, object]) -> "CachedTotals":
+    """Inverse of :func:`totals_to_json` (absent fields take defaults)."""
+    try:
+        totals_type, decoders = _totals_codec()[kind]
+    except KeyError:
+        raise ValueError(f"unknown totals record kind {kind!r}") from None
+    return totals_type(**{name: decode(record[name])
+                          for name, decode in decoders.items()
+                          if name in record})
+
+
+# -- spec codecs -------------------------------------------------------------
 
 def _population_to_json(population: BurstPopulation) -> Dict[str, object]:
+    loaded = getattr(population, "_artifact_record", None)
+    if loaded is not None:
+        return dict(loaded)
     record: Dict[str, object] = {
         "digest": population.digest(),
         "count": len(population),
@@ -1588,62 +1351,448 @@ def _population_from_json(record: Mapping[str, object]) -> BurstPopulation:
         if population.digest() == digest:
             return population
         # Generated by the other generator family — re-render only.
-    return OpaquePopulation(digest=str(digest), count=count,
-                            burst_length=burst_length)
+    opaque = OpaquePopulation(digest=str(digest), count=count,
+                              burst_length=burst_length)
+    # Saved back as loaded, so a random population stays re-runnable
+    # wherever the generator family that drew it is installed.
+    opaque._artifact_record = dict(record)
+    return opaque
 
 
-def _slot_to_json(slot: SchemeSlot) -> Dict[str, object]:
-    record: Dict[str, object] = {"name": slot.name,
-                                 "tracks_point": slot.tracks_point}
-    if slot.scheme is not None:
-        record["scheme"] = slot.scheme.name
-        record["fingerprint"] = slot.scheme.fingerprint()
+def _slot_to_json(slot) -> Dict[str, object]:
+    """A figure :class:`SchemeSlot`, or another kind's ``(name, scheme)``."""
+    if isinstance(slot, SchemeSlot):
+        record: Dict[str, object] = {"name": slot.name,
+                                     "tracks_point": slot.tracks_point}
+        scheme = slot.scheme
+    else:
+        record = {"name": slot[0]}
+        scheme = slot[1]
+    if scheme is not None:
+        record["scheme"] = scheme.name
+        record["fingerprint"] = scheme.fingerprint()
     return record
 
 
-def _slot_from_json(record: Mapping[str, object]) -> SchemeSlot:
-    if record.get("tracks_point"):
-        return SchemeSlot(str(record["name"]), tracks_point=True)
+def _slot_from_json(record: Mapping[str, object]):
+    """The slot decoder of every kind; it keeps every slot.
+
+    A registry scheme whose fingerprint still matches is rebuilt, so the
+    slot can re-run.  Any other slot comes back scheme-less: it
+    re-renders, and running it raises the render-only
+    :class:`RuntimeError`.  Figure slots (their records carry
+    ``tracks_point``) decode to :class:`SchemeSlot`, the other kinds'
+    to ``(name, scheme)`` pairs.
+    """
+    name = str(record["name"])
     scheme: Optional[DbiScheme] = None
-    scheme_name = record.get("scheme")
-    if scheme_name is not None:
+    if not record.get("tracks_point"):
         try:
-            candidate = get_scheme(str(scheme_name))
-        except KeyError:
-            candidate = None
-        if (candidate is not None
-                and candidate.fingerprint() == record.get("fingerprint")):
-            scheme = candidate
-    return SchemeSlot(str(record["name"]), scheme=scheme)
+            scheme = get_scheme(str(record["scheme"]))
+        except KeyError:  # no scheme recorded, or no longer in the registry
+            pass
+        if (scheme is not None
+                and scheme.fingerprint() != record.get("fingerprint")):
+            scheme = None
+    if "tracks_point" in record:
+        return SchemeSlot(name, scheme=scheme,
+                          tracks_point=bool(record["tracks_point"]))
+    return name, scheme
 
 
-def result_to_json(result: ExperimentResult) -> Dict[str, object]:
-    """The artifact as a JSON-serialisable dict (see :func:`save_artifact`)."""
+def _fields_to_json(value) -> Dict[str, object]:
+    """A spec (or a dataclass inside one) as JSON: its fields in
+    declaration order, tuples as lists, mappings as dicts, and
+    :data:`_FIELD_CODECS` for fields that are not plain JSON values."""
+    record: Dict[str, object] = {}
+    for item in fields(value):
+        field_value = getattr(value, item.name)
+        if field_value is not None and item.name in _FIELD_CODECS:
+            field_value = _FIELD_CODECS[item.name][0](field_value)
+        elif isinstance(field_value, tuple):
+            field_value = list(field_value)
+        elif isinstance(field_value, Mapping):
+            field_value = dict(field_value)
+        record[item.name] = field_value
+    return record
+
+
+def _fields_from_json(cls, record: Mapping[str, object]):
+    """Inverse of :func:`_fields_to_json`; absent fields take defaults."""
+    values: Dict[str, object] = {}
+    for item in fields(cls):
+        if item.name not in record:
+            continue
+        value = record[item.name]
+        if value is not None and item.name in _FIELD_CODECS:
+            value = _FIELD_CODECS[item.name][1](value)
+        elif isinstance(value, list):
+            value = tuple(value)
+        values[item.name] = value
+    return cls(**values)
+
+
+def _nested(cls) -> Tuple[Callable, Callable]:
+    return _fields_to_json, functools.partial(_fields_from_json, cls)
+
+
+def _nested_tuple(cls) -> Tuple[Callable, Callable]:
+    return (lambda values: [_fields_to_json(value) for value in values],
+            lambda records: tuple(_fields_from_json(cls, record)
+                                  for record in records))
+
+
+#: Spec fields that are not plain JSON values, by field name:
+#: ``(encode, decode)``.
+_FIELD_CODECS: Dict[str, Tuple[Callable, Callable]] = {
+    "population": (_population_to_json, _population_from_json),
+    "slots": (lambda slots: [_slot_to_json(slot) for slot in slots],
+              lambda records: tuple(map(_slot_from_json, records))),
+    # Written out for speed: a served sweep encodes every grid point.
+    "grid": (lambda grid: [{"alpha": point.alpha, "beta": point.beta,
+                            "axes": dict(point.axes)} for point in grid],
+             lambda records: tuple(
+                 GridPoint(alpha=point["alpha"], beta=point["beta"],
+                           axes=tuple(point.get("axes", {}).items()))
+                 for point in records)),
+    "points": _nested_tuple(OperatingPoint),
+    "model": _nested(CostModel),
+    "schedule": _nested(OperatingPointSchedule),
+    "tracking": _nested(TrackingConfig),
+}
+
+
+#: Replay payloads up to this size are inlined into the artifact (hex),
+#: keeping the artifact re-runnable; larger payloads persist digest-only
+#: and load as render-only specs.
+REPLAY_PAYLOAD_INLINE_LIMIT = 65536
+
+
+def _replay_spec_to_json(result: "ReplayResult") -> Dict[str, object]:
+    """The spec's fields, the trace as one ``payload`` record: its digest
+    and size, plus the hex of a small inline payload or a source's
+    descriptor — never the bytes of a large trace."""
     spec = result.spec
-    return {
-        "format": ARTIFACT_FORMAT,
-        "spec": {
-            "name": spec.name,
-            "population": _population_to_json(spec.population),
-            "slots": [_slot_to_json(slot) for slot in spec.slots],
-            "grid": [{"alpha": point.alpha, "beta": point.beta,
-                      "axes": dict(point.axes)} for point in spec.grid],
-            "pricing": spec.pricing,
-            "figure": spec.figure,
-            "figure_params": dict(spec.figure_params),
-        },
-        "series": {name: list(values)
-                   for name, values in result.series.items()},
-        "totals": {key: {"transitions": totals.transitions,
-                         "zeros": totals.zeros,
-                         "bursts": totals.bursts}
-                   for key, totals in result.totals.items()},
-        "provenance": dict(result.provenance),
-    }
+    payload: Dict[str, object] = {"digest": spec.payload_digest(),
+                                  "bytes": spec.trace_bytes_total()}
+    if getattr(spec, "_render_only", False):
+        payload["bytes"] = int(result.provenance.get("payload_bytes", 0))
+    elif spec.source is not None:
+        # The loader rebuilds the source when the descriptor resolves in
+        # its environment and falls back to render-only when it doesn't.
+        payload["source"] = spec.source.describe()
+    elif len(spec.payload) <= REPLAY_PAYLOAD_INLINE_LIMIT:
+        payload["hex"] = spec.payload.hex()
+    record = dict(_fields_to_json(spec), payload=payload)
+    del record["source"]
+    return {name: value for name, value in record.items()
+            if value is not None}
 
 
-def save_artifact(result: ExperimentResult, path) -> None:
-    """Persist spec + results + provenance as JSON.
+def _replay_spec_from_json(record: Mapping[str, object]) -> ReplaySpec:
+    payload = record["payload"]
+    source = (source_from_json(payload["source"])
+              if "source" in payload else None)
+    render_only = "hex" not in payload and source is None
+    spec = _fields_from_json(ReplaySpec, dict(
+        record, source=source,
+        payload=(bytes.fromhex(payload["hex"]) if "hex" in payload
+                 else b"\x00" if render_only else b"")))
+    if source is not None or render_only:
+        # Pin the persisted digest: a render-only spec has no trace to
+        # hash (replay keys and totals_for must still resolve), and a
+        # rebuilt source would re-derive the same digest by streaming the
+        # whole trace — loads stay O(1).
+        object.__setattr__(spec, "_digest", str(payload["digest"]))
+    if render_only:
+        object.__setattr__(spec, "_render_only", True)
+    return spec
+
+
+# -- the axis protocol -------------------------------------------------------
+
+@dataclass(frozen=True)
+class Axis:
+    """What one experiment kind adds to the shared run loop and codecs.
+
+    Everything else — backend resolution, the fresh-cache default,
+    hit/miss accounting, the render-only refusal, provenance and the
+    artifact envelope — is :func:`_run`, :func:`result_to_json` and
+    :func:`_load`, once for every kind.
+    """
+
+    kind: str
+    result_type: type
+    #: Provenance name of the count of executed tasks.
+    counter: str
+    #: The kind's public artifact loader, named in kind-mismatch errors.
+    loader: str
+    #: Totals-codec kind of the records under the artifact's ``totals``.
+    totals_kind: str
+    #: ``spec ->`` ``(cell, key, task)`` per priced cell, in declaration
+    #: order; the loop keeps each key's first task.
+    plan: Callable
+    #: ``(spec, tasks, backend, **options)``: the totals of every missing
+    #: key's task, in order.
+    execute: Callable
+    #: ``(spec, cells, cache) -> {output field: value}``.
+    price: Callable
+    #: ``spec ->`` the kind's own provenance fields.
+    describe: Callable
+    #: ``JSON record -> spec``.
+    spec_from_json: Callable
+    #: ``result ->`` the spec's JSON record.
+    spec_to_json: Callable = lambda result: _fields_to_json(result.spec)
+    #: Result fields persisted beside spec, totals and provenance.
+    outputs: Tuple[str, ...] = ("series",)
+    resolve_backend: Callable[[Optional[str]], str] = resolve_backend
+    #: Artifact form of one totals record (the codec record, unless the
+    #: kind persists derived values beside it).
+    totals_record: Callable = lambda totals: totals_to_json(totals)[1]
+
+
+def _resolve_sim_backend(backend: Optional[str]) -> str:
+    from ..hw.bitsim import resolve_sim_backend
+
+    return resolve_sim_backend(backend)
+
+
+_AXES: Dict[str, Axis] = {axis.kind: axis for axis in (
+    Axis("experiment", ExperimentResult, counter="encodes",
+         loader="load_artifact", totals_kind="activity", plan=_plan_grid,
+         execute=_encode_missing, price=_price_grid, describe=_describe_grid,
+         spec_from_json=functools.partial(_fields_from_json, ExperimentSpec)),
+    Axis("replay", ReplayResult, counter="replays",
+         loader="load_replay_artifact", totals_kind="replay",
+         plan=_plan_replays, execute=_replay_missing, price=_price_replays,
+         describe=_describe_replay, spec_from_json=_replay_spec_from_json,
+         spec_to_json=_replay_spec_to_json, outputs=("series", "point_keys")),
+    Axis("faults", FaultResult, counter="injections",
+         loader="load_fault_artifact", totals_kind="fault",
+         plan=_plan_faults, execute=_inject_missing, price=_price_faults,
+         describe=_describe_faults,
+         spec_from_json=functools.partial(_fields_from_json, FaultSpec),
+         resolve_backend=_resolve_sim_backend,
+         totals_record=_coverage_row_json),
+    Axis("granularity", GranularityResult, counter="encodes",
+         loader="load_granularity_artifact", totals_kind="activity",
+         plan=_plan_groups, execute=_encode_groups, price=_price_groups,
+         describe=_describe_groups,
+         spec_from_json=functools.partial(_fields_from_json, GranularitySpec),
+         outputs=("rows",)),
+    Axis("sso", SsoResult, counter="encodes", loader="load_sso_artifact",
+         totals_kind="sso", plan=_plan_sso, execute=_tally_switching,
+         price=_price_interfaces, describe=_describe_sso,
+         spec_from_json=functools.partial(_fields_from_json, SsoSpec),
+         resolve_backend=_resolve_sim_backend),
+)}
+
+
+# -- the run loop ------------------------------------------------------------
+
+#: Worker-process copy of what every task of one pool shares.
+_WORKER_SHARED: object = None
+
+
+def _pool_initializer(shared) -> None:
+    global _WORKER_SHARED
+    _WORKER_SHARED = shared
+
+
+def _with_shared(task, *args):
+    return task(_WORKER_SHARED, *args)
+
+
+def _fan_out(jobs: int, shared, task, arguments: Sequence[tuple]):
+    """``task(shared, *args)`` per entry of *arguments*, in order.
+
+    Serial unless ``jobs > 1`` and there are several tasks; a pool ships
+    *shared* (a population or an inline replay spec) once per worker, so
+    tasks carry only small arguments.  Pool results are merged in
+    submission (declaration) order, not completion order, so the cache
+    fill is deterministic.
+    """
+    if jobs == 1 or len(arguments) == 1:
+        for args in arguments:
+            yield task(shared, *args)
+        return
+    # jobs is an explicit request — honour it (capped by the task count);
+    # over-subscribing cores costs little here.
+    with ProcessPoolExecutor(max_workers=min(jobs, len(arguments)),
+                             initializer=_pool_initializer,
+                             initargs=(shared,)) as pool:
+        futures = [pool.submit(_with_shared, task, *args)
+                   for args in arguments]
+        for future in futures:
+            yield future.result()
+
+
+def provenance_stamp() -> Dict[str, object]:
+    """Interpreter, wall clock and package version, stamped on every run."""
+    from .. import __version__
+
+    return {"python": platform.python_version(),
+            "created_unix": time.time(),
+            "repro_version": __version__}
+
+
+def _population_provenance(population: BurstPopulation) -> Dict[str, object]:
+    return {"population": population.digest(),
+            "population_bursts": len(population)}
+
+
+def _lacks_inputs(spec) -> bool:
+    """True for a spec loaded without its population or trace."""
+    return (isinstance(getattr(spec, "population", None), OpaquePopulation)
+            or getattr(spec, "_render_only", False))
+
+
+def _run(axis: Axis, spec, backend: Optional[str],
+         cache: Optional[ActivityCache], **options):
+    """The run loop of every kind: plan, look up, execute, price, stamp.
+
+    Every unique key is looked up once, in declaration order; only the
+    missing ones execute, and their totals are stored in the same order
+    before any cell is priced.  ``options`` reach :attr:`Axis.execute`
+    and the provenance.
+    """
+    if options.get("jobs", 1) < 1:
+        raise ValueError(f"jobs must be >= 1, got {options['jobs']}")
+    resolved = axis.resolve_backend(backend)
+    if cache is None:
+        cache = ActivityCache()
+    start = time.perf_counter()
+    cells: Dict[object, str] = {}
+    tasks: Dict[str, object] = {}
+    for cell, key, task in axis.plan(spec):
+        cells[cell] = key
+        tasks.setdefault(key, task)
+    todo = [(key, task) for key, task in tasks.items() if key not in cache]
+    hits = len(tasks) - len(todo)
+    cache.count_lookups(hits, len(todo))
+    if todo:
+        if _lacks_inputs(spec):
+            raise RuntimeError(
+                f"{axis.kind} spec {spec.name!r} was loaded from an "
+                "artifact without its population or trace and cannot "
+                "re-execute; pass a cache holding its totals, or re-run "
+                f"with the original inputs (missing: "
+                f"{[key for key, __ in todo]})")
+        results = axis.execute(spec, [task for __, task in todo], resolved,
+                               **options)
+        for (key, __), totals in zip(todo, results):
+            cache.store(key, totals)
+    outputs = axis.price(spec, cells, cache)
+    provenance = {"backend": resolved, **options, axis.counter: len(todo),
+                  "cache_hits": hits, "cache_misses": len(todo),
+                  **axis.describe(spec),
+                  "elapsed_s": time.perf_counter() - start,
+                  **provenance_stamp()}
+    totals = {key: cache.get(key) for key in tasks}
+    return axis.result_type(spec=spec, totals=totals, provenance=provenance,
+                            **outputs)
+
+
+def run_experiment(spec: ExperimentSpec, backend: Optional[str] = None,
+                   jobs: int = 1, cache: Optional[ActivityCache] = None,
+                   chunk_size: int = DEFAULT_CHUNK_SIZE) -> ExperimentResult:
+    """Execute a figure spec: plan unique encodes, run them, price the grid.
+
+    ``jobs > 1`` fans the missing encode tasks out to a process pool;
+    results are merged back in deterministic declaration order, and the
+    totals are exact integers, so the output is bit-identical to a
+    serial run.  ``cache`` defaults to a fresh per-run
+    :class:`ActivityCache`; pass :func:`shared_cache` (or your own) to
+    reuse encodes across experiments.
+    """
+    return _run(_AXES["experiment"], spec, backend, cache, jobs=jobs,
+                chunk_size=chunk_size)
+
+
+def run_replay(spec: ReplaySpec, backend: Optional[str] = None,
+               jobs: int = 1, cache: Optional[ActivityCache] = None) -> ReplayResult:
+    """Execute a replay spec: plan unique replays, run them, price points.
+
+    Points are deduplicated by :meth:`ReplaySpec.replay_key` and missing
+    replays run serially or on a process pool (``jobs``), exactly like
+    :func:`run_experiment`.  Source-backed specs stream every replay
+    through :meth:`~repro.ctrl.controller.MemoryController.submit_source`
+    in bounded memory and always run serially; their totals — and
+    therefore the cache entries and priced energies — are bit-identical
+    to an inline replay of the same bytes.  A spec's
+    ``schedule``/``tracking`` axis adds one more series under
+    :attr:`ReplaySpec.adaptive_label`, priced per segment at that
+    segment's own operating point.
+    """
+    return _run(_AXES["replay"], spec, backend, cache, jobs=jobs)
+
+
+def run_faults(spec: FaultSpec, backend: Optional[str] = None,
+               cache: Optional[ActivityCache] = None,
+               word_impl: str = "auto") -> FaultResult:
+    """Execute a fault spec: plan unique coverage rows, inject, tally.
+
+    Rows are deduplicated by :meth:`FaultSpec.coverage_key`, only the
+    missing rates of a slot are injected, and the result is
+    bit-identical across backends and word implementations (there is no
+    ``jobs``: the vector engine is already mask-parallel).  ``backend``
+    follows :func:`repro.hw.bitsim.resolve_sim_backend` — ``auto``
+    resolves to the mask-parallel engine even without NumPy.
+    """
+    return _run(_AXES["faults"], spec, backend, cache, word_impl=word_impl)
+
+
+def run_granularity(spec: GranularitySpec, backend: Optional[str] = None,
+                    cache: Optional[ActivityCache] = None
+                    ) -> GranularityResult:
+    """Execute a granularity spec: one cached encode per group size.
+
+    The produced rows equal
+    :func:`repro.extensions.granularity.granularity_table` on the same
+    population.
+    """
+    return _run(_AXES["granularity"], spec, backend, cache)
+
+
+def run_sso(spec: SsoSpec, backend: Optional[str] = None,
+            cache: Optional[ActivityCache] = None,
+            word_impl: str = "auto") -> SsoResult:
+    """Execute an SSO spec: encode + tally once per slot, price per interface.
+
+    Statistics come from :func:`~repro.analysis.sso.sso_of_scheme_batch`;
+    ``backend`` follows :func:`repro.hw.bitsim.resolve_sim_backend`.
+    """
+    return _run(_AXES["sso"], spec, backend, cache, word_impl=word_impl)
+
+
+# -- artifacts ---------------------------------------------------------------
+
+def result_to_json(result) -> Dict[str, object]:
+    """Any kind's result as its ``repro.experiment/1`` artifact dict."""
+    for axis in _AXES.values():
+        if isinstance(result, axis.result_type):
+            break
+    else:
+        raise TypeError(f"not an experiment result: {type(result).__name__}")
+    payload: Dict[str, object] = {"format": ARTIFACT_FORMAT}
+    if axis.kind != "experiment":
+        # Figure artifacts predate the field; no kind means "experiment".
+        payload["kind"] = axis.kind
+    payload["spec"] = axis.spec_to_json(result)
+    for name in axis.outputs:
+        payload[name] = copy.copy(getattr(result, name))
+    payload["totals"] = {key: axis.totals_record(totals)
+                         for key, totals in result.totals.items()}
+    payload["provenance"] = dict(result.provenance)
+    return payload
+
+
+#: The replay artifact is the same envelope (kept for its callers).
+replay_result_to_json = result_to_json
+
+
+def save_artifact(result, path) -> None:
+    """Persist any kind's spec + outputs + totals + provenance as JSON.
 
     Floats round-trip exactly (shortest-repr serialisation), so a loaded
     artifact re-renders bit-identical tables.
@@ -1653,55 +1802,11 @@ def save_artifact(result: ExperimentResult, path) -> None:
         handle.write("\n")
 
 
-def load_artifact(path) -> ExperimentResult:
-    """Load a persisted experiment.
-
-    Declarative populations (and registry schemes) are rebuilt, so the
-    experiment can be *re-run*; explicit populations come back as
-    render-only placeholders.
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if not isinstance(payload, dict):
-        raise ValueError(
-            f"{path}: artifact must be a JSON object, got "
-            f"{type(payload).__name__}")
-    if payload.get("format") != ARTIFACT_FORMAT:
-        raise ValueError(
-            f"{path}: not a {ARTIFACT_FORMAT} artifact "
-            f"(format={payload.get('format')!r})")
-    kind = payload.get("kind", "experiment")
-    if kind != "experiment":
-        raise ValueError(
-            f"{path}: artifact kind {kind!r} is not a figure experiment; "
-            f"use load_replay_artifact / load_fault_artifact / "
-            f"load_granularity_artifact / load_sso_artifact")
-    spec_record = payload["spec"]
-    grid = tuple(
-        GridPoint(alpha=point["alpha"], beta=point["beta"],
-                  axes=tuple(point.get("axes", {}).items()))
-        for point in spec_record["grid"])
-    spec = ExperimentSpec(
-        name=spec_record["name"],
-        population=_population_from_json(spec_record["population"]),
-        slots=tuple(_slot_from_json(slot) for slot in spec_record["slots"]),
-        grid=grid,
-        pricing=spec_record.get("pricing", "cost"),
-        figure=spec_record.get("figure"),
-        figure_params=spec_record.get("figure_params", {}),
-    )
-    totals = {key: ActivityTotals(transitions=record["transitions"],
-                                  zeros=record["zeros"],
-                                  bursts=record["bursts"])
-              for key, record in payload.get("totals", {}).items()}
-    provenance = dict(payload.get("provenance", {}))
-    provenance["loaded_from"] = str(path)
-    return ExperimentResult(spec=spec, series=payload["series"],
-                            totals=totals, provenance=provenance)
+save_replay_artifact = save_artifact
 
 
-def _load_kind(path, kind: str) -> Dict[str, object]:
-    """Read + validate one kind-discriminated ``repro.experiment/1`` file."""
+def _load(path, kind: str):
+    """Read one ``repro.experiment/1`` file, check its kind, decode it."""
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     if not isinstance(payload, dict):
@@ -1714,385 +1819,55 @@ def _load_kind(path, kind: str) -> Dict[str, object]:
             f"(format={payload.get('format')!r})")
     found = payload.get("kind", "experiment")
     if found != kind:
+        other = _AXES.get(str(found))
         raise ValueError(
-            f"{path}: artifact kind {found!r}, expected {kind!r}")
-    return payload
+            f"{path}: artifact kind {found!r}, expected {kind!r}"
+            + (f"; load it with {other.loader}" if other else ""))
+    axis = _AXES[kind]
+    provenance = dict(payload.get("provenance", {}))
+    provenance["loaded_from"] = str(path)
+    return axis.result_type(
+        spec=axis.spec_from_json(payload["spec"]),
+        totals={key: totals_from_json(axis.totals_kind, record)
+                for key, record in payload.get("totals", {}).items()},
+        provenance=provenance,
+        **{name: payload[name] for name in axis.outputs})
 
 
-def _fault_slot_from_json(record: Mapping[str, object]
-                          ) -> Tuple[str, Optional[DbiScheme]]:
-    scheme: Optional[DbiScheme] = None
-    scheme_name = record.get("scheme")
-    if scheme_name is not None:
-        try:
-            candidate = get_scheme(str(scheme_name))
-        except KeyError:
-            candidate = None
-        if (candidate is not None
-                and candidate.fingerprint() == record.get("fingerprint")):
-            scheme = candidate
-    return str(record["name"]), scheme
+def load_artifact(path) -> ExperimentResult:
+    """Load a persisted figure experiment.
 
-
-#: Replay payloads up to this size are inlined into the artifact (hex),
-#: keeping the artifact re-runnable; larger payloads persist digest-only
-#: and load as render-only specs.
-REPLAY_PAYLOAD_INLINE_LIMIT = 65536
-
-
-def _replay_totals_json(totals: ReplayTotals) -> Dict[str, object]:
-    record: Dict[str, object] = {
-        "transactions": totals.transactions,
-        "bytes_written": totals.bytes_written,
-        "beats": totals.beats,
-        "channels": [list(channel) for channel in totals.channels]}
-    if totals.segments:
-        record["segments"] = [list(segment) for segment in totals.segments]
-    return record
-
-
-def _point_to_json(point) -> Dict[str, object]:
-    """ReplayPoint and OperatingPoint share this record shape."""
-    return {"interface": point.interface,
-            "data_rate_hz": point.data_rate_hz,
-            "c_load_farads": point.c_load_farads,
-            "label": point.label}
-
-
-def replay_result_to_json(result: ReplayResult) -> Dict[str, object]:
-    """A replay run as a JSON-serialisable ``kind="replay"`` artifact."""
-    spec = result.spec
-    payload_record: Dict[str, object] = {
-        "digest": spec.payload_digest(),
-        "bytes": spec.trace_bytes_total(),
-    }
-    if getattr(spec, "_render_only", False):
-        payload_record["bytes"] = int(
-            result.provenance.get("payload_bytes", 0))
-    elif spec.source is not None:
-        # Large traces persist digest + descriptor, never the bytes; the
-        # loader rebuilds the source when the descriptor resolves in its
-        # environment and falls back to render-only when it doesn't.
-        payload_record["source"] = spec.source.describe()
-    elif len(spec.payload) <= REPLAY_PAYLOAD_INLINE_LIMIT:
-        payload_record["hex"] = spec.payload.hex()
-    spec_record: Dict[str, object] = {
-        "name": spec.name,
-        "payload": payload_record,
-        "points": [_point_to_json(point) for point in spec.points],
-        "channels": spec.channels,
-        "byte_lanes": spec.byte_lanes,
-        "window": spec.window,
-        "line_bytes": spec.line_bytes,
-        "chunk_bytes": spec.chunk_bytes,
-    }
-    if spec.schedule is not None:
-        spec_record["schedule"] = {
-            "points": [_point_to_json(point)
-                       for point in spec.schedule.points],
-            "switch_at": list(spec.schedule.switch_at),
-            "unit": spec.schedule.unit,
-            "label": spec.schedule.label,
-        }
-    if spec.tracking is not None:
-        spec_record["tracking"] = {
-            "points": [_point_to_json(point)
-                       for point in spec.tracking.points],
-            "half_life_bytes": spec.tracking.half_life_bytes,
-            "min_dwell_bytes": spec.tracking.min_dwell_bytes,
-            "label": spec.tracking.label,
-        }
-    return {
-        "format": ARTIFACT_FORMAT,
-        "kind": "replay",
-        "spec": spec_record,
-        "series": {label: dict(values)
-                   for label, values in result.series.items()},
-        "totals": {key: _replay_totals_json(totals)
-                   for key, totals in result.totals.items()},
-        "point_keys": dict(result.point_keys),
-        "provenance": dict(result.provenance),
-    }
-
-
-def save_replay_artifact(result: ReplayResult, path) -> None:
-    """Persist a controller-replay result (``kind="replay"``)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(replay_result_to_json(result), handle, indent=1)
-        handle.write("\n")
+    Declarative populations (and registry schemes) are rebuilt, so the
+    experiment can be *re-run*; explicit populations come back as
+    render-only placeholders.
+    """
+    return _load(path, "experiment")
 
 
 def load_replay_artifact(path) -> ReplayResult:
     """Load a persisted controller replay.
 
-    Artifacts with an inlined payload come back fully re-runnable;
-    digest-only artifacts come back *render-only* — their series and
-    totals re-render exactly, but :func:`run_replay` refuses to
-    re-execute them unless every replay key is already cached.
+    Artifacts with an inlined payload (or a source descriptor that
+    resolves here) come back re-runnable; digest-only artifacts come back
+    *render-only* — their series and totals re-render exactly, but
+    :func:`run_replay` refuses to re-execute them unless every replay key
+    is already cached.
     """
-    payload_json = _load_kind(path, "replay")
-    spec_record = payload_json["spec"]
-    payload_record = spec_record["payload"]
-    points = tuple(ReplayPoint(interface=str(point["interface"]),
-                               data_rate_hz=float(point["data_rate_hz"]),
-                               c_load_farads=float(point["c_load_farads"]),
-                               label=str(point["label"]))
-                   for point in spec_record["points"])
-
-    def operating_points(records) -> Tuple[OperatingPoint, ...]:
-        return tuple(OperatingPoint(
-            interface=str(point["interface"]),
-            data_rate_hz=float(point["data_rate_hz"]),
-            c_load_farads=float(point["c_load_farads"]),
-            label=str(point["label"])) for point in records)
-
-    schedule = None
-    schedule_record = spec_record.get("schedule")
-    if schedule_record is not None:
-        schedule = OperatingPointSchedule(
-            points=operating_points(schedule_record["points"]),
-            switch_at=tuple(int(value)
-                            for value in schedule_record["switch_at"]),
-            unit=str(schedule_record["unit"]),
-            label=str(schedule_record["label"]))
-    tracking = None
-    tracking_record = spec_record.get("tracking")
-    if tracking_record is not None:
-        tracking = TrackingConfig(
-            points=operating_points(tracking_record["points"]),
-            half_life_bytes=float(tracking_record["half_life_bytes"]),
-            min_dwell_bytes=int(tracking_record["min_dwell_bytes"]),
-            label=str(tracking_record["label"]))
-
-    payload_hex = payload_record.get("hex")
-    source_record = payload_record.get("source")
-    source = (source_from_json(source_record)
-              if source_record is not None else None)
-    render_only = payload_hex is None and source is None
-    payload = b""
-    if payload_hex is not None:
-        payload = bytes.fromhex(payload_hex)
-    elif source is None:
-        payload = b"\x00"
-    spec = ReplaySpec(
-        name=str(spec_record["name"]),
-        payload=payload,
-        points=points,
-        channels=int(spec_record["channels"]),
-        byte_lanes=int(spec_record["byte_lanes"]),
-        window=int(spec_record["window"]),
-        line_bytes=int(spec_record["line_bytes"]),
-        source=source,
-        chunk_bytes=int(spec_record.get("chunk_bytes",
-                                        DEFAULT_TRACE_CHUNK_BYTES)),
-        schedule=schedule,
-        tracking=tracking,
-    )
-    if render_only:
-        # Pin the persisted digest so replay keys (and therefore
-        # totals_for / cache lookups) still resolve.
-        object.__setattr__(spec, "_digest", str(payload_record["digest"]))
-        object.__setattr__(spec, "_render_only", True)
-    elif source is not None:
-        # A rebuilt source would re-derive the digest by streaming the
-        # whole trace; pin the persisted one instead (they are equal by
-        # construction, and loads stay O(1)).
-        object.__setattr__(spec, "_digest", str(payload_record["digest"]))
-    totals = {key: ReplayTotals(
-                  transactions=int(record["transactions"]),
-                  bytes_written=int(record["bytes_written"]),
-                  beats=int(record["beats"]),
-                  channels=tuple(tuple(int(value) for value in channel)
-                                 for channel in record["channels"]),
-                  segments=tuple(
-                      (str(label), int(zeros), int(transitions), int(beats))
-                      for label, zeros, transitions, beats
-                      in record.get("segments", ())))
-              for key, record in payload_json.get("totals", {}).items()}
-    provenance = dict(payload_json.get("provenance", {}))
-    provenance["loaded_from"] = str(path)
-    return ReplayResult(spec=spec, series=payload_json["series"],
-                        totals=totals, provenance=provenance,
-                        point_keys=dict(payload_json.get("point_keys", {})))
-
-
-def save_fault_artifact(result: FaultResult, path) -> None:
-    """Persist a fault-coverage result (``kind="faults"``)."""
-    spec = result.spec
-    payload = {
-        "format": ARTIFACT_FORMAT,
-        "kind": "faults",
-        "spec": {
-            "name": spec.name,
-            "population": _population_to_json(spec.population),
-            "slots": [{"name": slot_name, "scheme": scheme.name,
-                       "fingerprint": scheme.fingerprint()}
-                      for slot_name, scheme in spec.slots],
-            "rates": list(spec.rates),
-            "seed": spec.seed,
-        },
-        "series": {name: list(rows) for name, rows in result.series.items()},
-        "totals": {key: _coverage_row_json(row)
-                   for key, row in result.totals.items()},
-        "provenance": dict(result.provenance),
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1)
-        handle.write("\n")
+    return _load(path, "replay")
 
 
 def load_fault_artifact(path) -> FaultResult:
-    """Load a persisted fault-coverage experiment.
-
-    Registry schemes whose fingerprints still match are rebuilt (so the
-    spec can be re-run); unknown slots come back scheme-less and are
-    render-only.
-    """
-    payload = _load_kind(path, "faults")
-    spec_record = payload["spec"]
-    slots = tuple(_fault_slot_from_json(record)
-                  for record in spec_record["slots"])
-    runnable = tuple((slot_name, scheme) for slot_name, scheme in slots
-                     if scheme is not None)
-    spec = FaultSpec(
-        name=spec_record["name"],
-        population=_population_from_json(spec_record["population"]),
-        slots=runnable if runnable else tuple(slots),
-        rates=tuple(spec_record["rates"]),
-        seed=int(spec_record.get("seed", 7)),
-    )
-    totals = {key: FaultCoverageRow(
-                  rate=record["rate"],
-                  injected_faults=record["injected_faults"],
-                  total_beats=record["total_beats"],
-                  bit_errors=record["bit_errors"],
-                  corrupted_beats=record["corrupted_beats"],
-                  dbi_lane_faults=record["dbi_lane_faults"])
-              for key, record in payload.get("totals", {}).items()}
-    provenance = dict(payload.get("provenance", {}))
-    provenance["loaded_from"] = str(path)
-    return FaultResult(spec=spec, series=payload["series"],
-                       totals=totals, provenance=provenance)
-
-
-def save_granularity_artifact(result: GranularityResult, path) -> None:
-    """Persist a granularity result (``kind="granularity"``)."""
-    spec = result.spec
-    payload = {
-        "format": ARTIFACT_FORMAT,
-        "kind": "granularity",
-        "spec": {
-            "name": spec.name,
-            "population": _population_to_json(spec.population),
-            "model": {"alpha": spec.model.alpha, "beta": spec.model.beta},
-            "group_sizes": list(spec.group_sizes),
-        },
-        "rows": list(result.rows),
-        "totals": {key: {"transitions": totals.transitions,
-                         "zeros": totals.zeros,
-                         "bursts": totals.bursts}
-                   for key, totals in result.totals.items()},
-        "provenance": dict(result.provenance),
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1)
-        handle.write("\n")
+    """Load a persisted fault-coverage experiment (slots: see
+    :func:`_slot_from_json`)."""
+    return _load(path, "faults")
 
 
 def load_granularity_artifact(path) -> GranularityResult:
     """Load a persisted granularity ablation (re-runnable spec)."""
-    payload = _load_kind(path, "granularity")
-    spec_record = payload["spec"]
-    model_record = spec_record["model"]
-    spec = GranularitySpec(
-        name=spec_record["name"],
-        population=_population_from_json(spec_record["population"]),
-        model=CostModel(alpha=model_record["alpha"],
-                        beta=model_record["beta"]),
-        group_sizes=tuple(spec_record["group_sizes"]),
-    )
-    totals = {key: ActivityTotals(transitions=record["transitions"],
-                                  zeros=record["zeros"],
-                                  bursts=record["bursts"])
-              for key, record in payload.get("totals", {}).items()}
-    provenance = dict(payload.get("provenance", {}))
-    provenance["loaded_from"] = str(path)
-    return GranularityResult(spec=spec, rows=payload["rows"],
-                             totals=totals, provenance=provenance)
-
-
-def _sso_stats_json(stats: "SsoStatistics") -> Dict[str, object]:
-    return {"beats": stats.beats,
-            "max_switching": stats.max_switching,
-            "total_switching": stats.total_switching,
-            "histogram": {str(k): count
-                          for k, count in sorted(stats.histogram.items())}}
-
-
-def _sso_stats_from_json(record: Mapping[str, object]) -> "SsoStatistics":
-    from ..analysis.sso import SsoStatistics
-
-    return SsoStatistics(
-        beats=int(record["beats"]),
-        max_switching=int(record["max_switching"]),
-        total_switching=int(record["total_switching"]),
-        histogram={int(k): int(count)
-                   for k, count in record.get("histogram", {}).items()})
-
-
-def save_sso_artifact(result: SsoResult, path) -> None:
-    """Persist a simultaneous-switching result (``kind="sso"``)."""
-    spec = result.spec
-    payload = {
-        "format": ARTIFACT_FORMAT,
-        "kind": "sso",
-        "spec": {
-            "name": spec.name,
-            "population": _population_to_json(spec.population),
-            "slots": [{"name": slot_name, "scheme": scheme.name,
-                       "fingerprint": scheme.fingerprint()}
-                      for slot_name, scheme in spec.slots],
-            "interfaces": list(spec.interfaces),
-            "chained": spec.chained,
-            "threshold": spec.threshold,
-            "line_impedance_ohms": spec.line_impedance_ohms,
-        },
-        "series": {name: list(rows) for name, rows in result.series.items()},
-        "totals": {key: _sso_stats_json(stats)
-                   for key, stats in result.totals.items()},
-        "provenance": dict(result.provenance),
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1)
-        handle.write("\n")
+    return _load(path, "granularity")
 
 
 def load_sso_artifact(path) -> SsoResult:
-    """Load a persisted simultaneous-switching sweep.
-
-    Registry schemes whose fingerprints still match are rebuilt (so the
-    spec can be re-run); unknown slots come back scheme-less and are
-    render-only.
-    """
-    payload = _load_kind(path, "sso")
-    spec_record = payload["spec"]
-    slots = tuple(_fault_slot_from_json(record)
-                  for record in spec_record["slots"])
-    runnable = tuple((slot_name, scheme) for slot_name, scheme in slots
-                     if scheme is not None)
-    spec = SsoSpec(
-        name=spec_record["name"],
-        population=_population_from_json(spec_record["population"]),
-        slots=runnable if runnable else tuple(slots),
-        interfaces=tuple(spec_record["interfaces"]),
-        chained=bool(spec_record.get("chained", False)),
-        threshold=int(spec_record.get("threshold", WORD_WIDTH // 2)),
-        line_impedance_ohms=float(
-            spec_record.get("line_impedance_ohms", 50.0)),
-    )
-    totals = {key: _sso_stats_from_json(record)
-              for key, record in payload.get("totals", {}).items()}
-    provenance = dict(payload.get("provenance", {}))
-    provenance["loaded_from"] = str(path)
-    return SsoResult(spec=spec, series=payload["series"],
-                     totals=totals, provenance=provenance)
+    """Load a persisted simultaneous-switching sweep (slots: see
+    :func:`_slot_from_json`)."""
+    return _load(path, "sso")

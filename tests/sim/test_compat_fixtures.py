@@ -1,0 +1,124 @@
+"""Artifacts and disk-cache files written by older code keep loading.
+
+``compat/`` holds one artifact per experiment kind and one disk-cache
+file per record family, written once by the commit that
+``compat/MANIFEST.json`` names and never regenerated since.  Every
+artifact must load and re-save to the same canonical JSON, every spec
+whose inputs rebuild must re-run to the same output, and every cache
+file must decode and re-store to byte-identical content.
+
+The population-backed fixtures were drawn with NumPy, so without it
+their populations load as render-only placeholders and re-running them
+must refuse instead.
+"""
+
+from __future__ import annotations
+
+import json
+import pathlib
+import shutil
+
+import pytest
+
+from repro import HAVE_NUMPY
+from repro.analysis.artifacts import canonical_artifact_json
+from repro.service.diskcache import DiskActivityCache
+from repro.sim.experiments import (
+    ReplayResult,
+    load_artifact,
+    load_fault_artifact,
+    load_granularity_artifact,
+    load_replay_artifact,
+    load_sso_artifact,
+    run_experiment,
+    run_faults,
+    run_granularity,
+    run_replay,
+    run_sso,
+    save_replay_artifact,
+)
+from repro.workloads.population import OpaquePopulation
+
+COMPAT = pathlib.Path(__file__).resolve().parent / "compat"
+MANIFEST = json.loads((COMPAT / "MANIFEST.json").read_text())
+
+#: kind -> (loader, runner, name of the priced output)
+KINDS = {
+    "experiment": (load_artifact, run_experiment, "series"),
+    "replay": (load_replay_artifact, run_replay, "series"),
+    "faults": (load_fault_artifact, run_faults, "series"),
+    "granularity": (load_granularity_artifact, run_granularity, "rows"),
+    "sso": (load_sso_artifact, run_sso, "series"),
+}
+
+#: The one artifact persisted without its trace (payload over 64 KiB).
+RENDER_ONLY = "replay_render_only.json"
+
+
+def _raw(name: str) -> dict:
+    return json.loads((COMPAT / "artifacts" / name).read_text())
+
+
+def _load(name: str):
+    kind = _raw(name).get("kind", "experiment")
+    return kind, KINDS[kind][0](COMPAT / "artifacts" / name)
+
+
+def _save(result, path) -> None:
+    if isinstance(result, ReplayResult):
+        save_replay_artifact(result, path)
+    else:
+        result.save(path)
+
+
+def _has_inputs(spec) -> bool:
+    population = getattr(spec, "population", None)
+    return (not isinstance(population, OpaquePopulation)
+            and not getattr(spec, "_render_only", False))
+
+
+def test_manifest_covers_every_kind():
+    kinds = {_raw(name).get("kind", "experiment")
+             for name in MANIFEST["artifacts"]}
+    assert kinds == set(KINDS)
+    assert set(MANIFEST["cache_files"]) == {
+        "activity", "replay", "replay-segments", "fault", "sso"}
+
+
+@pytest.mark.parametrize("name", MANIFEST["artifacts"])
+def test_artifact_resaves_canonically(name, tmp_path):
+    __, loaded = _load(name)
+    path = tmp_path / name
+    _save(loaded, path)
+    assert (canonical_artifact_json(json.loads(path.read_text()))
+            == canonical_artifact_json(_raw(name)))
+
+
+@pytest.mark.parametrize("name", MANIFEST["artifacts"])
+def test_artifact_reruns_or_refuses(name):
+    kind, loaded = _load(name)
+    __, run, output = KINDS[kind]
+    expected = name != RENDER_ONLY and (HAVE_NUMPY or kind == "replay")
+    assert _has_inputs(loaded.spec) == expected
+    if not expected:
+        with pytest.raises(RuntimeError):
+            run(loaded.spec)
+        return
+    rerun = run(loaded.spec)
+    assert getattr(rerun, output) == getattr(loaded, output)
+    assert rerun.totals == loaded.totals
+
+
+@pytest.mark.parametrize("family", sorted(MANIFEST["cache_files"]))
+def test_cache_file_restores_byte_identical(family, tmp_path):
+    name = MANIFEST["cache_files"][family]
+    source = tmp_path / "old"
+    source.mkdir()
+    # Read from a copy: a reader may quarantine what it cannot parse.
+    shutil.copy(COMPAT / "cache" / name, source / name)
+    key = json.loads((source / name).read_text())["key"]
+    totals = DiskActivityCache(source).get(key)
+    target = DiskActivityCache(tmp_path / "new")
+    target.store(key, totals)
+    assert ((tmp_path / "new" / name).read_bytes()
+            == (COMPAT / "cache" / name).read_bytes())

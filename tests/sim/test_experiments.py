@@ -9,6 +9,10 @@ OPT (Fixed) / tracking-OPT ratio dedup), artifact round-trips and
 re-renders, and the provenance contract.
 """
 
+import os
+import sys
+import threading
+
 import pytest
 
 from repro.baselines import DbiAc, DbiDc, Raw
@@ -244,6 +248,40 @@ class TestActivityCache:
 
     def test_shared_cache_singleton(self):
         assert shared_cache() is shared_cache()
+
+    def test_threads_sharing_a_cache_lose_no_counts(self, population):
+        """The daemon's handler threads share one cache: every run's
+        lookups must land in ``hits + misses``, under forced switching."""
+        spec = alpha_experiment(population, points=3)
+        cache = ActivityCache()
+        plan_size = run_experiment(spec, cache=cache).provenance[
+            "cache_misses"]
+        threads_n, runs = 2 * (os.cpu_count() or 1) + 2, 200
+        errors = []
+
+        def worker():
+            try:
+                for __ in range(runs):
+                    provenance = run_experiment(spec, cache=cache).provenance
+                    assert (provenance["cache_hits"]
+                            + provenance["cache_misses"]) == plan_size
+            except BaseException as error:  # reported by the main thread
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker)
+                       for __ in range(threads_n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive(), "stress worker timed out"
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert cache.hits + cache.misses == plan_size * (1 + threads_n * runs)
 
 
 class TestArtifacts:

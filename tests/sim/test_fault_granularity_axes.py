@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.costs import CostModel
+from repro.core.encoder import DbiOptimal
 from repro.core.schemes import get_scheme
 from repro.extensions.granularity import (
     VALID_GROUP_SIZES,
@@ -100,6 +101,29 @@ class TestRunFaults:
         # The spec is re-runnable and reproduces the series exactly.
         rerun = run_faults(loaded.spec)
         assert rerun.series == result.series
+
+    @pytest.mark.parametrize("known", [True, False],
+                             ids=["mixed", "all-unknown"])
+    def test_render_only_slots_kept_and_refused(self, population, tmp_path,
+                                                known):
+        """A slot whose scheme no longer rebuilds from the registry (here
+        a dbi-opt with non-registry coefficients) loads render-only: it
+        stays in the spec beside any rebuilt slot, and re-running refuses
+        instead of dropping it."""
+        slots = (("odd", DbiOptimal(CostModel(0.3, 0.7))),)
+        if known:
+            slots = (("dc", get_scheme("dbi-dc")),) + slots
+        result = run_faults(FaultSpec(name="odd", population=population,
+                                      slots=slots, rates=(0.02,)))
+        path = tmp_path / "faults.json"
+        result.save(path)
+        loaded = load_fault_artifact(path)
+        assert ([slot_name for slot_name, __ in loaded.spec.slots]
+                == [slot_name for slot_name, __ in slots])
+        assert loaded.spec.slots[-1][1] is None
+        assert loaded.series == result.series
+        with pytest.raises(RuntimeError, match="render-only"):
+            run_faults(loaded.spec)
 
     def test_kind_guards(self, population, tmp_path):
         path = tmp_path / "faults.json"

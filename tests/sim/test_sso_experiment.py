@@ -3,6 +3,8 @@
 import pytest
 
 from repro.analysis.sso import SsoStatistics, sso_of_scheme
+from repro.core.costs import CostModel
+from repro.core.encoder import DbiOptimal
 from repro.core.schemes import get_scheme
 from repro.sim.experiments import (
     ActivityCache,
@@ -117,6 +119,27 @@ class TestSsoArtifacts:
         result.save(path)
         rerun = run_sso(load_sso_artifact(path).spec)
         assert rerun.series == result.series
+
+    @pytest.mark.parametrize("known", [True, False],
+                             ids=["mixed", "all-unknown"])
+    def test_render_only_slots_kept_and_refused(self, population, tmp_path,
+                                                known):
+        """Slots whose scheme no longer rebuilds load render-only and
+        refuse to re-run, whether or not another slot rebuilds."""
+        slots = (("odd", DbiOptimal(CostModel(0.3, 0.7))),)
+        if known:
+            slots = (("dc", get_scheme("dbi-dc")),) + slots
+        result = run_sso(SsoSpec(name="odd", population=population,
+                                 slots=slots))
+        path = tmp_path / "sso.json"
+        result.save(path)
+        loaded = load_sso_artifact(path)
+        assert ([slot_name for slot_name, __ in loaded.spec.slots]
+                == [slot_name for slot_name, __ in slots])
+        assert loaded.spec.slots[-1][1] is None
+        assert loaded.series == result.series
+        with pytest.raises(RuntimeError, match="render-only"):
+            run_sso(loaded.spec)
 
     def test_kind_is_discriminated(self, spec, tmp_path):
         result = run_sso(spec)
