@@ -5,12 +5,16 @@ intervals.  This module adds them: per-scheme mean cost with a normal-
 approximation CI, and a sample-size check that the reported effects
 (e.g. the ~6.7 % OPT gain) are many standard errors wide at the paper's
 sample count — i.e. that 10 000 bursts is comfortably enough.
+
+Normal quantiles come from the standard library's
+:class:`statistics.NormalDist`, so the module needs no scipy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import List, Sequence, Tuple
 
 from ..core.bitops import ALL_ONES_WORD
@@ -18,16 +22,10 @@ from ..core.burst import Burst
 from ..core.costs import CostModel
 from ..core.schemes import DbiScheme
 
-try:  # scipy gives exact normal quantiles; fall back to the 95% constant.
-    from scipy.stats import norm as _norm
 
-    def _z_value(confidence: float) -> float:
-        return float(_norm.ppf(0.5 + confidence / 2.0))
-except ImportError:  # pragma: no cover - scipy is installed in CI
-    def _z_value(confidence: float) -> float:
-        if abs(confidence - 0.95) > 1e-9:
-            raise ValueError("scipy required for confidence != 0.95")
-        return 1.959963984540054
+def _z_value(confidence: float) -> float:
+    """Two-sided normal quantile: 1.96 at ``confidence=0.95``."""
+    return NormalDist().inv_cdf(0.5 + confidence / 2.0)
 
 
 @dataclass(frozen=True)

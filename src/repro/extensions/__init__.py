@@ -44,6 +44,8 @@ from .reliability import (
     draw_fault_positions,
     error_amplification,
     fault_coverage_curve,
+    fault_coverage_rows,
+    fault_mask_planes,
     fault_sweep,
     fault_sweep_batch,
     wrong_decision_is_harmless,
@@ -61,6 +63,8 @@ __all__ = [
     "draw_fault_positions",
     "error_amplification",
     "fault_coverage_curve",
+    "fault_coverage_rows",
+    "fault_mask_planes",
     "fault_sweep",
     "fault_sweep_batch",
     "granularity_table",

@@ -31,16 +31,21 @@ tallies come from popcounts of the decoded-difference planes.  Entry
 points accept ``backend="auto" | "reference" | "vector"``; like the
 gate-level layer (:func:`repro.hw.bitsim.resolve_sim_backend`), ``auto``
 resolves to the mask-parallel engine even without NumPy, because the
-pure-int packing is itself a large win.  Both backends share one
-pure-Python ``random.Random`` draw path, so statistics are bit-identical
-across backends, word implementations and the CI NumPy matrix.
+pure-int packing is itself a large win.  Each fault rate's masks come
+from one ``random.Random`` stream, drawn per lane by
+:func:`draw_fault_masks` and decoded in bulk on ``uint64`` by
+:func:`fault_mask_planes`, so statistics are bit-identical across
+backends, word implementations and the CI NumPy matrix.
+:func:`fault_coverage_rows` draws each rate's masks once and shares
+them across every scheme it tallies.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.bitops import (
     ALL_ONES_WORD,
@@ -307,6 +312,13 @@ def fault_sweep_batch(scheme: DbiScheme, bursts: Sequence[Burst],
     return _tally_masked_faults(values, masks, word_impl)
 
 
+def _mask_stream(rate: float, seed: int) -> random.Random:
+    """The ``(seed, rate)`` mask stream, after validating the rate."""
+    if not 0.0 <= rate <= 1.0:
+        raise ValueError(f"fault rate must be in [0, 1], got {rate}")
+    return random.Random(f"{seed}:{float(rate).hex()}")
+
+
 def draw_fault_masks(n_words: int, rate: float, seed: int) -> List[int]:
     """Multi-lane fault masks: each of the 9 lanes of each of ``n_words``
     wire words flips independently with probability *rate*.
@@ -315,11 +327,11 @@ def draw_fault_masks(n_words: int, rate: float, seed: int) -> List[int]:
     seeds hash deterministically in ``random.Random``, unaffected by
     ``PYTHONHASHSEED``), so a rate's masks do not depend on which other
     rates a sweep includes — the property that makes coverage rows
-    individually cacheable by the experiment engine.
+    individually cacheable by the experiment engine.  This per-lane loop
+    is the reference (and the NumPy-free path) of
+    :func:`fault_mask_planes`.
     """
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"fault rate must be in [0, 1], got {rate}")
-    rng = random.Random(f"{seed}:{float(rate).hex()}")
+    rng = _mask_stream(rate, seed)
     masks: List[int] = []
     for _ in range(n_words):
         mask = 0
@@ -328,6 +340,55 @@ def draw_fault_masks(n_words: int, rate: float, seed: int) -> List[int]:
                 mask |= 1 << lane
         masks.append(mask)
     return masks
+
+
+#: Wire words per block of the bulk ``uint64`` mask draw: a multiple of
+#: 64, so each block fills whole plane words, and ~1 MiB of generator
+#: output per block bounds the draw's memory.
+MASK_DRAW_BLOCK_WORDS = 1 << 14
+
+
+def fault_mask_planes(n_words: int, rate: float, seed: int,
+                      word_impl: str = "auto") -> List[object]:
+    """:func:`draw_fault_masks` packed into one plane per wire lane.
+
+    Always equal to ``get_kernel(word_impl).pack_bus(draw_fault_masks(
+    n_words, rate, seed), WORD_WIDTH, n_words)``.  The ``int`` kernel
+    computes exactly that; the ``uint64`` kernel decodes the same
+    ``random.Random`` stream in bulk instead of calling ``random()`` per
+    lane.  Each ``random()`` value is ``((a >> 5) * 2**26 + (b >> 6)) *
+    2**-53`` for two consecutive 32-bit Mersenne Twister outputs *a*,
+    *b*, and ``getrandbits`` returns those same outputs, least
+    significant word first, on every platform — so one
+    ``getrandbits(64 * 9 * count)`` block, read as little-endian
+    ``uint32`` words, yields the next ``9 * count`` values.  They are
+    formed and compared with the rate by the same (exact) float64
+    operations, and each lane column is bit-packed straight into its
+    plane.
+    """
+    kernel = get_kernel(word_impl)
+    if kernel.name != "uint64":
+        return kernel.pack_bus(draw_fault_masks(n_words, rate, seed),
+                               WORD_WIDTH, n_words)
+    import numpy as np
+
+    rng = _mask_stream(rate, seed)
+    columns = np.zeros((WORD_WIDTH, ((n_words + 63) >> 6) * 8),
+                       dtype=np.uint8)
+    for start in range(0, n_words, MASK_DRAW_BLOCK_WORDS):
+        count = min(MASK_DRAW_BLOCK_WORDS, n_words - start)
+        n_bytes = 8 * WORD_WIDTH * count  # two outputs per random()
+        outputs = np.frombuffer(
+            rng.getrandbits(8 * n_bytes).to_bytes(n_bytes, "little"),
+            dtype="<u4")
+        uniform = (((outputs[0::2] >> 5).astype(np.float64) * 67108864.0
+                    + (outputs[1::2] >> 6))
+                   * (1.0 / 9007199254740992.0))
+        hits = (uniform < rate).reshape(count, WORD_WIDTH)
+        packed = np.packbits(hits, axis=0, bitorder="little")
+        first = start >> 3
+        columns[:, first:first + packed.shape[0]] = packed.T
+    return list(columns.view("<u8").astype(np.uint64, copy=False))
 
 
 @dataclass(frozen=True)
@@ -382,57 +443,91 @@ def fault_coverage_curve(scheme: DbiScheme, bursts: Sequence[Burst],
     mask-parallel under the ``vector`` backend, per-word under
     ``reference`` — with bit-identical rows either way.
     """
+    return list(fault_coverage_rows([(scheme, rate) for rate in rates],
+                                    bursts, seed, backend, word_impl))
+
+
+def fault_coverage_rows(tasks: Iterable[Tuple[DbiScheme, float]],
+                        bursts: Sequence[Burst], seed: int = 7,
+                        backend: Optional[str] = None,
+                        word_impl: str = "auto"
+                        ) -> Iterator[FaultCoverageRow]:
+    """:func:`fault_coverage_curve` rows of ``(scheme, rate)`` tasks, in
+    task order.
+
+    Each run of consecutive tasks with one scheme encodes the population
+    once.  Each rate's masks are drawn once per call and shared by every
+    scheme that asks for that rate: the masks depend only on the seed,
+    the rate and the beat count, never on the scheme.
+    """
     burst_list = list(bursts)
-    word_matrix = _batch_wire_words(scheme, burst_list)
-    if word_matrix is not None:
-        # Row-major ravel == burst-major, beat-minor: the reference order.
-        values = word_matrix.ravel().tolist()
-    else:
-        encoded = scheme.encode_batch(burst_list)
-        values = [word for enc in encoded for word in enc.words]
-    total = len(values)
-    rows: List[FaultCoverageRow] = []
-    if resolve_sim_backend(backend) == "vector":
-        kernel = get_kernel(word_impl)
-        planes = kernel.pack_bus(values, WORD_WIDTH, total)
-        valid = kernel.valid_mask(total)
-        flip_clean = planes[BYTE_WIDTH] ^ valid
-        for rate in rates:
-            masks = draw_fault_masks(total, rate, seed)
-            mask_planes = kernel.pack_bus(masks, WORD_WIDTH, total)
-            flip_faulty = (planes[BYTE_WIDTH]
-                           ^ mask_planes[BYTE_WIDTH]) ^ valid
-            bit_errors = 0
-            union = None
-            for lane in range(BYTE_WIDTH):
-                diff = ((planes[lane] ^ flip_clean)
-                        ^ ((planes[lane] ^ mask_planes[lane]) ^ flip_faulty))
-                bit_errors += kernel.popcount(diff)
-                union = diff if union is None else union | diff
-            rows.append(FaultCoverageRow(
-                rate=float(rate),
-                injected_faults=sum(kernel.popcount(plane)
-                                    for plane in mask_planes),
-                total_beats=total,
-                bit_errors=bit_errors,
-                corrupted_beats=kernel.popcount(union),
-                dbi_lane_faults=kernel.popcount(mask_planes[BYTE_WIDTH])))
-    else:
-        for rate in rates:
-            masks = draw_fault_masks(total, rate, seed)
-            injected = 0
-            bit_errors = 0
-            corrupted = 0
-            dbi_faults = 0
-            for word, mask in zip(values, masks):
-                injected += popcount(mask)
-                dbi_faults += (mask >> BYTE_WIDTH) & 1
-                diff = decode_word(word ^ mask) ^ decode_word(word)
-                errors = popcount(diff)
-                bit_errors += errors
-                corrupted += 1 if errors else 0
-            rows.append(FaultCoverageRow(
-                rate=float(rate), injected_faults=injected,
-                total_beats=total, bit_errors=bit_errors,
-                corrupted_beats=corrupted, dbi_lane_faults=dbi_faults))
-    return rows
+    total = sum(len(burst) for burst in burst_list)
+    vector = resolve_sim_backend(backend) == "vector"
+    kernel = get_kernel(word_impl) if vector else None
+    draws: Dict[float, object] = {}
+
+    def masks_for(rate: float):
+        if rate not in draws:
+            draws[rate] = (fault_mask_planes(total, rate, seed, kernel.name)
+                           if vector else draw_fault_masks(total, rate, seed))
+        return draws[rate]
+
+    for scheme, group in itertools.groupby(tasks, key=lambda task: task[0]):
+        word_matrix = _batch_wire_words(scheme, burst_list)
+        if word_matrix is not None:
+            # Row-major ravel == burst-major, beat-minor: the reference
+            # order.
+            values = word_matrix.ravel().tolist()
+        else:
+            encoded = scheme.encode_batch(burst_list)
+            values = [word for enc in encoded for word in enc.words]
+        if vector:
+            planes = kernel.pack_bus(values, WORD_WIDTH, total)
+            valid = kernel.valid_mask(total)
+            for __, rate in group:
+                yield _masked_coverage_row(kernel, planes, valid,
+                                           masks_for(rate), rate, total)
+        else:
+            for __, rate in group:
+                yield _reference_coverage_row(values, masks_for(rate), rate)
+
+
+def _masked_coverage_row(kernel, planes, valid, mask_planes, rate: float,
+                         total: int) -> FaultCoverageRow:
+    """One coverage row, mask-parallel over packed word planes."""
+    flip_clean = planes[BYTE_WIDTH] ^ valid
+    flip_faulty = (planes[BYTE_WIDTH] ^ mask_planes[BYTE_WIDTH]) ^ valid
+    bit_errors = 0
+    union = None
+    for lane in range(BYTE_WIDTH):
+        diff = ((planes[lane] ^ flip_clean)
+                ^ ((planes[lane] ^ mask_planes[lane]) ^ flip_faulty))
+        bit_errors += kernel.popcount(diff)
+        union = diff if union is None else union | diff
+    return FaultCoverageRow(
+        rate=float(rate),
+        injected_faults=sum(kernel.popcount(plane) for plane in mask_planes),
+        total_beats=total,
+        bit_errors=bit_errors,
+        corrupted_beats=kernel.popcount(union),
+        dbi_lane_faults=kernel.popcount(mask_planes[BYTE_WIDTH]))
+
+
+def _reference_coverage_row(values: Sequence[int], masks: Sequence[int],
+                            rate: float) -> FaultCoverageRow:
+    """One coverage row, one decode per wire word."""
+    injected = 0
+    bit_errors = 0
+    corrupted = 0
+    dbi_faults = 0
+    for word, mask in zip(values, masks):
+        injected += popcount(mask)
+        dbi_faults += (mask >> BYTE_WIDTH) & 1
+        diff = decode_word(word ^ mask) ^ decode_word(word)
+        errors = popcount(diff)
+        bit_errors += errors
+        corrupted += 1 if errors else 0
+    return FaultCoverageRow(
+        rate=float(rate), injected_faults=injected, total_beats=len(values),
+        bit_errors=bit_errors, corrupted_beats=corrupted,
+        dbi_lane_faults=dbi_faults)

@@ -293,7 +293,13 @@ class _LineHandler(socketserver.StreamRequestHandler):
     The per-connection socket deadline (``request_timeout``) bounds
     every read and write; a deadline hit or a client that vanishes
     mid-response simply ends this connection — never the daemon.
+
+    Each answer leaves in one write, and Nagle's algorithm is off, so no
+    part of an answer waits for the peer's delayed ACK of the part
+    before it (~40 ms per request for a newline sent on its own).
     """
+
+    disable_nagle_algorithm = True
 
     def setup(self) -> None:
         timeout = getattr(self.server, "request_timeout", None)
@@ -302,10 +308,9 @@ class _LineHandler(socketserver.StreamRequestHandler):
         super().setup()
 
     def _send(self, response: Dict[str, object]) -> bool:
+        line = json.dumps(response, separators=(",", ":")).encode("utf-8")
         try:
-            self.wfile.write(json.dumps(response,
-                                        separators=(",", ":")).encode("utf-8"))
-            self.wfile.write(b"\n")
+            self.wfile.write(line + b"\n")
             self.wfile.flush()
             return True
         except OSError:  # client gone / stalled past the deadline

@@ -57,7 +57,6 @@ from __future__ import annotations
 import copy
 import functools
 import hashlib
-import itertools
 import json
 import os
 import platform
@@ -84,7 +83,7 @@ from ..extensions.granularity import GroupedDbiOptimal, VALID_GROUP_SIZES
 from ..extensions.reliability import (
     DEFAULT_FAULT_RATES,
     FaultCoverageRow,
-    fault_coverage_curve,
+    fault_coverage_rows,
 )
 from ..phy.interface import get_interface
 from ..phy.pod import PodInterface, pod135
@@ -972,16 +971,15 @@ def _plan_faults(spec: FaultSpec):
 
 
 def _inject_missing(spec: FaultSpec, tasks, backend: str, word_impl: str):
-    """One coverage curve per slot over its missing rates only.
+    """The missing ``(scheme, rate)`` rows, in task order.
 
     Rates draw per-``(seed, rate)`` independent mask streams, so a row
-    never depends on which other rates the curve computes.
+    never depends on which other rates the run computes, and each rate's
+    masks are drawn once and shared by every slot that misses it.
     """
-    bursts = spec.population.bursts()
-    for scheme, group in itertools.groupby(tasks, key=lambda task: task[0]):
-        yield from fault_coverage_curve(
-            scheme, bursts, rates=[rate for __, rate in group],
-            seed=spec.seed, backend=backend, word_impl=word_impl)
+    return fault_coverage_rows(tasks, spec.population.bursts(),
+                               seed=spec.seed, backend=backend,
+                               word_impl=word_impl)
 
 
 def _price_faults(spec: FaultSpec, cells, cache) -> Dict[str, object]:

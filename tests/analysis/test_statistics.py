@@ -1,11 +1,18 @@
 """Unit tests for Monte-Carlo statistics."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
+from statistics import NormalDist
 
 import pytest
 
+import repro
 from repro.analysis.statistics import (
     MeanEstimate,
+    _z_value,
     estimate_mean,
     per_burst_costs,
     samples_for_precision,
@@ -94,3 +101,26 @@ class TestSchemeEstimates:
         loose = samples_for_precision(samples, target_half_width=0.5)
         tight = samples_for_precision(samples, target_half_width=0.05)
         assert tight > loose
+
+
+class TestNormalQuantile:
+    @pytest.mark.parametrize("confidence, z", [(0.9, 1.6448536269514722),
+                                               (0.95, 1.959963984540054),
+                                               (0.99, 2.5758293035489004)])
+    def test_matches_normal_dist(self, confidence, z):
+        assert _z_value(confidence) == NormalDist().inv_cdf(
+            0.5 + confidence / 2)
+        assert _z_value(confidence) == pytest.approx(z, rel=1e-14)
+
+    def test_cli_import_loads_no_scipy(self):
+        """The quantile comes from the standard library, so neither the
+        module nor anything else ``repro.cli`` imports pulls scipy in."""
+        src = pathlib.Path(repro.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        code = ("import sys, repro.cli; print(sorted(name for name in "
+                "sys.modules if name.startswith('scipy')))")
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import DbiAc, DbiDc, Raw
+from repro.core.bitops import WORD_WIDTH
 from repro.core.burst import Burst
 from repro.core.costs import CostModel
 from repro.core.encoder import DbiOptimal
@@ -12,15 +13,19 @@ from repro.core.schemes import get_scheme
 from repro.core.vectorized import HAVE_NUMPY
 from repro.extensions.reliability import (
     DEFAULT_FAULT_RATES,
+    MASK_DRAW_BLOCK_WORDS,
     decode_with_faults,
     draw_fault_masks,
     draw_fault_positions,
     error_amplification,
     fault_coverage_curve,
+    fault_coverage_rows,
+    fault_mask_planes,
     fault_sweep,
     fault_sweep_batch,
     wrong_decision_is_harmless,
 )
+from repro.hw.bitsim import get_kernel
 
 bursts = st.lists(st.integers(min_value=0, max_value=255),
                   min_size=1, max_size=12).map(Burst)
@@ -245,6 +250,77 @@ class TestFaultCoverageCurve:
         assert row.total_beats == 0
         assert row.bit_error_rate == 0.0
         assert row.beat_error_rate == 0.0
+
+
+def _assert_same_planes(got, want):
+    assert len(got) == len(want) == WORD_WIDTH
+    for got_plane, want_plane in zip(got, want):
+        if isinstance(want_plane, int):
+            assert got_plane == want_plane
+        else:
+            assert got_plane.dtype == want_plane.dtype
+            assert got_plane.shape == want_plane.shape
+            assert (got_plane == want_plane).all()
+
+
+class TestFaultMaskPlanes:
+    """The packed planes equal the reference per-lane stream, packed —
+    on ``uint64`` through the bulk ``getrandbits`` decode."""
+
+    @pytest.mark.parametrize("word_impl", WORD_IMPLS)
+    @settings(max_examples=80, deadline=None)
+    @given(n_words=st.one_of(st.sampled_from([0, 1, 63, 64, 65, 300]),
+                             st.integers(min_value=0, max_value=300)),
+           rate=st.one_of(st.sampled_from([0, 1, 1e-9, 0.0, 1.0]),
+                          st.floats(min_value=0.0, max_value=1.0)),
+           seed=st.integers(min_value=0, max_value=2 ** 64))
+    def test_equal_packed_reference(self, word_impl, n_words, rate, seed):
+        reference = get_kernel(word_impl).pack_bus(
+            draw_fault_masks(n_words, rate, seed), WORD_WIDTH, n_words)
+        _assert_same_planes(fault_mask_planes(n_words, rate, seed,
+                                              word_impl), reference)
+
+    @pytest.mark.parametrize("word_impl", WORD_IMPLS)
+    @pytest.mark.parametrize("n_words", [MASK_DRAW_BLOCK_WORDS - 1,
+                                         MASK_DRAW_BLOCK_WORDS,
+                                         2 * MASK_DRAW_BLOCK_WORDS + 5])
+    def test_block_seams(self, word_impl, n_words):
+        for rate, seed in ((0.003, 7), (0.5, 11)):
+            reference = get_kernel(word_impl).pack_bus(
+                draw_fault_masks(n_words, rate, seed), WORD_WIDTH, n_words)
+            _assert_same_planes(fault_mask_planes(n_words, rate, seed,
+                                                  word_impl), reference)
+
+    @pytest.mark.parametrize("word_impl", WORD_IMPLS)
+    def test_rate_validation(self, word_impl):
+        for rate in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError):
+                fault_mask_planes(10, rate, 1, word_impl)
+
+
+class TestFaultCoverageRows:
+    @pytest.fixture(scope="class")
+    def population(self):
+        from repro.workloads.population import RandomPopulation
+        return RandomPopulation(count=60, seed=5).bursts()
+
+    @pytest.mark.parametrize("backend, word_impl",
+                             [("reference", "auto")]
+                             + [("vector", impl) for impl in WORD_IMPLS])
+    def test_rows_equal_per_scheme_curves(self, population, backend,
+                                          word_impl):
+        """Interleaved schemes and repeated rates, in task order: each
+        row equals the scheme's own curve at that rate."""
+        schemes = [Raw(), DbiDc(), get_scheme("dbi-opt")]
+        tasks = [(schemes[0], 0.1), (schemes[0], 0.01), (schemes[1], 0.01),
+                 (schemes[2], 0.1), (schemes[0], 0.3), (schemes[1], 0.1)]
+        rows = list(fault_coverage_rows(tasks, population, seed=4,
+                                        backend=backend,
+                                        word_impl=word_impl))
+        expected = [fault_coverage_curve(scheme, population, rates=(rate,),
+                                         seed=4, backend="reference")[0]
+                    for scheme, rate in tasks]
+        assert rows == expected
 
 
 class TestDoctests:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import types
 
 import pytest
 
@@ -18,6 +19,8 @@ from repro.analysis.artifacts import canonical_artifact_json
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.daemon import (
     ExperimentDaemon,
+    ExperimentService,
+    _LineHandler,
     replay_spec_from_params,
     sweep_spec_from_params,
 )
@@ -296,3 +299,41 @@ class TestConcurrentClients:
             thread.join(timeout=120)
         assert len(outputs) == 4
         assert len(set(outputs)) == 1
+
+
+class _RecordingFile:
+    def __init__(self) -> None:
+        self.writes = []
+
+    def write(self, data: bytes) -> int:
+        self.writes.append(bytes(data))
+        return len(data)
+
+    def flush(self) -> None:
+        pass
+
+
+class TestAnswerFraming:
+    """An answer split over two writes waits ~40 ms per request for the
+    peer's delayed ACK of the first."""
+
+    def test_one_write_per_answer(self):
+        handler = _LineHandler.__new__(_LineHandler)
+        handler.wfile = recorder = _RecordingFile()
+        assert handler._send({"ok": True, "pong": True})
+        (line,) = recorder.writes
+        assert line.endswith(b"\n") and line.count(b"\n") == 1
+        assert json.loads(line) == {"ok": True, "pong": True}
+
+    def test_connections_disable_nagle(self):
+        """A large answer's last segment must not wait for an ACK."""
+        server = types.SimpleNamespace(service=ExperimentService())
+        listener = socket.create_server(("127.0.0.1", 0))
+        with listener, socket.create_connection(
+                listener.getsockname()) as peer:
+            connection, address = listener.accept()
+            with connection:
+                peer.shutdown(socket.SHUT_WR)  # the handler sees EOF
+                _LineHandler(connection, address, server)
+                assert connection.getsockopt(socket.IPPROTO_TCP,
+                                             socket.TCP_NODELAY)

@@ -1,5 +1,8 @@
 """The reliability and granularity experiment axes (PR 6)."""
 
+import random
+import types
+
 import pytest
 
 from repro.core.costs import CostModel
@@ -9,7 +12,11 @@ from repro.extensions.granularity import (
     VALID_GROUP_SIZES,
     granularity_table,
 )
-from repro.extensions.reliability import fault_coverage_curve
+from repro.extensions import reliability
+from repro.extensions.reliability import (
+    DEFAULT_FAULT_RATES,
+    fault_coverage_curve,
+)
 from repro.sim.experiments import (
     ActivityCache,
     FaultSpec,
@@ -132,6 +139,31 @@ class TestRunFaults:
             load_artifact(path)
         with pytest.raises(ValueError, match="kind"):
             load_granularity_artifact(path)
+
+
+class TestSharedMaskDraws:
+    @pytest.mark.parametrize("backend, word_impl",
+                             [("vector", "auto"), ("vector", "int"),
+                              ("reference", "auto")])
+    def test_default_run_draws_each_rate_once(self, population, monkeypatch,
+                                              backend, word_impl):
+        """Masks depend only on the seed, the rate and the beat count, so
+        the four default slots share one draw per rate: 5, not 20."""
+        streams = []
+
+        class CountingRandom(random.Random):
+            def __init__(self, seed):
+                streams.append(seed)
+                super().__init__(seed)
+
+        monkeypatch.setattr(reliability, "random",
+                            types.SimpleNamespace(Random=CountingRandom))
+        spec = fault_experiment(population)
+        result = run_faults(spec, backend=backend, word_impl=word_impl)
+        assert len(spec.slots) == 4
+        assert len(streams) == len(set(streams)) == len(DEFAULT_FAULT_RATES)
+        monkeypatch.undo()
+        assert result.series == run_faults(spec, backend="reference").series
 
 
 class TestGranularitySpec:
