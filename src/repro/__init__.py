@@ -42,8 +42,11 @@ Two interchangeable execution backends produce bit-identical results:
   encodes whole ``(batch, n)`` populations array-at-a-time; this is what
   makes million-burst sweeps practical.
 
-Batch entry points (``DbiScheme.encode_batch``, ``sim.runner.evaluate``,
-``sim.sweep.collect_activity`` and the figure sweeps) accept
+Every population tally gets its wire words from one encoder,
+``DbiScheme.wire_words``, and one chunked tally,
+``sim.experiments.population_metrics``, sits on top of it.  Both, and
+the entry points built on them (``DbiScheme.encode_batch``,
+``sim.runner.evaluate`` and the figure sweeps), accept
 ``backend="auto" | "reference" | "vector"``; ``auto`` (default) uses
 ``vector`` whenever NumPy is importable.  The process-wide default can be
 set with :func:`repro.set_default_backend` or the ``REPRO_BACKEND``

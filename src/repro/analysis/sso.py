@@ -17,10 +17,10 @@ library-wide backend vocabulary (``backend="auto" | "reference" |
   Python popcount and one histogram update per beat.  This is the
   executable specification.
 * ``vector`` — :func:`sso_of_words_batch` / :func:`sso_of_scheme_batch`:
-  the burst population is encoded through the scheme's
-  :meth:`~repro.core.schemes.DbiScheme.batch_flags` kernel where
-  available, the per-beat transition words are packed into bit planes
-  (one machine word per wire, one bit per beat — the
+  the burst population is encoded by
+  :meth:`~repro.core.schemes.DbiScheme.wire_words` (the scheme's NumPy
+  batch kernel where available), the per-beat transition words are
+  packed into bit planes (one machine word per wire, one bit per beat — the
   :mod:`repro.hw.bitsim` trick applied to the phy layer), the nine
   planes are summed with carry-save adders into per-beat switching
   counts, and the histogram falls out of ten popcounts.  Like the
@@ -50,7 +50,6 @@ from ..core.bitops import (
 )
 from ..core.burst import Burst
 from ..core.schemes import DbiScheme
-from ..core.vectorized import flags_to_words, try_vector_pack
 from ..hw.bitsim import get_kernel, resolve_sim_backend
 
 try:
@@ -134,26 +133,24 @@ def sso_of_words(words: Sequence[int],
 
 def sso_of_scheme(scheme: DbiScheme, bursts: Sequence[Burst],
                   chained: bool = False) -> SsoStatistics:
-    """SSO statistics of a scheme over a burst population (reference path)."""
+    """SSO statistics of a scheme over a burst population (reference
+    path: the words of :meth:`~repro.core.schemes.DbiScheme.wire_words`'
+    per-burst loop, one popcount per beat)."""
+    rows = scheme.wire_words(bursts, chained=chained, backend="reference")
+    if chained:
+        return sso_of_words([word for row in rows for word in row])
     histogram: Dict[int, int] = {}
     worst = 0
     total = 0
-    beats = 0
-    state = ALL_ONES_WORD
-    for burst in bursts:
-        encoded = scheme.encode(burst, prev_word=state if chained
-                                else ALL_ONES_WORD)
-        stats = sso_of_words(encoded.words,
-                             prev_word=state if chained else ALL_ONES_WORD)
+    for row in rows:
+        stats = sso_of_words(row)
         for k, count in stats.histogram.items():
             histogram[k] = histogram.get(k, 0) + count
         worst = max(worst, stats.max_switching)
         total += stats.total_switching
-        beats += stats.beats
-        if chained:
-            state = encoded.last_word()
-    return SsoStatistics(beats=beats, max_switching=worst,
-                         total_switching=total, histogram=histogram)
+    return SsoStatistics(beats=sum(len(row) for row in rows),
+                         max_switching=worst, total_switching=total,
+                         histogram=histogram)
 
 
 # -- the word-parallel engine -------------------------------------------------
@@ -299,34 +296,16 @@ def sso_of_scheme_batch(scheme: DbiScheme, bursts: Sequence[Burst],
 
     Bit-identical to :func:`sso_of_scheme` on every scheme in both
     transmission modes.  With the ``vector`` backend the wire words come
-    from the scheme's batch kernel
-    (:meth:`~repro.core.schemes.DbiScheme.batch_flags` +
-    :func:`~repro.core.vectorized.flags_to_words`) whenever
-    :func:`~repro.core.vectorized.try_vector_pack` allows it — chained
-    transmission of a state-dependent scheme encodes per burst instead —
-    and the tally always runs word-parallel.  ``backend`` follows
+    from :meth:`~repro.core.schemes.DbiScheme.wire_words` on NumPy's
+    batch kernel wherever it applies (chained transmission of a
+    state-dependent scheme runs its reference loop), and the tally
+    always runs word-parallel.  ``backend`` follows
     :func:`repro.hw.bitsim.resolve_sim_backend`: ``auto`` resolves to
     the batched tally even without NumPy.
     """
     if resolve_sim_backend(backend) == "reference":
         return sso_of_scheme(scheme, bursts, chained=chained)
-    burst_list = list(bursts)
-    if not burst_list:
-        return _EMPTY
-    data = None
-    if _np is not None:
-        data = try_vector_pack(scheme, burst_list, backend="vector",
-                               chained=chained)
-    if data is not None:
-        prev = _np.full(data.shape[0], ALL_ONES_WORD, dtype=_np.int64)
-        flags = scheme.batch_flags(data, prev)
-        rows = flags_to_words(data, flags)
-    else:
-        if chained:
-            encoded = scheme.encode_stream(burst_list)
-        else:
-            encoded = [scheme.encode(burst) for burst in burst_list]
-        rows = [list(result.words) for result in encoded]
+    rows = scheme.wire_words(bursts, chained=chained, backend="auto")
     return sso_of_words_batch(rows, prev_words=ALL_ONES_WORD,
                               chained=chained, word_impl=word_impl)
 

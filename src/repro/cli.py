@@ -32,6 +32,7 @@ supplies the default.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import List, Optional, Sequence
@@ -42,6 +43,7 @@ from .analysis.crossover import (
     interpolated_crossing,
     peak_advantage,
 )
+from .core.bitops import WORD_WIDTH
 from .core.burst import Burst
 from .core.costs import CostModel
 from .core.pareto import pareto_summary
@@ -319,10 +321,8 @@ def _ctrl_trace(args: argparse.Namespace) -> Optional[dict]:
         except KeyError as error:
             print(f"--trace: {error.args[0]}", file=sys.stderr)
             return None
-    from .workloads.population import RandomPopulation
-
-    population = RandomPopulation(count=args.bursts, seed=args.seed)
-    return {"payload": b"".join(bytes(burst.data) for burst in population)}
+    return {"payload": RandomPopulation(count=args.bursts,
+                                        seed=args.seed).to_bytes()}
 
 
 def _parse_operating_points(specs: Sequence[str], c_load_pf: float,
@@ -639,7 +639,7 @@ def _add_burst_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_population_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--samples", type=int, default=2000,
+    parser.add_argument("--samples", type=_positive_int, default=2000,
                         help="random bursts in the population")
     parser.add_argument("--seed", type=int, default=0x0DB1,
                         help="RNG seed")
@@ -651,11 +651,24 @@ def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
                              "or auto)")
 
 
-def _positive_int(value: str) -> int:
-    number = int(value)
-    if number < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return number
+def _checked(convert, ok, rule: str):
+    """An argparse type: *convert* the value, then require *ok* of it."""
+    def parse(value: str):
+        number = convert(value)
+        if not ok(number):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return number
+    parse.__name__ = convert.__name__  # argparse's "invalid int value"
+    return parse
+
+
+_positive_int = _checked(int, lambda number: number >= 1, ">= 1")
+_two_or_more = _checked(int, lambda number: number >= 2, ">= 2")
+_lane_count = _checked(int, lambda number: 0 <= number <= WORD_WIDTH,
+                       f"in [0, {WORD_WIDTH}]")
+_positive_float = _checked(
+    float, lambda number: math.isfinite(number) and number > 0,
+    "finite and > 0")
 
 
 def _add_cache_dir_argument(parser: argparse.ArgumentParser) -> None:
@@ -741,7 +754,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_alpha = sub.add_parser("sweep-alpha",
                                  help="Fig. 3/4 alpha sweep")
     _add_population_arguments(sweep_alpha)
-    sweep_alpha.add_argument("--points", type=int, default=26)
+    sweep_alpha.add_argument("--points", type=_two_or_more, default=26)
     sweep_alpha.add_argument("--plot", action="store_true")
     _add_engine_arguments(sweep_alpha)
     sweep_alpha.set_defaults(handler=_cmd_sweep_alpha)
@@ -750,8 +763,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_population_arguments(sweep_rate)
     sweep_rate.add_argument("--interface", choices=("pod135", "pod12"),
                             default="pod135")
-    sweep_rate.add_argument("--c-load-pf", type=float, default=3.0)
-    sweep_rate.add_argument("--max-gbps", type=int, default=20)
+    sweep_rate.add_argument("--c-load-pf", type=_positive_float, default=3.0)
+    sweep_rate.add_argument("--max-gbps", type=_positive_int, default=20)
     sweep_rate.add_argument("--plot", action="store_true")
     _add_engine_arguments(sweep_rate)
     sweep_rate.set_defaults(handler=_cmd_sweep_rate)
@@ -760,9 +773,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_population_arguments(sweep_load)
     sweep_load.add_argument("--interface", choices=("pod135", "pod12"),
                             default="pod135")
-    sweep_load.add_argument("--loads-pf", type=float, nargs="+",
+    sweep_load.add_argument("--loads-pf", type=_positive_float, nargs="+",
                             default=[1.0, 2.0, 3.0, 4.0, 6.0, 8.0])
-    sweep_load.add_argument("--max-gbps", type=int, default=20)
+    sweep_load.add_argument("--max-gbps", type=_positive_int, default=20)
     _add_engine_arguments(sweep_load)
     sweep_load.set_defaults(handler=_cmd_sweep_load)
 
@@ -802,9 +815,10 @@ def build_parser() -> argparse.ArgumentParser:
     ctrl.add_argument("--interface", nargs="+",
                       choices=available_interfaces(), default=["pod135"],
                       help="electrical standard(s) to price the replay at")
-    ctrl.add_argument("--data-rate-gbps", dest="data_rate_gbps", type=float,
-                      default=12.0, help="per-pin data rate (default: 12)")
-    ctrl.add_argument("--c-load-pf", dest="c_load_pf", type=float,
+    ctrl.add_argument("--data-rate-gbps", dest="data_rate_gbps",
+                      type=_positive_float, default=12.0,
+                      help="per-pin data rate (default: 12)")
+    ctrl.add_argument("--c-load-pf", dest="c_load_pf", type=_positive_float,
                       default=3.0, help="lane load capacitance (default: 3)")
     adaptive = ctrl.add_mutually_exclusive_group()
     adaptive.add_argument("--schedule", nargs="+", metavar="IFACE@GBPS[:START]",
@@ -880,7 +894,7 @@ def build_parser() -> argparse.ArgumentParser:
     sso.add_argument("--chained", action="store_true",
                      help="thread bus state across bursts instead of the "
                           "per-burst idle-high boundary")
-    sso.add_argument("--threshold", type=int, default=4, metavar="K",
+    sso.add_argument("--threshold", type=_lane_count, default=4, metavar="K",
                      help="report the fraction of beats with more than K "
                           "toggling lanes (default: 4)")
     sso.set_defaults(handler=_cmd_sso)

@@ -114,6 +114,14 @@ PAPER_FIG2_BURST = Burst.from_bit_strings(
 )
 
 
+def as_bursts(batch) -> Sequence[Burst]:
+    """*batch* as a burst sequence for a per-burst loop: a packed
+    ``(batch, n)`` array row by row, anything else as it is."""
+    if hasattr(batch, "tolist"):
+        return [Burst(row) for row in batch.tolist()]
+    return batch
+
+
 def chunk_bytes(payload: Sequence[int], burst_length: int = DEFAULT_BURST_LENGTH,
                 pad_byte: int = 0xFF) -> List[Burst]:
     """Split a long byte stream into bursts, padding the tail with *pad_byte*.

@@ -13,6 +13,7 @@ build fixed- and small-integer-coefficient hardware.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -38,10 +39,11 @@ class CostModel:
     beta: float
 
     def __post_init__(self) -> None:
-        if self.alpha < 0 or self.beta < 0:
+        if not all(math.isfinite(value) and value >= 0
+                   for value in (self.alpha, self.beta)):
             raise ValueError(
-                f"cost coefficients must be non-negative, got alpha={self.alpha}, beta={self.beta}"
-            )
+                "cost coefficients must be finite and non-negative, got "
+                f"alpha={self.alpha}, beta={self.beta}")
         if self.alpha == 0 and self.beta == 0:
             raise ValueError("at least one of alpha/beta must be positive")
 

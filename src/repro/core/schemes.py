@@ -21,9 +21,9 @@ from .bitops import (
     total_transitions,
     total_zeros,
 )
-from .burst import Burst
+from .burst import Burst, as_bursts
 from .costs import CostModel
-from .vectorized import try_vector_pack
+from .vectorized import flags_to_words, try_vector_pack
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,7 @@ class DbiScheme(abc.ABC):
         """
         return self.name
 
-    def encode_stream(self, bursts: List[Burst],
+    def encode_stream(self, bursts: Iterable[Burst],
                       prev_word: int = ALL_ONES_WORD) -> List[EncodedBurst]:
         """Encode a sequence of bursts, threading bus state between them."""
         encoded: List[EncodedBurst] = []
@@ -156,14 +156,34 @@ class DbiScheme(abc.ABC):
         a ``(batch,)`` array of per-row boundary words.  Returns a
         ``(batch, n)`` bool array bit-identical to calling :meth:`encode`
         row by row.  Schemes without a vector kernel leave this
-        unimplemented and :meth:`encode_batch` falls back to the
-        reference per-burst path.
+        unimplemented and :meth:`wire_words` / :meth:`encode_batch` use
+        the reference per-burst path.
         """
         raise NotImplementedError(f"{type(self).__name__} has no vector kernel")
 
     def supports_batch(self) -> bool:
         """True when this scheme provides a vectorized :meth:`batch_flags`."""
         return type(self).batch_flags is not DbiScheme.batch_flags
+
+    def wire_words(self, bursts, prev_word: int = ALL_ONES_WORD,
+                   chained: bool = False, backend: Optional[str] = None):
+        """The wire words of *bursts* (a burst list or iterator, a
+        population or a packed array): the one encode path behind every
+        tally, axis and engine.
+
+        Where :func:`~repro.core.vectorized.try_vector_pack` admits the
+        scheme on *backend*, a ``(batch, n)`` int64 array from
+        :meth:`batch_flags`; otherwise one word tuple per burst from the
+        reference loop (:meth:`encode`, or :meth:`encode_stream` when
+        ``chained``).  Both branches give the same words.
+        """
+        if iter(bursts) is bursts:
+            bursts = list(bursts)
+        data = try_vector_pack(self, bursts, backend, chained=chained)
+        if data is not None:
+            return flags_to_words(data, self._flags(data, prev_word))
+        return [encoded.words
+                for encoded in self._encode_each(bursts, prev_word, chained)]
 
     def encode_batch(self, bursts: Iterable[Burst],
                      prev_word: int = ALL_ONES_WORD,
@@ -177,19 +197,29 @@ class DbiScheme(abc.ABC):
         Results are identical either way.
         """
         burst_list = list(bursts)
-        data = try_vector_pack(self, burst_list, backend) if burst_list else None
-        if data is not None:
-            import numpy as np
-
-            prev = np.full(data.shape[0], prev_word, dtype=np.int64)
-            flags = self.batch_flags(data, prev)
-            return [
-                EncodedBurst(burst=burst,
-                             invert_flags=tuple(map(bool, row)),
+        data = try_vector_pack(self, burst_list, backend)
+        if data is None:
+            return self._encode_each(burst_list, prev_word, chained=False)
+        flags = self._flags(data, prev_word)
+        return [EncodedBurst(burst=burst, invert_flags=tuple(map(bool, row)),
                              prev_word=prev_word)
-                for burst, row in zip(burst_list, flags)
-            ]
-        return [self.encode(burst, prev_word=prev_word) for burst in burst_list]
+                for burst, row in zip(burst_list, flags)]
+
+    def _flags(self, data, prev_word: int):
+        """:meth:`batch_flags` with every row starting from *prev_word*."""
+        import numpy as np
+
+        return self.batch_flags(
+            data, np.full(data.shape[0], prev_word, dtype=np.int64))
+
+    def _encode_each(self, bursts, prev_word: int,
+                     chained: bool) -> List[EncodedBurst]:
+        """The reference per-burst loop, the specification of every
+        vector branch."""
+        bursts = as_bursts(bursts)
+        if chained:
+            return self.encode_stream(bursts, prev_word)
+        return [self.encode(burst, prev_word=prev_word) for burst in bursts]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"

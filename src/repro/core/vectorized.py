@@ -17,9 +17,11 @@ in the same order as :func:`repro.core.trellis.solve`, so invert flags
 
 Backend selection
 -----------------
-Batch entry points (:meth:`repro.core.schemes.DbiScheme.encode_batch`,
-:func:`repro.sim.sweep.collect_activity`, :func:`repro.sim.runner.evaluate`)
-accept ``backend="reference" | "vector" | "auto"``.  ``auto`` (the
+The one encoder, :meth:`repro.core.schemes.DbiScheme.wire_words` (a
+vector kernel where :func:`try_vector_pack` admits it, else the per-burst
+reference loop), and everything built on it, such as
+:func:`repro.sim.experiments.population_activity`, accept
+``backend="reference" | "vector" | "auto"``.  ``auto`` (the
 default) picks ``vector`` whenever NumPy is importable and falls back to
 the pure-Python reference otherwise.  The process-wide default can be
 overridden with :func:`set_default_backend` or the ``REPRO_BACKEND``
@@ -39,6 +41,8 @@ from .bitops import (
     WORD_MASK,
     WORD_WIDTH,
     hamming_weight_table,
+    total_transitions,
+    total_zeros,
 )
 
 try:  # pragma: no cover - trivially true/false per environment
@@ -149,12 +153,15 @@ def popcount_table():
 def pack_bursts(bursts: Sequence):
     """Pack equal-length bursts into a ``(batch, n)`` ``uint8`` array.
 
-    Accepts :class:`~repro.core.burst.Burst` objects, byte sequences or an
-    already-packed 2-D array.  Raises ``ValueError`` when the batch is
-    empty or the lengths are ragged (callers that can encounter ragged
-    batches should use :func:`try_pack_bursts`).
+    Accepts :class:`~repro.core.burst.Burst` objects, byte sequences, an
+    already-packed 2-D array or a population (from its ``iter_packed``
+    chunks, so no ``Burst`` is built).  Raises ``ValueError`` when the
+    batch is empty or the lengths are ragged (callers that can encounter
+    ragged batches should use :func:`try_pack_bursts`).
     """
     np = _require_numpy()
+    if hasattr(bursts, "iter_packed"):
+        return pack_bursts(np.concatenate(list(bursts.iter_packed())))
     if isinstance(bursts, np.ndarray):
         if bursts.ndim != 2:
             raise ValueError(f"packed bursts must be 2-D, got shape {bursts.shape}")
@@ -177,7 +184,8 @@ def pack_bursts(bursts: Sequence):
 
 
 def try_pack_bursts(bursts: Sequence):
-    """Like :func:`pack_bursts` but returns ``None`` on ragged batches."""
+    """Like :func:`pack_bursts` but returns ``None`` on empty or ragged
+    batches."""
     try:
         return pack_bursts(bursts)
     except ValueError:
@@ -527,37 +535,32 @@ def batch_activity(words, prev_words: Union[int, Sequence[int]] = ALL_ONES_WORD,
     return transitions, zeros
 
 
-def scheme_batch_activity(scheme, data, prev_word: int = ALL_ONES_WORD,
-                          chained: bool = False):
-    """Flags plus population activity totals for one scheme, one call.
+def scheme_batch_activity(scheme, bursts, prev_word: int = ALL_ONES_WORD,
+                          chained: bool = False,
+                          backend: Optional[str] = None):
+    """The chunk step of :func:`repro.sim.experiments.population_metrics`:
+    the batch's :meth:`~repro.core.schemes.DbiScheme.wire_words`, tallied
+    per burst from *prev_word* or, ``chained``, as one stream from it.
 
-    The shared tally pipeline behind the sim layer's vector fast paths
-    (:func:`repro.sim.runner.run_scheme`,
-    :func:`repro.sim.sweep.collect_activity`): compute the scheme's batch
-    flags, materialise the wire words, and tally either per-burst
-    (independent boundaries) or threaded (chained) activity.
-
-    Returns ``(flags, total_transitions, total_zeros)`` with the totals
-    as Python ints.
+    Returns ``(transitions, zeros, inverted, beats, last_word)`` as
+    Python ints; ``inverted`` counts words with DBI bit 0 and
+    ``last_word`` is the next chained batch's boundary.
     """
-    np = _require_numpy()
-    if chained and getattr(scheme, "stateful_flags", True):
-        # Flags are computed with every row starting from prev_word, so
-        # threading boundaries afterwards is only sound when the flags
-        # never read the incoming state (see try_vector_pack).
-        raise ValueError(
-            f"scheme {getattr(scheme, 'name', scheme)!r} has state-dependent "
-            "flag decisions; chained mode requires the reference path")
-    data = pack_bursts(data)
-    prev = np.full(data.shape[0], int(prev_word), dtype=np.int64)
-    flags = scheme.batch_flags(data, prev)
-    words = flags_to_words(data, flags)
+    words = scheme.wire_words(bursts, prev_word, chained, backend)
+    if isinstance(words, list):  # the reference branch: word tuples
+        flat = [word for row in words for word in row]
+        transitions = sum(total_transitions(row, prev_word)
+                          for row in ([flat] if chained else words))
+        return (transitions, total_zeros(flat),
+                sum(1 for word in flat if word < DBI_BIT), len(flat),
+                flat[-1] if flat else prev_word)
     if chained:
         transitions, zeros = chain_activity(words, prev_word)
     else:
         per_transitions, per_zeros = batch_activity(words, prev_word)
         transitions, zeros = int(per_transitions.sum()), int(per_zeros.sum())
-    return flags, transitions, zeros
+    return (transitions, zeros, int((words < DBI_BIT).sum()), words.size,
+            int(words[-1, -1]))
 
 
 def chain_activity(words, prev_word: int = ALL_ONES_WORD) -> Tuple[int, int]:

@@ -30,6 +30,7 @@ Both are threaded through :class:`repro.ctrl.controller.MemoryController`
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -59,9 +60,10 @@ class OperatingPoint:
 
     def __post_init__(self) -> None:
         get_interface(self.interface)  # raises KeyError on unknown presets
-        if self.data_rate_hz <= 0 or self.c_load_farads <= 0:
+        if not all(math.isfinite(value) and value > 0
+                   for value in (self.data_rate_hz, self.c_load_farads)):
             raise ValueError(
-                "data_rate_hz and c_load_farads must be positive")
+                "data_rate_hz and c_load_farads must be finite and positive")
         if not self.label:
             object.__setattr__(
                 self, "label",

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..core.bitops import popcount
-from ..core.burst import Burst
+from ..core.burst import Burst, as_bursts
 from ..core.costs import CostModel
 from ..core.vectorized import resolve_backend, try_pack_bursts
 
@@ -173,18 +173,22 @@ class GroupedDbiOptimal:
         The aggregate fast path behind :func:`granularity_table` and the
         granularity experiment axis: the vector backend tallies the
         striped word planes without materialising per-burst
-        :class:`GroupedEncoding` objects.  Totals are exact integers and
+        :class:`GroupedEncoding` objects, and a
+        :class:`~repro.workloads.population.BurstPopulation` packs
+        straight from its ``iter_packed`` chunks.  *bursts* may also be a
+        packed ``(batch, n)`` array.  Totals are exact integers and
         identical across backends.
         """
-        burst_list = list(bursts)
-        if burst_list and resolve_backend(backend) == "vector":
-            packed = try_pack_bursts(burst_list)
+        if iter(bursts) is bursts:
+            bursts = list(bursts)
+        if resolve_backend(backend) == "vector":
+            packed = try_pack_bursts(bursts)
             if packed is not None:
                 _flags, zeros, transitions = self._batch_solve(packed)
                 return int(zeros.sum()), int(transitions.sum())
         total_zeros = 0
         total_transitions = 0
-        for burst in burst_list:
+        for burst in as_bursts(bursts):
             encoding = self.encode(burst)
             total_zeros += encoding.zeros
             total_transitions += encoding.transitions

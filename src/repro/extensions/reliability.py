@@ -48,7 +48,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.bitops import (
-    ALL_ONES_WORD,
     BYTE_WIDTH,
     WORD_WIDTH,
     decode_word,
@@ -56,7 +55,6 @@ from ..core.bitops import (
 )
 from ..core.burst import Burst
 from ..core.schemes import DbiScheme, EncodedBurst
-from ..core.vectorized import flags_to_words, try_vector_pack
 from ..hw.bitsim import get_kernel, resolve_sim_backend
 
 
@@ -213,27 +211,6 @@ def fault_sweep(scheme: DbiScheme, bursts: Sequence[Burst],
 
 # -- the mask-parallel fault engine -----------------------------------------
 
-def _batch_wire_words(scheme: DbiScheme, burst_list: Sequence[Burst]):
-    """``(batch, n)`` int64 wire words via the vector encode kernel.
-
-    Returns ``None`` whenever :func:`~repro.core.vectorized.try_vector_pack`
-    declines (no NumPy, ragged population, scheme without a batch
-    kernel), in which case callers materialise words through
-    :meth:`~repro.core.schemes.DbiScheme.encode_batch` instead.  Skipping
-    the per-burst :class:`~repro.core.schemes.EncodedBurst` objects is
-    worth ~2x on the fault engines' encode stage; bit-identity holds
-    because :func:`~repro.core.vectorized.flags_to_words` applies the
-    same DBI word construction as :func:`~repro.core.bitops.make_word`.
-    """
-    data = try_vector_pack(scheme, burst_list)
-    if data is None:
-        return None
-    import numpy as np
-
-    prev = np.full(data.shape[0], ALL_ONES_WORD, dtype=np.int64)
-    return flags_to_words(data, scheme.batch_flags(data, prev))
-
-
 def _tally_masked_faults(values: Sequence[int], masks: Sequence[int],
                          word_impl: str = "auto") -> FaultStatistics:
     """Decode-and-tally for one fault per vector, mask-parallel.
@@ -289,26 +266,26 @@ def fault_sweep_batch(scheme: DbiScheme, bursts: Sequence[Burst],
     """
     if faults_per_burst < 1:
         raise ValueError("faults_per_burst must be >= 1")
-    burst_list = list(bursts)
     if resolve_sim_backend(backend) == "reference":
-        return fault_sweep(scheme, burst_list, faults_per_burst, seed)
-    positions = draw_fault_positions([len(burst) for burst in burst_list],
-                                     faults_per_burst, seed)
-    masks = [1 << lane for faults in positions for _beat, lane in faults]
-    word_matrix = _batch_wire_words(scheme, burst_list)
-    if word_matrix is not None:
+        return fault_sweep(scheme, list(bursts), faults_per_burst, seed)
+    words = scheme.wire_words(bursts)
+    if isinstance(words, list):  # the reference loop: one tuple per burst
+        positions = draw_fault_positions([len(row) for row in words],
+                                         faults_per_burst, seed)
+        values = [row[beat] for row, faults in zip(words, positions)
+                  for beat, _lane in faults]
+    else:
+        # One fancy index over the (batch, n) array: a list per row would
+        # cost more in garbage collection than the index itself.
         import numpy as np
 
-        rows = np.repeat(np.arange(len(burst_list)), faults_per_burst)
-        beats = np.fromiter(
-            (beat for faults in positions for beat, _lane in faults),
-            dtype=np.intp, count=len(masks))
-        values = word_matrix[rows, beats].tolist()
-    else:
-        encoded = scheme.encode_batch(burst_list)
-        burst_words = [enc.words for enc in encoded]
-        values = [words[beat] for words, faults in zip(burst_words, positions)
-                  for beat, _lane in faults]
+        batch, length = words.shape
+        positions = draw_fault_positions([length] * batch, faults_per_burst,
+                                         seed)
+        beats = [beat for faults in positions for beat, _lane in faults]
+        values = words[np.repeat(np.arange(batch), faults_per_burst),
+                       beats].tolist()
+    masks = [1 << lane for faults in positions for _beat, lane in faults]
     return _tally_masked_faults(values, masks, word_impl)
 
 
@@ -460,36 +437,36 @@ def fault_coverage_rows(tasks: Iterable[Tuple[DbiScheme, float]],
     scheme that asks for that rate: the masks depend only on the seed,
     the rate and the beat count, never on the scheme.
     """
-    burst_list = list(bursts)
-    total = sum(len(burst) for burst in burst_list)
+    if iter(bursts) is bursts:
+        bursts = list(bursts)
     vector = resolve_sim_backend(backend) == "vector"
     kernel = get_kernel(word_impl) if vector else None
     draws: Dict[float, object] = {}
 
-    def masks_for(rate: float):
+    def masks_for(rate: float, total: int):
         if rate not in draws:
             draws[rate] = (fault_mask_planes(total, rate, seed, kernel.name)
                            if vector else draw_fault_masks(total, rate, seed))
         return draws[rate]
 
     for scheme, group in itertools.groupby(tasks, key=lambda task: task[0]):
-        word_matrix = _batch_wire_words(scheme, burst_list)
-        if word_matrix is not None:
-            # Row-major ravel == burst-major, beat-minor: the reference
-            # order.
-            values = word_matrix.ravel().tolist()
-        else:
-            encoded = scheme.encode_batch(burst_list)
-            values = [word for enc in encoded for word in enc.words]
+        # Flattened burst-major, beat-minor: the reference order.
+        words = scheme.wire_words(bursts,
+                                  backend=None if vector else "reference")
+        values = ([word for row in words for word in row]
+                  if isinstance(words, list) else words.ravel().tolist())
+        total = len(values)
         if vector:
             planes = kernel.pack_bus(values, WORD_WIDTH, total)
             valid = kernel.valid_mask(total)
             for __, rate in group:
                 yield _masked_coverage_row(kernel, planes, valid,
-                                           masks_for(rate), rate, total)
+                                           masks_for(rate, total), rate,
+                                           total)
         else:
             for __, rate in group:
-                yield _reference_coverage_row(values, masks_for(rate), rate)
+                yield _reference_coverage_row(values, masks_for(rate, total),
+                                              rate)
 
 
 def _masked_coverage_row(kernel, planes, valid, mask_planes, rate: float,

@@ -8,16 +8,14 @@ j+2·lanes, ...``), encoded per lane with bus state threaded across bursts,
 and accounted with the per-wire counters of :mod:`repro.phy.lane` and the
 energy model of :mod:`repro.phy.power`.
 
-Since PR 8 the write path is batched like the controller's: on the
-``vector`` backend each lane's burst train is encoded in one
-:meth:`~repro.core.schemes.DbiScheme.batch_flags` call (state threaded
-across bursts — :func:`~repro.core.vectorized.try_vector_pack` gates the
-fast path, so chained transmission of a state-dependent scheme falls back
-to the per-burst reference), activity is tallied array-at-a-time, and the
-per-wire counters update through
-:meth:`~repro.phy.lane.LaneGroup.drive_words_batch`.  Both paths produce
-bit-identical statistics, energies and wire state (enforced by
-``tests/phy/test_bus.py``).
+The write path is batched like the controller's: each lane's burst train
+is encoded in one :meth:`~repro.core.schemes.DbiScheme.wire_words` call
+(state threaded across bursts).  When its vector branch runs, activity
+is tallied array-at-a-time and the per-wire counters update through
+:meth:`~repro.phy.lane.LaneGroup.drive_words_batch`; chained transmission
+of a state-dependent scheme drives the per-burst reference words.  Both
+paths produce bit-identical statistics, energies and wire state
+(enforced by ``tests/phy/test_bus.py``).
 
 This is the substrate for trace-driven evaluation: everything the
 figure-level benchmarks measure on synthetic bursts can also be measured on
@@ -29,10 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from ..core.bitops import ALL_ONES_WORD
+from ..core.bitops import ALL_ONES_WORD, total_transitions, total_zeros
 from ..core.burst import Burst, chunk_bytes
 from ..core.schemes import DbiScheme, EncodedBurst
-from ..core.vectorized import batch_activity, flags_to_words, try_vector_pack
+from ..core.vectorized import batch_activity
 from .lane import LaneGroup
 from .power import InterfaceEnergyModel
 
@@ -91,17 +89,23 @@ class ByteLane:
                    energy_model: Optional[InterfaceEnergyModel]) -> EncodedBurst:
         """Encode and transmit one burst, updating wire state and counters."""
         encoded = self.scheme.encode(burst, prev_word=self.state_word)
-        n_transitions, n_zeros = encoded.activity()
-        self.group.drive_words(encoded.words)
-        self.state_word = encoded.last_word()
+        self._drive(encoded.words, energy_model)
+        return encoded
+
+    def _drive(self, words: Sequence[int],
+               energy_model: Optional[InterfaceEnergyModel]) -> None:
+        """Transmit one burst's wire words (the per-burst reference)."""
+        n_transitions = total_transitions(words, self.state_word)
+        n_zeros = total_zeros(words)
+        self.group.drive_words(words)
+        self.state_word = words[-1]
         self.stats.bursts += 1
-        self.stats.beats += len(encoded)
+        self.stats.beats += len(words)
         self.stats.zeros += n_zeros
         self.stats.transitions += n_transitions
         if energy_model is not None:
             self.stats.energy_joules += energy_model.burst_energy(
                 n_transitions, n_zeros)
-        return encoded
 
     def send_bursts(self, bursts: Sequence[Burst],
                     energy_model: Optional[InterfaceEnergyModel],
@@ -109,29 +113,21 @@ class ByteLane:
                     word_impl: str = "auto") -> None:
         """Encode and transmit a burst train, state threaded across bursts.
 
-        The batched twin of calling :meth:`send_burst` in a loop: when
-        :func:`~repro.core.vectorized.try_vector_pack` admits the train
-        (vector backend, batch kernel, state-free flags, rectangular
-        bursts), flags are computed array-at-a-time, per-burst activity
-        is tallied with the shared popcount table, energy accrues
-        per burst in transmission order, and the per-wire counters
-        update via :meth:`~repro.phy.lane.LaneGroup.drive_words_batch`
-        — all bit-identical to the scalar loop, which remains the
-        fallback (and the differential reference).
+        The batched twin of calling :meth:`send_burst` in a loop, on the
+        words of :meth:`~repro.core.schemes.DbiScheme.wire_words` chained
+        from the lane's bus state.  From its vector branch, activity is
+        tallied with the shared popcount table, energy accrues per burst
+        in transmission order and the per-wire counters update via
+        :meth:`~repro.phy.lane.LaneGroup.drive_words_batch`, bit-identical
+        to driving the reference branch's words burst by burst.
         """
-        burst_list = list(bursts)
-        if not burst_list:
+        words = self.scheme.wire_words(bursts, self.state_word, chained=True,
+                                       backend=backend)
+        if isinstance(words, list):  # the reference branch: per burst
+            for row in words:
+                self._drive(row, energy_model)
             return
-        data = try_vector_pack(self.scheme, burst_list, backend=backend,
-                               chained=True)
-        if data is None:
-            for burst in burst_list:
-                self.send_burst(burst, energy_model)
-            return
-        batch, length = data.shape
-        prev = _np.full(batch, self.state_word, dtype=_np.int64)
-        flags = self.scheme.batch_flags(data, prev)
-        words = flags_to_words(data, flags)
+        batch, length = words.shape
         boundaries = _np.empty(batch, dtype=_np.int64)
         boundaries[0] = self.state_word
         boundaries[1:] = words[:-1, -1]
@@ -145,7 +141,7 @@ class ByteLane:
         self.stats.transitions += int(per_transitions.sum())
         if energy_model is not None:
             # Same per-burst accrual (and float summation order) as the
-            # scalar path.
+            # reference branch.
             for n_transitions, n_zeros in zip(per_transitions.tolist(),
                                               per_zeros.tolist()):
                 self.stats.energy_joules += energy_model.burst_energy(

@@ -25,6 +25,7 @@ the differential DC weight collapses to ``E_zero``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -70,10 +71,12 @@ class InterfaceEnergyModel:
     c_load_farads: float
 
     def __post_init__(self) -> None:
-        if self.data_rate_hz <= 0:
-            raise ValueError(f"data rate must be positive, got {self.data_rate_hz}")
-        if self.c_load_farads <= 0:
-            raise ValueError(f"c_load must be positive, got {self.c_load_farads}")
+        if not (math.isfinite(self.data_rate_hz) and self.data_rate_hz > 0):
+            raise ValueError("data rate must be finite and positive, "
+                             f"got {self.data_rate_hz}")
+        if not (math.isfinite(self.c_load_farads) and self.c_load_farads > 0):
+            raise ValueError("c_load must be finite and positive, "
+                             f"got {self.c_load_farads}")
 
     # -- per-event energies (paper Eqs. 1-3) -------------------------------
     @property

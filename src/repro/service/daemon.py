@@ -40,11 +40,12 @@ carry ``retryable: true`` — the client's retry policy keys off it.
 
 Serving limits: ``request_timeout`` bounds every socket read/write (a
 stalled or half-dead client cannot pin a handler thread forever; the
-compute itself is bounded by ``MAX_QUERY_SAMPLES``), and
-``max_connections`` bounds concurrent connections — excess connections
-get one ``busy`` line and are closed, rather than growing the thread
-count without limit.  A client that disconnects mid-response costs the
-daemon nothing but the dropped handler.
+compute itself is bounded by ``MAX_QUERY_SAMPLES`` and
+``MAX_GRID_CELLS``), and ``max_connections`` bounds concurrent
+connections — excess connections get one ``busy`` line and are closed,
+rather than growing the thread count without limit.  A client that
+disconnects mid-response costs the daemon nothing but the dropped
+handler.
 :func:`sweep_spec_from_params` and :func:`replay_spec_from_params` are
 module-level so tests and the smoke driver build *identical* specs for
 direct-versus-daemon comparisons.
@@ -83,6 +84,10 @@ SWEEP_FIGURES = ("alpha", "rate", "load")
 #: (a serving daemon should not be OOM-able by one client line).
 MAX_QUERY_SAMPLES = 1_000_000
 
+#: Hard cap on a ``sweep`` grid's cells (loads × rates for Fig. 8), for
+#: the same reason: the default six loads at the 1000 Gbps rate cap fit.
+MAX_GRID_CELLS = 20_000
+
 
 def _int_param(params: Mapping[str, object], name: str, default: int,
                minimum: int = 1, maximum: int = MAX_QUERY_SAMPLES) -> int:
@@ -119,9 +124,11 @@ def sweep_spec_from_params(params: Mapping[str, object]) -> ExperimentSpec:
         return rate_experiment(population, interface=interface,
                                c_load_farads=c_load_pf * PICOFARAD,
                                data_rates_hz=rates)
-    loads = [float(value) * PICOFARAD
-             for value in params.get("loads_pf", (1.0, 2.0, 3.0, 4.0,
-                                                  6.0, 8.0))]
+    loads_pf = list(params.get("loads_pf", (1.0, 2.0, 3.0, 4.0, 6.0, 8.0)))
+    if len(loads_pf) * len(rates) > MAX_GRID_CELLS:
+        raise ValueError(f"{len(loads_pf)} loads x {len(rates)} rates "
+                         f"exceeds {MAX_GRID_CELLS} grid cells")
+    loads = [float(value) * PICOFARAD for value in loads_pf]
     return load_experiment(population, interface=interface,
                            c_loads_farads=loads, data_rates_hz=rates)
 
@@ -136,10 +143,9 @@ def replay_spec_from_params(params: Mapping[str, object]) -> ReplaySpec:
         if not payload:
             raise ValueError("payload_hex decodes to an empty payload")
     else:
-        bursts = _int_param(params, "bursts", 2000)
-        population = RandomPopulation(count=bursts,
-                                      seed=int(params.get("seed", 0x0DB1)))
-        payload = b"".join(bytes(burst.data) for burst in population)
+        payload = RandomPopulation(
+            count=_int_param(params, "bursts", 2000),
+            seed=int(params.get("seed", 0x0DB1))).to_bytes()
     interfaces = tuple(str(name) for name in
                        params.get("interfaces", ("pod135",)))
     return interface_replay_experiment(

@@ -68,7 +68,8 @@ from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple, Union)
 
 from ..baselines import DbiAc, DbiDc, Raw
-from ..core.bitops import WORD_WIDTH
+from ..core import vectorized
+from ..core.bitops import ALL_ONES_WORD, WORD_WIDTH
 from ..core.costs import CostModel
 from ..core.encoder import DbiOptimal
 from ..core.schemes import DbiScheme, get_scheme
@@ -100,6 +101,7 @@ from ..workloads.source import (
     BytesTraceSource,
     source_from_json,
 )
+from .metrics import SchemeMetrics
 
 #: Identifier written into every persisted artifact.
 ARTIFACT_FORMAT = "repro.experiment/1"
@@ -142,41 +144,52 @@ class ActivityTotals:
         return energy_model.burst_energy(self.transitions, self.zeros) / self.bursts
 
 
+def population_metrics(scheme: DbiScheme, population,
+                       backend: Optional[str] = None,
+                       chunk_size: int = DEFAULT_CHUNK_SIZE,
+                       chained: bool = False) -> SchemeMetrics:
+    """The one population tally, behind every figure sweep and
+    :func:`repro.sim.runner.evaluate`.
+
+    The population streams through in chunks of its own form
+    (:meth:`~repro.workloads.population.BurstPopulation.iter_batches`),
+    each tallied by :func:`~repro.core.vectorized.scheme_batch_activity`.
+    Every burst starts from the idle-high bus or, with ``chained``, from
+    the last word before it, across chunk seams too.  Chunking and
+    backend never change the result.
+    """
+    population = as_population(population)
+    metrics = SchemeMetrics(scheme=scheme.name, bursts=len(population))
+    last = ALL_ONES_WORD
+    for chunk in population.iter_batches(chunk_size):
+        transitions, zeros, inverted, beats, last = (
+            vectorized.scheme_batch_activity(
+                scheme, chunk, last if chained else ALL_ONES_WORD, chained,
+                backend))
+        metrics.transitions += transitions
+        metrics.zeros += zeros
+        metrics.inverted_bytes += inverted
+        metrics.total_bytes += beats
+    return metrics
+
+
 def population_activity(scheme: DbiScheme, population,
                         backend: Optional[str] = None,
                         chunk_size: int = DEFAULT_CHUNK_SIZE) -> ActivityTotals:
-    """Encode a whole population once and tally (transitions, zeros).
+    """The (transitions, zeros) totals of :func:`population_metrics`,
+    every burst from the idle-high bus;
+    :func:`repro.sim.sweep.collect_activity` is this function."""
+    metrics = population_metrics(scheme, population, backend, chunk_size)
+    return ActivityTotals(transitions=metrics.transitions,
+                          zeros=metrics.zeros, bursts=metrics.bursts)
 
-    The chunked twin of :func:`repro.sim.sweep.collect_activity`: the
-    population streams through in fixed-size chunks, so arbitrarily large
-    sources fit in memory.  On the ``vector`` backend, packable sources
-    feed ``(chunk, n)`` arrays straight into the scheme's batch kernel
-    without materialising :class:`~repro.core.burst.Burst` objects.
-    Totals are integer sums, so chunking never changes the result.
-    """
-    population = as_population(population)
-    use_vector = (resolve_backend(backend) == "vector"
-                  and scheme.supports_batch()
-                  and population.burst_length is not None)
-    transitions = 0
-    zeros = 0
-    if use_vector:
-        from ..core.vectorized import scheme_batch_activity
 
-        for data in population.iter_packed(chunk_size):
-            __, chunk_transitions, chunk_zeros = scheme_batch_activity(
-                scheme, data)
-            transitions += chunk_transitions
-            zeros += chunk_zeros
-    else:
-        for chunk in population.iter_chunks(chunk_size):
-            for burst in chunk:
-                encoded = scheme.encode(burst)
-                n_transitions, n_zeros = encoded.activity()
-                transitions += n_transitions
-                zeros += n_zeros
-    return ActivityTotals(transitions=transitions, zeros=zeros,
-                          bursts=len(population))
+def _one_batch(population):
+    """The whole population as one batch in its own form (see
+    :meth:`~repro.workloads.population.BurstPopulation.iter_batches`: a
+    packed array for a random population with NumPy, a burst list
+    otherwise), drawn once per axis run and shared by every scheme."""
+    return next(population.iter_batches(len(population)))
 
 
 # -- the activity cache ------------------------------------------------------
@@ -977,7 +990,7 @@ def _inject_missing(spec: FaultSpec, tasks, backend: str, word_impl: str):
     never depends on which other rates the run computes, and each rate's
     masks are drawn once and shared by every slot that misses it.
     """
-    return fault_coverage_rows(tasks, spec.population.bursts(),
+    return fault_coverage_rows(tasks, _one_batch(spec.population),
                                seed=spec.seed, backend=backend,
                                word_impl=word_impl)
 
@@ -1067,9 +1080,9 @@ def _plan_groups(spec: GranularitySpec):
 def _encode_groups(spec: GranularitySpec, schemes, backend: str):
     """Totals are exact and identical across backends
     (:meth:`GroupedDbiOptimal.activity_totals` guarantees bit-identity)."""
-    bursts = spec.population.bursts()
+    batch = _one_batch(spec.population)
     for scheme in schemes:
-        zeros, transitions = scheme.activity_totals(bursts, backend=backend)
+        zeros, transitions = scheme.activity_totals(batch, backend=backend)
         yield ActivityTotals(transitions=transitions, zeros=zeros,
                              bursts=len(spec.population))
 
@@ -1187,9 +1200,9 @@ def _tally_switching(spec: SsoSpec, schemes, backend: str, word_impl: str):
     implementations (enforced by ``tests/analysis/test_sso_batch.py``)."""
     from ..analysis.sso import sso_of_scheme_batch
 
-    bursts = spec.population.bursts()
+    batch = _one_batch(spec.population)
     for scheme in schemes:
-        yield sso_of_scheme_batch(scheme, bursts, chained=spec.chained,
+        yield sso_of_scheme_batch(scheme, batch, chained=spec.chained,
                                   backend=backend, word_impl=word_impl)
 
 

@@ -8,29 +8,21 @@ Evaluates a set of DBI schemes over a common burst population and collects
 * **chained**: bus state threads from each burst into the next, modelling
   back-to-back write bursts.
 
-Two execution backends (see :mod:`repro.core.vectorized`):
-
-* ``reference`` — the pure-Python per-burst path (the executable spec);
-* ``vector`` — whole populations encoded array-at-a-time through each
-  scheme's NumPy kernel, with identical results.
-
-``backend="auto"`` (the default) selects ``vector`` whenever NumPy is
-available and the scheme/mode combination is vectorizable: equal-length
-bursts, a scheme with a batch kernel, and — in chained mode — flag
-decisions that do not depend on the incoming bus state (RAW, DBI DC).
-Everything else silently uses the reference path, so results never depend
-on the backend choice.
+Both modes are the one population tally,
+:func:`repro.sim.experiments.population_metrics`, on the one encoder,
+:meth:`repro.core.schemes.DbiScheme.wire_words`: ``backend`` picks its
+vector or reference branch and never changes a result.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Union
 
-from ..core.bitops import ALL_ONES_WORD
 from ..core.burst import Burst
 from ..core.schemes import DbiScheme, get_scheme
-from ..core.vectorized import try_vector_pack
-from .metrics import EvaluationResult, SchemeMetrics
+from ..workloads.population import as_population
+from .experiments import population_metrics
+from .metrics import EvaluationResult
 
 SchemeSpec = Union[str, DbiScheme]
 
@@ -39,41 +31,6 @@ def _resolve(spec: SchemeSpec) -> DbiScheme:
     if isinstance(spec, DbiScheme):
         return spec
     return get_scheme(spec)
-
-
-def _tally_reference(scheme: DbiScheme, name: str, bursts: List[Burst],
-                     chained: bool) -> SchemeMetrics:
-    metrics = SchemeMetrics(scheme=name)
-    state = ALL_ONES_WORD
-    for burst in bursts:
-        encoded = scheme.encode(burst, prev_word=state)
-        metrics.record(encoded)
-        if chained:
-            state = encoded.last_word()
-    return metrics
-
-
-def _tally_vector(scheme: DbiScheme, name: str, data,
-                  chained: bool) -> SchemeMetrics:
-    from ..core.vectorized import scheme_batch_activity
-
-    batch, n = data.shape
-    flags, transitions, zeros = scheme_batch_activity(
-        scheme, data, prev_word=ALL_ONES_WORD, chained=chained)
-    return SchemeMetrics(scheme=name, bursts=batch, zeros=zeros,
-                         transitions=transitions,
-                         inverted_bytes=int(flags.sum()),
-                         total_bytes=batch * n)
-
-
-def run_scheme(scheme: DbiScheme, name: str, bursts: List[Burst],
-               chained: bool = False,
-               backend: Optional[str] = None) -> SchemeMetrics:
-    """Tally one scheme over a population on the selected backend."""
-    data = try_vector_pack(scheme, bursts, backend, chained=chained)
-    if data is not None:
-        return _tally_vector(scheme, name, data, chained)
-    return _tally_reference(scheme, name, bursts, chained)
 
 
 def evaluate(schemes: Sequence[SchemeSpec], bursts: Iterable[Burst],
@@ -91,21 +48,14 @@ def evaluate(schemes: Sequence[SchemeSpec], bursts: Iterable[Burst],
     >>> result["dbi-dc"].zeros
     1
     """
-    burst_list = list(bursts)
-    if not burst_list:
-        raise ValueError("burst population is empty")
     resolved: Dict[str, DbiScheme] = {}
     for spec in schemes:
         scheme = _resolve(spec)
         if scheme.name in resolved:
             raise ValueError(f"duplicate scheme name {scheme.name!r}")
         resolved[scheme.name] = scheme
-
-    result = EvaluationResult(workload=workload)
-    for name, scheme in resolved.items():
-        result.metrics[name] = run_scheme(scheme, name, burst_list,
-                                          chained=chained, backend=backend)
-    return result
+    return evaluate_named(resolved, bursts, workload=workload,
+                          chained=chained, backend=backend)
 
 
 def evaluate_named(schemes: Mapping[str, SchemeSpec], bursts: Iterable[Burst],
@@ -114,14 +64,14 @@ def evaluate_named(schemes: Mapping[str, SchemeSpec], bursts: Iterable[Burst],
     """Like :func:`evaluate` but with caller-chosen display names.
 
     Needed when the same scheme class appears twice with different
-    parameters (e.g. ``OPT`` at several operating points).
+    parameters (e.g. ``OPT`` at several operating points).  Every scheme
+    is tallied by :func:`repro.sim.experiments.population_metrics`.
     """
-    burst_list = list(bursts)
-    if not burst_list:
-        raise ValueError("burst population is empty")
+    population = as_population(bursts)
     result = EvaluationResult(workload=workload)
     for name, spec in schemes.items():
-        scheme = _resolve(spec)
-        result.metrics[name] = run_scheme(scheme, name, burst_list,
-                                          chained=chained, backend=backend)
+        metrics = population_metrics(_resolve(spec), population,
+                                     backend=backend, chained=chained)
+        metrics.scheme = name
+        result.metrics[name] = metrics
     return result

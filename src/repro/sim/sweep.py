@@ -26,7 +26,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.burst import Burst
 from ..core.schemes import DbiScheme
-from ..core.vectorized import try_vector_pack
 from ..phy.pod import PodInterface
 from ..phy.power import PICOFARAD
 from .experiments import (
@@ -35,6 +34,7 @@ from .experiments import (
     ExperimentResult,
     alpha_experiment,
     load_experiment,
+    population_activity,
     rate_experiment,
     run_experiment,
 )
@@ -55,30 +55,9 @@ __all__ = [
 ]
 
 
-def collect_activity(scheme: DbiScheme, bursts: Sequence[Burst],
-                     backend: Optional[str] = None) -> ActivityTotals:
-    """Encode the population once and tally totals.
-
-    On the ``vector`` backend (default whenever NumPy is available),
-    schemes with a batch kernel encode the whole population
-    array-at-a-time — this is the hot path of every figure sweep.
-    """
-    data = try_vector_pack(scheme, bursts, backend)
-    if data is not None:
-        from ..core.vectorized import scheme_batch_activity
-
-        __, transitions, zeros = scheme_batch_activity(scheme, data)
-        return ActivityTotals(transitions=transitions, zeros=zeros,
-                              bursts=len(bursts))
-    transitions = 0
-    zeros = 0
-    for burst in bursts:
-        encoded = scheme.encode(burst)
-        n_transitions, n_zeros = encoded.activity()
-        transitions += n_transitions
-        zeros += n_zeros
-    return ActivityTotals(transitions=transitions, zeros=zeros,
-                          bursts=len(bursts))
+#: The one population tally, under the name the figure code has always
+#: used (the same function object).
+collect_activity = population_activity
 
 
 @dataclass

@@ -96,6 +96,21 @@ class BurstPopulation(abc.ABC):
         for chunk in self.iter_chunks(chunk_size):
             yield pack_bursts(chunk)
 
+    def iter_batches(self, chunk_size: int = DEFAULT_CHUNK_SIZE) -> Iterator:
+        """Yield chunks of ≤ *chunk_size* in the source's own form: burst
+        lists, or packed arrays from :class:`RandomPopulation` with
+        NumPy (:meth:`~repro.core.schemes.DbiScheme.wire_words` takes
+        either)."""
+        return self.iter_chunks(chunk_size)
+
+    def to_bytes(self) -> bytes:
+        """Every burst's bytes, back to back (a replay payload); packed
+        chunks whenever NumPy can pack the population, so no
+        :class:`~repro.core.burst.Burst` objects are built."""
+        if _np is not None and self.burst_length is not None:
+            return b"".join(data.tobytes() for data in self.iter_packed())
+        return b"".join(bytes(burst.data) for burst in self)
+
     def bursts(self) -> List[Burst]:
         """Materialise the whole population as a list."""
         out: List[Burst] = []
@@ -174,6 +189,11 @@ class RandomPopulation(BurstPopulation):
             carry = block[start:]
         if carry is not None and len(carry):
             yield carry
+
+    def iter_batches(self, chunk_size: int = DEFAULT_CHUNK_SIZE) -> Iterator:
+        if _np is None:
+            return self.iter_chunks(chunk_size)
+        return self.iter_packed(chunk_size)
 
     def iter_chunks(self, chunk_size: int = DEFAULT_CHUNK_SIZE
                     ) -> Iterator[List[Burst]]:

@@ -337,3 +337,40 @@ class TestAnswerFraming:
                 _LineHandler(connection, address, server)
                 assert connection.getsockopt(socket.IPPROTO_TCP,
                                              socket.TCP_NODELAY)
+
+
+class TestRequestBounds:
+    def test_nan_load_capacitance_is_refused(self):
+        """NaN used to slip past ``<= 0`` and come back as a NaN series
+        with ``ok: true``."""
+        response = ExperimentService().handle(
+            {"op": "sweep", "figure": "rate", "samples": 50, "max_gbps": 1,
+             "c_load_pf": float("nan")})
+        assert response["ok"] is False
+        assert "finite" in response["error"]
+
+    def test_oversized_load_grid_is_refused(self, monkeypatch):
+        """One request line cannot ask for more than MAX_GRID_CELLS
+        cells, and is refused before any grid point is built."""
+        from repro.service import daemon as daemon_module
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("grid built for an oversized request")
+
+        monkeypatch.setattr(daemon_module, "load_experiment", no_grid)
+        loads = 1 + daemon_module.MAX_GRID_CELLS // 2
+        response = ExperimentService().handle(
+            {"op": "sweep", "figure": "load", "samples": 50, "max_gbps": 1,
+             "loads_pf": [3.0] * loads})
+        assert response["ok"] is False
+        assert "grid cells" in response["error"]
+
+    def test_grid_at_the_cap_is_served(self, monkeypatch):
+        from repro.service import daemon as daemon_module
+
+        monkeypatch.setattr(daemon_module, "MAX_GRID_CELLS", 8)
+        params = {"figure": "load", "samples": 10, "max_gbps": 2}
+        spec = sweep_spec_from_params({**params, "loads_pf": [1.0, 3.0]})
+        assert len(spec.grid) == 8
+        with pytest.raises(ValueError, match="grid cells"):
+            sweep_spec_from_params({**params, "loads_pf": [1.0, 2.0, 3.0]})

@@ -662,3 +662,33 @@ class TestCtrlStreaming:
                                 "/no/such/trace.bin")
         assert code == 2
         assert "trace file" in err
+
+
+class TestNumericFlagValidation:
+    @pytest.mark.parametrize("argv, flag", [
+        (["sweep-alpha", "--samples", "0"], "--samples"),
+        (["sweep-rate", "--samples", "0"], "--samples"),
+        (["sweep-load", "--samples", "0"], "--samples"),
+        (["faults", "--samples", "0"], "--samples"),
+        (["granularity", "--samples", "0"], "--samples"),
+        (["sso", "--samples", "0"], "--samples"),
+        (["sweep-alpha", "--points", "1"], "--points"),
+        (["sweep-rate", "--max-gbps", "0"], "--max-gbps"),
+        (["sweep-load", "--max-gbps", "0"], "--max-gbps"),
+        (["sso", "--threshold", "20"], "--threshold"),
+        (["sso", "--threshold", "-1"], "--threshold"),
+        (["sweep-rate", "--c-load-pf", "-1"], "--c-load-pf"),
+        (["sweep-rate", "--c-load-pf", "nan"], "--c-load-pf"),
+        (["sweep-load", "--loads-pf", "1", "inf"], "--loads-pf"),
+        (["ctrl", "--c-load-pf", "nan"], "--c-load-pf"),
+        (["ctrl", "--data-rate-gbps", "0"], "--data-rate-gbps"),
+    ])
+    def test_bad_value_is_a_usage_error(self, capsys, argv, flag):
+        """Out-of-range values exit 2 with argparse's usage message
+        naming the flag, never a traceback from deep in the engine."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro ")
+        assert f"error: argument {flag}:" in err
