@@ -9,8 +9,10 @@ laptop-friendly fraction of the paper's 10 000 bursts; set
 
 from __future__ import annotations
 
+import json
 import os
 import pathlib
+from typing import Mapping
 
 import pytest
 
@@ -34,10 +36,11 @@ def artifact_dir(tmp_path_factory) -> pathlib.Path:
     """Where the throughput benches write their ``BENCH_*.json`` files.
 
     ``REPRO_BENCH_ARTIFACT_DIR`` when set (CI's ``benchmark-trajectory``
-    job sets it and uploads the files); otherwise a directory in the
-    pytest session's temp area, so a plain test run never rewrites the
-    tracked ``BENCH_*.json`` files.  Session-scoped, so benches that
-    share one artifact read and update the same file.
+    job sets it and uploads the files as its ``bench-perf-trajectory``
+    artifact); otherwise a directory in the pytest session's temp area,
+    so a plain test run writes nothing into the checkout.
+    Session-scoped, so benches that share one artifact read and update
+    the same file (through :func:`write_bench_artifact`).
     """
     configured = os.environ.get("REPRO_BENCH_ARTIFACT_DIR")
     if configured:
@@ -49,6 +52,21 @@ def artifact_dir(tmp_path_factory) -> pathlib.Path:
 def population():
     """The Monte-Carlo burst population shared by all figure benches."""
     return random_bursts(count=BENCH_SAMPLES, seed=0x0DB1)
+
+
+def write_bench_artifact(directory: pathlib.Path, name: str,
+                         sections: Mapping[str, object]) -> pathlib.Path:
+    """Read-modify-write ``directory/name``: set the top-level *sections*
+    and keep every other key, so benches sharing one file keep each
+    other's sections.  Returns the path."""
+    path = directory / name
+    try:
+        payload = json.loads(path.read_text())
+    except (OSError, ValueError):
+        payload = {}
+    payload.update(sections)
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return path
 
 
 def emit(title: str, body: str) -> None:

@@ -30,7 +30,7 @@ import sys
 
 import pytest
 
-from conftest import emit
+from conftest import emit, write_bench_artifact
 
 try:
     import numpy  # noqa: F401
@@ -68,17 +68,6 @@ def _collect(process):
     return json.loads(stdout.splitlines()[-1])
 
 
-def _write_artifact(directory, section):
-    path = directory / ARTIFACT_NAME
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, ValueError):
-        payload = {}
-    payload["streaming"] = section
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
-
-
 @pytest.mark.skipif(not HAVE_NUMPY,
                     reason="the batched write path requires NumPy")
 def test_streaming_rss_and_throughput_gate(artifact_dir):
@@ -98,7 +87,8 @@ def test_streaming_rss_and_throughput_gate(artifact_dir):
         "full": full,
         "quarter": quarter,
     }
-    path = _write_artifact(artifact_dir, section)
+    path = write_bench_artifact(artifact_dir, ARTIFACT_NAME,
+                                {"streaming": section})
 
     emit(f"streaming replay at {STREAM_MIB:g} MiB (artifact: {path})",
          f"| full | {full['transactions']} tx in {full['elapsed_s']}s "

@@ -24,14 +24,13 @@ which CI's ``benchmark-trajectory`` job sets and uploads, else a pytest
 temp dir).
 """
 
-import json
 import os
 import random
 import time
 
 import pytest
 
-from conftest import emit
+from conftest import emit, write_bench_artifact
 
 from repro.core.costs import CostModel
 from repro.ctrl.controller import CACHE_LINE_BYTES, MemoryController, WriteTransaction
@@ -108,31 +107,20 @@ def _measure(transactions, channels, byte_lanes):
     }
 
 
-def _write_artifact(directory, rows):
-    path = directory / ARTIFACT_NAME
-    # Read-modify-write: the streaming bench shares this artifact (its
-    # "streaming" section must survive this test rewriting its own keys).
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, ValueError):
-        payload = {}
-    payload.update({
-        "schema": "repro.bench/ctrl_throughput/1",
-        "n_transactions": BENCH_TRANSACTIONS,
-        "speedup_floor": SPEEDUP_FLOOR,
-        "geometries": rows,
-    })
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
-
-
 @pytest.mark.skipif(not HAVE_NUMPY,
                     reason="the batched write path requires NumPy")
 def test_ctrl_throughput_gate(artifact_dir):
     transactions = _transactions(BENCH_TRANSACTIONS)
     rows = [_measure(transactions, channels, byte_lanes)
             for channels, byte_lanes in GEOMETRIES]
-    path = _write_artifact(artifact_dir, rows)
+    # The streaming bench shares this artifact; its "streaming" section
+    # survives this test rewriting its own keys.
+    path = write_bench_artifact(artifact_dir, ARTIFACT_NAME, {
+        "schema": "repro.bench/ctrl_throughput/1",
+        "n_transactions": BENCH_TRANSACTIONS,
+        "speedup_floor": SPEEDUP_FLOOR,
+        "geometries": rows,
+    })
 
     lines = [
         f"| {row['channels']}ch x {row['byte_lanes']} lanes "

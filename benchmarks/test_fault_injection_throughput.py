@@ -25,13 +25,12 @@ which CI's ``benchmark-trajectory`` job sets and uploads, else a pytest
 temp dir).
 """
 
-import json
 import os
 import time
 
 import pytest
 
-from conftest import emit
+from conftest import emit, write_bench_artifact
 
 from repro.core.schemes import get_scheme
 from repro.extensions.reliability import (
@@ -76,13 +75,6 @@ def _timed(fn):
     start = time.perf_counter()
     fn()
     return time.perf_counter() - start
-
-
-def _write_artifact(directory, payload):
-    path = directory / ARTIFACT_NAME
-    payload = {"schema": "repro.bench/reliability/1", **payload}
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 @pytest.mark.skipif(not HAVE_NUMPY,
@@ -130,7 +122,8 @@ def test_fault_injection_throughput_gate(artifact_dir):
                                  seed=SEED)
     t_curve = time.perf_counter() - start
 
-    path = _write_artifact(artifact_dir, {
+    path = write_bench_artifact(artifact_dir, ARTIFACT_NAME, {
+        "schema": "repro.bench/reliability/1",
         "n_bursts": BENCH_BURSTS,
         "faults_per_burst": FAULTS_PER_BURST,
         "speedup_floor": SPEEDUP_FLOOR,

@@ -20,11 +20,10 @@ else a pytest temp dir), so CI keeps a perf trajectory of the
 gate-level layer.
 """
 
-import json
 import os
 import time
 
-from conftest import emit
+from conftest import emit, write_bench_artifact
 
 from repro.hw.bitsim import compile_netlist
 from repro.hw.encoders import build_dc_encoder, build_opt_encoder
@@ -104,26 +103,19 @@ def _measure(netlist: Netlist, vectors, reference_fraction: int = 1):
     return row
 
 
-def _write_artifact(directory, rows):
-    path = directory / ARTIFACT_NAME
-    payload = {
-        "schema": "repro.bench/hw_activity/1",
-        "n_vectors": BENCH_VECTORS,
-        "speedup_floor": SPEEDUP_FLOOR,
-        "numpy": HAVE_NUMPY,
-        "designs": rows,
-    }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
-
-
 def test_activity_throughput_gate(artifact_dir):
     vectors = _vectors(BENCH_VECTORS)
     dc_row = _measure(build_dc_encoder(8), vectors)
     opt_row = _measure(build_opt_encoder(8), vectors,
                        reference_fraction=OPT_REFERENCE_FRACTION)
     rows = [dc_row, opt_row]
-    path = _write_artifact(artifact_dir, rows)
+    path = write_bench_artifact(artifact_dir, ARTIFACT_NAME, {
+        "schema": "repro.bench/hw_activity/1",
+        "n_vectors": BENCH_VECTORS,
+        "speedup_floor": SPEEDUP_FLOOR,
+        "numpy": HAVE_NUMPY,
+        "designs": rows,
+    })
 
     lines = [
         f"| {row['design']} | {row['n_gates']} gates "

@@ -22,12 +22,11 @@ CI's ``benchmark-trajectory`` job sets and uploads, else a pytest temp
 dir).
 """
 
-import json
 import os
 import tempfile
 import time
 
-from conftest import emit
+from conftest import emit, write_bench_artifact
 
 from repro.service.diskcache import DiskActivityCache
 from repro.service.faults import FaultPlan, FaultyCache
@@ -53,29 +52,16 @@ OVERHEAD_SLACK_S = 0.002
 
 ARTIFACT_NAME = "BENCH_service.json"
 
+#: The keys both tests write into the shared service artifact.
+ARTIFACT_HEADER = {"schema": "repro.bench/service_cache/1",
+                   "samples": BENCH_SAMPLES, "points": BENCH_POINTS,
+                   "speedup_floor": SPEEDUP_FLOOR}
+
 
 def _timed_run(spec, cache):
     start = time.perf_counter()
     result = run_experiment(spec, cache=cache)
     return time.perf_counter() - start, result
-
-
-def _update_artifact(directory, **sections):
-    """Read-modify-write the shared service artifact (tests share it)."""
-    path = directory / ARTIFACT_NAME
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, ValueError):
-        payload = {}
-    payload.update({
-        "schema": "repro.bench/service_cache/1",
-        "samples": BENCH_SAMPLES,
-        "points": BENCH_POINTS,
-        "speedup_floor": SPEEDUP_FLOOR,
-    })
-    payload.update(sections)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 def test_service_cache_warm_gate(artifact_dir):
@@ -110,7 +96,8 @@ def test_service_cache_warm_gate(artifact_dir):
          "encodes": 0, "speedup": round(cold_s / memory_s, 1),
          "gated": False},
     ]
-    path = _update_artifact(artifact_dir, runs=rows)
+    path = write_bench_artifact(artifact_dir, ARTIFACT_NAME,
+                                {**ARTIFACT_HEADER, "runs": rows})
 
     lines = [
         f"| {row['tier']} | {row['seconds']:.3f}s "
@@ -158,14 +145,15 @@ def test_instrumentation_overhead_gate(artifact_dir):
 
     overhead = wrapped_s / plain_s - 1.0
     budget_s = plain_s * OVERHEAD_CEILING + OVERHEAD_SLACK_S
-    path = _update_artifact(artifact_dir, instrumentation={
-        "plain_warm_s": round(plain_s, 5),
-        "instrumented_warm_s": round(wrapped_s, 5),
-        "overhead_fraction": round(overhead, 4),
-        "ceiling": OVERHEAD_CEILING,
-        "slack_s": OVERHEAD_SLACK_S,
-        "gated": True,
-    })
+    path = write_bench_artifact(artifact_dir, ARTIFACT_NAME, {
+        **ARTIFACT_HEADER, "instrumentation": {
+            "plain_warm_s": round(plain_s, 5),
+            "instrumented_warm_s": round(wrapped_s, 5),
+            "overhead_fraction": round(overhead, 4),
+            "ceiling": OVERHEAD_CEILING,
+            "slack_s": OVERHEAD_SLACK_S,
+            "gated": True,
+        }})
     emit(f"fault-tolerance instrumentation on the warm sweep "
          f"(best of {repeats}, artifact: {path})",
          f"| plain warm | {plain_s:.4f}s | baseline |\n"

@@ -25,13 +25,12 @@ CI's ``benchmark-trajectory`` job sets and uploads, else a pytest temp
 dir).
 """
 
-import json
 import os
 import time
 
 import pytest
 
-from conftest import emit
+from conftest import emit, write_bench_artifact
 
 from repro.analysis.sso import sso_of_scheme, sso_of_scheme_batch
 from repro.core.schemes import get_scheme
@@ -71,13 +70,6 @@ def _timed(fn):
     return time.perf_counter() - start
 
 
-def _write_artifact(directory, payload):
-    path = directory / ARTIFACT_NAME
-    payload = {"schema": "repro.bench/phy_sso/1", **payload}
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
-
-
 @pytest.mark.skipif(not HAVE_NUMPY,
                     reason="the gated word implementation requires NumPy")
 def test_sso_throughput_gate(artifact_dir):
@@ -115,7 +107,8 @@ def test_sso_throughput_gate(artifact_dir):
                     burst_length=8, backend="vector")
     t_bus = _best_of(TIMING_REPS, lambda: bus.write(payload))
 
-    path = _write_artifact(artifact_dir, {
+    path = write_bench_artifact(artifact_dir, ARTIFACT_NAME, {
+        "schema": "repro.bench/phy_sso/1",
         "n_bursts": BENCH_BURSTS,
         "beats": reference_stats.beats * REFERENCE_FRACTION,
         "speedup_floor": SPEEDUP_FLOOR,

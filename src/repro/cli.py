@@ -17,16 +17,17 @@ Exposes the library's main entry points without writing Python::
     python -m repro serve --port 7351 --cache-dir ~/.cache/repro
 
 Every subcommand prints a markdown table or ASCII plot to stdout, so
-results can be piped into reports directly.  The sweep subcommands run
-through the experiment engine (:mod:`repro.sim.experiments`): they accept
-``--backend`` (defaulting from ``REPRO_BACKEND``), ``--jobs N`` for
-process-pool execution, ``--out`` to persist the run as a JSON artifact
-and ``--from-artifact`` to re-render a saved artifact without
-re-simulating.  Every engine subcommand (sweeps, ``ctrl``, ``faults``,
-``granularity``, ``sso``) also accepts ``--cache-dir DIR`` — a persistent
-on-disk activity cache (:mod:`repro.service.diskcache`) shared across
-runs, processes and the ``repro serve`` daemon; ``REPRO_CACHE_DIR``
-supplies the default.
+results can be piped into reports directly.  Every experiment
+subcommand (sweeps, ``ctrl``, ``faults``, ``granularity``, ``sso``) builds
+a spec, gets its result from :func:`_run_or_load` and renders it.  They
+accept ``--backend`` (defaulting from ``REPRO_BACKEND``), ``--out`` to
+persist the run as a JSON artifact and ``--cache-dir DIR`` — a
+persistent on-disk activity cache (:mod:`repro.service.diskcache`)
+shared across runs, processes and the ``repro serve`` daemon
+(``REPRO_CACHE_DIR`` supplies the default); the sweeps and ``ctrl`` also
+take ``--jobs N`` and ``--from-artifact`` to re-render a saved artifact
+without re-simulating.  Sweeps and daemon share one spec builder and
+one set of defaults (:mod:`repro.sim.experiments`).
 """
 
 from __future__ import annotations
@@ -50,22 +51,22 @@ from .core.pareto import pareto_summary
 from .core.schemes import available_schemes, get_scheme
 from .core.vectorized import BACKENDS
 from .phy.interface import available_interfaces
-from .phy.pod import pod12, pod135
 from .phy.power import GBPS, PICOFARAD, PICOJOULE
 from .extensions.granularity import VALID_GROUP_SIZES
 from .extensions.reliability import DEFAULT_FAULT_RATES
 from .service.diskcache import open_cache, resolve_cache_dir
 from .sim.experiments import (
+    FIGURE_DEFAULTS,
+    FIGURE_INTERFACES,
+    REPLAY_DEFAULTS,
     ExperimentResult,
     ReplayPoint,
     ReplaySpec,
-    alpha_experiment,
     fault_experiment,
+    figure_experiment,
     granularity_experiment,
     load_artifact,
-    load_experiment,
     load_replay_artifact,
-    rate_experiment,
     run_experiment,
     run_faults,
     run_granularity,
@@ -93,6 +94,10 @@ from .workloads.population import RandomPopulation
 from .workloads.source import DEFAULT_TRACE_CHUNK_BYTES, FileTraceSource
 
 
+class _UsageError(Exception):
+    """A handled usage error: :func:`main` prints it and exits 2."""
+
+
 def _burst_from_args(args: argparse.Namespace) -> Burst:
     if args.bits:
         return Burst.from_bit_strings(args.bits)
@@ -104,7 +109,8 @@ def _burst_from_args(args: argparse.Namespace) -> Burst:
 
 def _cmd_encode(args: argparse.Namespace) -> int:
     burst = _burst_from_args(args)
-    model = CostModel(args.alpha, args.beta)
+    model = _built("--alpha/--beta", CostModel, alpha=args.alpha,
+                   beta=args.beta)
     names = [args.scheme] if args.scheme else available_schemes()
     rows: List[List[object]] = []
     for name in names:
@@ -133,95 +139,74 @@ def _cmd_schemes(args: argparse.Namespace) -> int:
 def _cmd_pareto(args: argparse.Namespace) -> int:
     burst = _burst_from_args(args)
     if len(burst) > 16:
-        print("pareto enumeration supports at most 16 bytes", file=sys.stderr)
-        return 2
+        raise _UsageError("pareto enumeration supports at most 16 bytes")
     print(f"burst: {' '.join(burst.bit_strings())}")
     print(pareto_summary(burst))
     return 0
 
 
-def _population_from_args(args: argparse.Namespace) -> RandomPopulation:
-    return RandomPopulation(count=args.samples, seed=args.seed)
+#: Simulation flags --from-artifact ignores, with their parser defaults.
+_SIM_FLAG_DEFAULTS = {"samples": FIGURE_DEFAULTS["samples"],
+                      "seed": FIGURE_DEFAULTS["seed"], "jobs": 1,
+                      "backend": None, "cache_dir": None}
 
 
-#: Simulation flags that --from-artifact renders meaningless (flag name
-#: -> its parser default, shared by every sweep subcommand).
-_SIM_FLAG_DEFAULTS = {"samples": 2000, "seed": 0x0DB1, "jobs": 1,
-                      "backend": None, "cache_dir": None, "shards": 1,
-                      "retries": 3, "checkpoint_dir": None}
-
-
-def _run_or_load(args: argparse.Namespace, build_spec, figure: str,
-                 converter):
-    """Execute the engine (or load an artifact) and convert to figure form.
-
-    Returns ``(result, sweep)``, or ``None`` for a handled usage error
-    (message already on stderr, caller exits 2).
-    """
-    if not _check_out(args.out):
-        return None
-    if args.from_artifact:
+def _run_or_load(args: argparse.Namespace, run, build_spec, load=None,
+                 **options):
+    """Every experiment subcommand's result: checks ``--out``, then
+    returns ``load(path)`` for ``--from-artifact``, else runs
+    ``build_spec()`` with the backend, the cache and the kind's
+    *options*."""
+    if args.out:
+        out_dir = os.path.dirname(os.path.abspath(args.out))
+        if not os.path.isdir(out_dir):
+            raise _UsageError(f"--out {args.out}: directory {out_dir} "
+                              "does not exist")
+    path = getattr(args, "from_artifact", None)
+    if path:
         ignored = [f"--{name}" for name, default in _SIM_FLAG_DEFAULTS.items()
                    if getattr(args, name, default) != default]
         if ignored:
             print(f"warning: {' '.join(ignored)} ignored — rendering from "
-                  f"{args.from_artifact}, not simulating", file=sys.stderr)
+                  f"{path}, not simulating", file=sys.stderr)
         try:
-            result = load_artifact(args.from_artifact)
-            if result.spec.figure != figure:
-                print(f"{args.from_artifact}: artifact renders figure "
-                      f"{result.spec.figure!r}, expected {figure!r}",
-                      file=sys.stderr)
-                return None
-            sweep = converter(result)
+            return load(path)
         except (OSError, ValueError, KeyError, TypeError) as error:
-            print(f"{args.from_artifact}: cannot load artifact ({error})",
-                  file=sys.stderr)
-            return None
-    else:
-        shards = getattr(args, "shards", 1)
-        checkpoint_dir = getattr(args, "checkpoint_dir", None)
-        if shards > 1 or checkpoint_dir:
-            from .service.retry import RetryPolicy
-            from .service.shard import SHARD_RETRYABLE, run_shards
+            raise _UsageError(
+                f"{path}: cannot load artifact ({error})") from error
+    return run(build_spec(), backend=args.backend,
+               cache=open_cache(args.cache_dir), **options)
 
-            retry = RetryPolicy(max_attempts=getattr(args, "retries", 3),
-                                retryable=SHARD_RETRYABLE)
-            processes = args.jobs > 1
-            result = run_shards(
-                build_spec(), max(shards, 1), backend=args.backend,
-                cache=None if processes else open_cache(args.cache_dir),
-                cache_dir=(resolve_cache_dir(args.cache_dir)
-                           if processes else None),
-                processes=processes, retry=retry,
-                checkpoint_dir=checkpoint_dir,
-                max_workers=args.jobs if processes else None)
-        else:
-            result = run_experiment(build_spec(), backend=args.backend,
-                                    jobs=args.jobs,
-                                    cache=open_cache(args.cache_dir))
-        sweep = converter(result)
-    return result, sweep
+
+def _run_sweep(args: argparse.Namespace, figure: str, converter):
+    """``(result, its figure form)`` of one sweep; a loaded artifact must
+    render *figure* and convert."""
+    def load(path):
+        result = load_artifact(path)
+        if result.spec.figure != figure:
+            raise _UsageError(f"{path}: artifact renders figure "
+                              f"{result.spec.figure!r}, expected {figure!r}")
+        converter(result)  # malformed figure parameters: a load error
+        return result
+
+    result = _run_or_load(args, run_experiment,
+                          lambda: figure_experiment(figure, vars(args)),
+                          load, jobs=args.jobs)
+    return result, converter(result)
 
 
 def _print_provenance(args: argparse.Namespace,
                       result: ExperimentResult) -> int:
     """The sweeps' footer: provenance, then the ``--out`` report."""
-    if args.out or args.from_artifact:
+    if args.out or "loaded_from" in result.provenance:
         print()
         print(format_provenance(result))
-    return _write_out(args, result)
+    _write_out(args, result)
+    return 0
 
 
 def _cmd_sweep_alpha(args: argparse.Namespace) -> int:
-    outcome = _run_or_load(
-        args,
-        lambda: alpha_experiment(_population_from_args(args),
-                                 points=args.points, include_fixed=True),
-        figure="alpha", converter=to_alpha_result)
-    if outcome is None:
-        return 2
-    result, sweep = outcome
+    result, sweep = _run_sweep(args, "alpha", to_alpha_result)
     print(format_alpha_sweep(sweep, points=11))
     best = elementwise_min(sweep.series["dbi-dc"], sweep.series["dbi-ac"])
     crossover = interpolated_crossing(sweep.ac_costs, sweep.series["dbi-ac"],
@@ -239,22 +224,8 @@ def _cmd_sweep_alpha(args: argparse.Namespace) -> int:
     return _print_provenance(args, result)
 
 
-def _interface(name: str):
-    return {"pod135": pod135, "pod12": pod12}[name]()
-
-
 def _cmd_sweep_rate(args: argparse.Namespace) -> int:
-    rates = [0.5 * GBPS * step for step in range(1, 2 * args.max_gbps + 1)]
-    outcome = _run_or_load(
-        args,
-        lambda: rate_experiment(_population_from_args(args),
-                                interface=_interface(args.interface),
-                                c_load_farads=args.c_load_pf * PICOFARAD,
-                                data_rates_hz=rates),
-        figure="rate", converter=to_rate_result)
-    if outcome is None:
-        return 2
-    result, sweep = outcome
+    result, sweep = _run_sweep(args, "rate", to_rate_result)
     print(format_data_rate_sweep(sweep, every=4))
     if args.plot:
         gbps = [rate / 1e9 for rate in sweep.data_rates_hz]
@@ -269,18 +240,7 @@ def _cmd_sweep_rate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep_load(args: argparse.Namespace) -> int:
-    rates = [0.5 * GBPS * step for step in range(1, 2 * args.max_gbps + 1)]
-    loads = [value * PICOFARAD for value in args.loads_pf]
-    outcome = _run_or_load(
-        args,
-        lambda: load_experiment(_population_from_args(args),
-                                interface=_interface(args.interface),
-                                c_loads_farads=loads,
-                                data_rates_hz=rates),
-        figure="load", converter=to_load_result)
-    if outcome is None:
-        return 2
-    result, sweep = outcome
+    result, sweep = _run_sweep(args, "load", to_load_result)
     print(format_load_sweep(sweep, every=4))
     for load in sweep.normalized:
         rate, value = sweep.best_gain(load)
@@ -289,14 +249,13 @@ def _cmd_sweep_load(args: argparse.Namespace) -> int:
     return _print_provenance(args, result)
 
 
-def _ctrl_trace(args: argparse.Namespace) -> Optional[dict]:
+def _ctrl_trace(args: argparse.Namespace) -> dict:
     """The replay trace as :class:`ReplaySpec` keyword arguments.
 
     Trace files stream through a chunked :class:`FileTraceSource`
     (``source=``, never a whole-file read); named traces and synthetic
     bursts stay inline payloads (``payload=``), which keeps ``--jobs``
-    pool parallelism for them.  Returns ``None`` for a handled usage
-    error (message on stderr).
+    pool parallelism for them.
     """
     path = args.trace_file or (args.trace if args.trace
                                and os.path.exists(args.trace) else None)
@@ -306,21 +265,19 @@ def _ctrl_trace(args: argparse.Namespace) -> Optional[dict]:
                                               chunk_bytes=args.chunk_bytes,
                                               limit=args.bytes)}
         except (OSError, ValueError) as error:
-            print(f"trace file {path}: {error}", file=sys.stderr)
-            return None
+            raise _UsageError(f"trace file {path}: {error}") from error
     if args.trace:
         try:
             from .workloads.traces import trace_bytes
-        except ImportError:
-            print(f"--trace {args.trace}: named traces need NumPy (pass a "
-                  "file path or use --bursts instead)", file=sys.stderr)
-            return None
+        except ImportError as error:
+            raise _UsageError(f"--trace {args.trace}: named traces need NumPy "
+                              "(pass a file path or use --bursts instead)"
+                              ) from error
         try:
             return {"payload": trace_bytes(args.trace, args.bytes or 65536,
                                            seed=args.seed)}
         except KeyError as error:
-            print(f"--trace: {error.args[0]}", file=sys.stderr)
-            return None
+            raise _UsageError(f"--trace: {error.args[0]}") from error
     return {"payload": RandomPopulation(count=args.bursts,
                                         seed=args.seed).to_bytes()}
 
@@ -329,9 +286,8 @@ def _parse_operating_points(specs: Sequence[str], c_load_pf: float,
                             option: str, with_starts: bool):
     """Parse ``IFACE@GBPS[:START]`` point specs for --schedule/--track.
 
-    Returns ``(points, switch_at)`` or ``None`` after printing a usage
-    error.  ``START`` markers are only meaningful (and, from the second
-    point on, required) for schedules.
+    Returns ``(points, switch_at)``.  ``START`` markers are only
+    meaningful (and, from the second point on, required) for schedules.
     """
     points: List[OperatingPoint] = []
     switch_at: List[int] = []
@@ -354,73 +310,50 @@ def _parse_operating_points(specs: Sequence[str], c_load_pf: float,
                 interface=interface, data_rate_hz=float(gbps) * GBPS,
                 c_load_farads=c_load_pf * PICOFARAD))
         except (KeyError, ValueError) as error:
-            print(f"{option} {text!r}: {error}", file=sys.stderr)
-            return None
+            raise _UsageError(f"{option} {text!r}: {error}") from error
     return points, switch_at
 
 
+def _built(option: str, cls, **fields):
+    """``cls(**fields)``, with a ``ValueError`` as *option*'s usage error."""
+    try:
+        return cls(**fields)
+    except ValueError as error:
+        raise _UsageError(f"{option}: {error}") from error
+
+
+def _ctrl_spec(args: argparse.Namespace) -> ReplaySpec:
+    """The replay ``repro ctrl`` describes."""
+    trace = _ctrl_trace(args)
+    schedule = tracking = None
+    if args.schedule:
+        points, switch_at = _parse_operating_points(
+            args.schedule, args.c_load_pf, "--schedule", True)
+        schedule = _built("--schedule", OperatingPointSchedule,
+                          points=tuple(points), switch_at=tuple(switch_at),
+                          unit=args.schedule_unit)
+    if args.track:
+        points, __ = _parse_operating_points(
+            args.track, args.c_load_pf, "--track", False)
+        tracking = _built("--track", TrackingConfig, points=tuple(points),
+                          half_life_bytes=args.track_half_life)
+    return _built(
+        "ctrl", ReplaySpec, name="cli-ctrl-replay",
+        points=tuple(ReplayPoint(
+            interface=name, data_rate_hz=args.data_rate_gbps * GBPS,
+            c_load_farads=args.c_load_pf * PICOFARAD)
+            for name in dict.fromkeys(args.interface)),
+        channels=args.channels, byte_lanes=args.lanes, window=args.window,
+        line_bytes=args.line_bytes, chunk_bytes=args.chunk_bytes,
+        schedule=schedule, tracking=tracking, **trace)
+
+
 def _cmd_ctrl(args: argparse.Namespace) -> int:
-    if not _check_out(args.out):
-        return 2
-    if args.from_artifact:
-        try:
-            result = load_replay_artifact(args.from_artifact)
-        except (OSError, ValueError, KeyError, TypeError) as error:
-            print(f"{args.from_artifact}: cannot load artifact ({error})",
-                  file=sys.stderr)
-            return 2
-        spec = result.spec
-        payload_bytes = int(result.provenance.get("payload_bytes",
-                                                  len(spec.payload)))
-    else:
-        trace = _ctrl_trace(args)
-        if trace is None:
-            return 2
-        schedule = tracking = None
-        if args.schedule:
-            parsed = _parse_operating_points(
-                args.schedule, args.c_load_pf, "--schedule", True)
-            if parsed is None:
-                return 2
-            points, switch_at = parsed
-            try:
-                schedule = OperatingPointSchedule(
-                    points=tuple(points), switch_at=tuple(switch_at),
-                    unit=args.schedule_unit)
-            except ValueError as error:
-                print(f"--schedule: {error}", file=sys.stderr)
-                return 2
-        if args.track:
-            parsed = _parse_operating_points(
-                args.track, args.c_load_pf, "--track", False)
-            if parsed is None:
-                return 2
-            try:
-                tracking = TrackingConfig(
-                    points=tuple(parsed[0]),
-                    half_life_bytes=args.track_half_life)
-            except ValueError as error:
-                print(f"--track: {error}", file=sys.stderr)
-                return 2
-        interfaces = list(dict.fromkeys(args.interface))
-        try:
-            spec = ReplaySpec(
-                name="cli-ctrl-replay",
-                points=tuple(ReplayPoint(
-                    interface=name,
-                    data_rate_hz=args.data_rate_gbps * GBPS,
-                    c_load_farads=args.c_load_pf * PICOFARAD)
-                    for name in interfaces),
-                channels=args.channels, byte_lanes=args.lanes,
-                window=args.window, line_bytes=args.line_bytes,
-                chunk_bytes=args.chunk_bytes, schedule=schedule,
-                tracking=tracking, **trace)
-        except ValueError as error:
-            print(f"ctrl: {error}", file=sys.stderr)
-            return 2
-        result = run_replay(spec, backend=args.backend, jobs=args.jobs,
-                            cache=open_cache(args.cache_dir))
-        payload_bytes = spec.trace_bytes_total()
+    result = _run_or_load(args, run_replay, lambda: _ctrl_spec(args),
+                          load_replay_artifact, jobs=args.jobs)
+    spec = result.spec
+    payload_bytes = int(result.provenance.get("payload_bytes",
+                                              len(spec.payload)))
     totals_any = next(iter(result.totals.values()))
     streamed = (f" (streamed in {spec.effective_chunk_bytes()}-byte chunks)"
                 if result.provenance.get("streamed") else "")
@@ -466,28 +399,22 @@ def _print_energy_table(title: str, headers: List[str], totals, priced,
         headers + ["zeros", "transitions", "energy [pJ]", "pJ/byte"], rows))
 
 
-def _write_out(args: argparse.Namespace, result) -> int:
-    """Persist *result* to ``--out`` (if given) and report it.
-
-    Returns the command's exit code: 2 after a reported write error.
-    """
+def _write_out(args: argparse.Namespace, result) -> None:
+    """Persist *result* to ``--out`` (if given) and report it."""
     if not args.out:
-        return 0
+        return
     try:
         save_artifact(result, args.out)
     except OSError as error:
-        print(f"--out {args.out}: cannot write artifact ({error})",
-              file=sys.stderr)
-        return 2
+        raise _UsageError(
+            f"--out {args.out}: cannot write artifact ({error})") from error
     print(f"# artifact written to {args.out}")
-    return 0
 
 
 def _finish(args: argparse.Namespace, result, *fields: str) -> int:
     """The tail of the replay, faults, granularity and sso commands: the
     ``--out`` report, then a one-line provenance footer."""
-    if _write_out(args, result):
-        return 2
+    _write_out(args, result)
     provenance = result.provenance
     print("\n# " + " ".join(f"{name}={provenance[name]}"
                             for name in ("backend", *fields, "cache_hits"))
@@ -495,18 +422,6 @@ def _finish(args: argparse.Namespace, result, *fields: str) -> int:
           + (f" | loaded from {provenance['loaded_from']}"
              if "loaded_from" in provenance else ""))
     return 0
-
-
-def _check_out(path: Optional[str]) -> bool:
-    """Validate an ``--out`` target directory before simulating."""
-    if not path:
-        return True
-    out_dir = os.path.dirname(os.path.abspath(path))
-    if not os.path.isdir(out_dir):
-        print(f"--out {path}: directory {out_dir} does not exist",
-              file=sys.stderr)
-        return False
-    return True
 
 
 def _axis_population(args: argparse.Namespace):
@@ -524,13 +439,14 @@ def _axis_population(args: argparse.Namespace):
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
-    if not _check_out(args.out):
-        return 2
-    spec = fault_experiment(_axis_population(args),
-                            schemes=list(dict.fromkeys(args.schemes)),
-                            rates=tuple(args.rates), seed=args.fault_seed)
-    result = run_faults(spec, backend=args.backend, word_impl=args.word_impl,
-                        cache=open_cache(args.cache_dir))
+    result = _run_or_load(
+        args, run_faults,
+        lambda: fault_experiment(_axis_population(args),
+                                 schemes=list(dict.fromkeys(args.schemes)),
+                                 rates=tuple(args.rates),
+                                 seed=args.fault_seed),
+        word_impl=args.word_impl)
+    spec = result.spec
     rows: List[List[object]] = []
     for slot_name, _scheme in spec.slots:
         for row in result.series[slot_name]:
@@ -548,13 +464,13 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 
 
 def _cmd_granularity(args: argparse.Namespace) -> int:
-    if not _check_out(args.out):
-        return 2
-    model = CostModel(args.alpha, args.beta)
-    spec = granularity_experiment(_axis_population(args), model=model,
-                                  group_sizes=tuple(args.group_sizes))
-    result = run_granularity(spec, backend=args.backend,
-                             cache=open_cache(args.cache_dir))
+    result = _run_or_load(
+        args, run_granularity,
+        lambda: granularity_experiment(
+            _axis_population(args), model=_built(
+                "--alpha/--beta", CostModel, alpha=args.alpha, beta=args.beta),
+            group_sizes=tuple(args.group_sizes)))
+    spec = result.spec
     rows = [[row["group_size"], f"{row['mean_zeros']:.3f}",
              f"{row['mean_transitions']:.3f}", f"{row['mean_cost']:.3f}",
              row["lines_per_byte_lane"]]
@@ -568,14 +484,15 @@ def _cmd_granularity(args: argparse.Namespace) -> int:
 
 
 def _cmd_sso(args: argparse.Namespace) -> int:
-    if not _check_out(args.out):
-        return 2
-    spec = sso_experiment(_axis_population(args),
-                          schemes=list(dict.fromkeys(args.schemes)),
-                          interfaces=list(dict.fromkeys(args.interfaces)),
-                          chained=args.chained, threshold=args.threshold)
-    result = run_sso(spec, backend=args.backend, word_impl=args.word_impl,
-                     cache=open_cache(args.cache_dir))
+    result = _run_or_load(
+        args, run_sso,
+        lambda: sso_experiment(
+            _axis_population(args),
+            schemes=list(dict.fromkeys(args.schemes)),
+            interfaces=list(dict.fromkeys(args.interfaces)),
+            chained=args.chained, threshold=args.threshold),
+        word_impl=args.word_impl)
+    spec = result.spec
     # Rank worst-first: highest peak switching, then highest mean.
     flat = [(slot_name, row)
             for slot_name, _scheme in spec.slots
@@ -639,10 +556,11 @@ def _add_burst_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_population_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--samples", type=_positive_int, default=2000,
+    parser.add_argument("--samples", type=_positive_int,
+                        default=FIGURE_DEFAULTS["samples"],
                         help="random bursts in the population")
-    parser.add_argument("--seed", type=int, default=0x0DB1,
-                        help="RNG seed")
+    parser.add_argument("--seed", type=_non_negative_int,
+                        default=FIGURE_DEFAULTS["seed"], help="RNG seed")
 
 
 def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
@@ -663,12 +581,18 @@ def _checked(convert, ok, rule: str):
 
 
 _positive_int = _checked(int, lambda number: number >= 1, ">= 1")
+_non_negative_int = _checked(int, lambda number: number >= 0, ">= 0")
 _two_or_more = _checked(int, lambda number: number >= 2, ">= 2")
 _lane_count = _checked(int, lambda number: 0 <= number <= WORD_WIDTH,
                        f"in [0, {WORD_WIDTH}]")
+_port = _checked(int, lambda number: 0 <= number <= 65535, "in [0, 65535]")
 _positive_float = _checked(
     float, lambda number: math.isfinite(number) and number > 0,
     "finite and > 0")
+_non_negative_float = _checked(
+    float, lambda number: math.isfinite(number) and number >= 0,
+    "finite and >= 0")
+_probability = _checked(float, lambda number: 0 <= number <= 1, "in [0, 1]")
 
 
 def _add_cache_dir_argument(parser: argparse.ArgumentParser) -> None:
@@ -703,8 +627,8 @@ def _add_axis_arguments(parser: argparse.ArgumentParser,
 def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     _add_backend_argument(parser)
     parser.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
-                        help="worker processes for the encode grid "
-                             "(default: 1, serial)")
+                        help="worker processes for the missing encodes or "
+                             "replays (default: 1, serial)")
     _add_cache_dir_argument(parser)
     parser.add_argument("--out", metavar="PATH",
                         help="persist the run as a JSON experiment artifact")
@@ -712,20 +636,13 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
                         metavar="PATH",
                         help="re-render a saved artifact instead of "
                              "simulating")
-    parser.add_argument("--shards", type=_positive_int, default=1,
-                        metavar="N",
-                        help="split the sweep into N shards via "
-                             "run_shards (default: 1, unsharded; merged "
-                             "output is bit-identical either way)")
-    parser.add_argument("--retries", type=_positive_int, default=3,
-                        metavar="N",
-                        help="attempts per shard before a typed failure "
-                             "(default: 3)")
-    parser.add_argument("--checkpoint-dir", dest="checkpoint_dir",
-                        metavar="DIR", default=None,
-                        help="persist each completed shard here and "
-                             "resume past completed ones on re-run "
-                             "(implies sharded execution)")
+
+
+def _add_rate_grid_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--interface", choices=FIGURE_INTERFACES,
+                        default=FIGURE_DEFAULTS["interface"])
+    parser.add_argument("--max-gbps", type=_positive_int,
+                        default=FIGURE_DEFAULTS["max_gbps"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -739,8 +656,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_burst_arguments(encode)
     encode.add_argument("--scheme", choices=available_schemes(),
                         help="single scheme (default: all)")
-    encode.add_argument("--alpha", type=float, default=1.0)
-    encode.add_argument("--beta", type=float, default=1.0)
+    encode.add_argument("--alpha", type=_non_negative_float, default=1.0)
+    encode.add_argument("--beta", type=_non_negative_float, default=1.0)
     _add_backend_argument(encode)
     encode.set_defaults(handler=_cmd_encode)
 
@@ -754,28 +671,26 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_alpha = sub.add_parser("sweep-alpha",
                                  help="Fig. 3/4 alpha sweep")
     _add_population_arguments(sweep_alpha)
-    sweep_alpha.add_argument("--points", type=_two_or_more, default=26)
+    sweep_alpha.add_argument("--points", type=_two_or_more,
+                             default=FIGURE_DEFAULTS["points"])
     sweep_alpha.add_argument("--plot", action="store_true")
     _add_engine_arguments(sweep_alpha)
     sweep_alpha.set_defaults(handler=_cmd_sweep_alpha)
 
     sweep_rate = sub.add_parser("sweep-rate", help="Fig. 7 data-rate sweep")
     _add_population_arguments(sweep_rate)
-    sweep_rate.add_argument("--interface", choices=("pod135", "pod12"),
-                            default="pod135")
-    sweep_rate.add_argument("--c-load-pf", type=_positive_float, default=3.0)
-    sweep_rate.add_argument("--max-gbps", type=_positive_int, default=20)
+    _add_rate_grid_arguments(sweep_rate)
+    sweep_rate.add_argument("--c-load-pf", type=_positive_float,
+                            default=FIGURE_DEFAULTS["c_load_pf"])
     sweep_rate.add_argument("--plot", action="store_true")
     _add_engine_arguments(sweep_rate)
     sweep_rate.set_defaults(handler=_cmd_sweep_rate)
 
     sweep_load = sub.add_parser("sweep-load", help="Fig. 8 load sweep")
     _add_population_arguments(sweep_load)
-    sweep_load.add_argument("--interface", choices=("pod135", "pod12"),
-                            default="pod135")
+    _add_rate_grid_arguments(sweep_load)
     sweep_load.add_argument("--loads-pf", type=_positive_float, nargs="+",
-                            default=[1.0, 2.0, 3.0, 4.0, 6.0, 8.0])
-    sweep_load.add_argument("--max-gbps", type=_positive_int, default=20)
+                            default=list(FIGURE_DEFAULTS["loads_pf"]))
     _add_engine_arguments(sweep_load)
     sweep_load.set_defaults(handler=_cmd_sweep_load)
 
@@ -785,10 +700,10 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--trace", metavar="NAME|PATH",
                         help="named traffic class (text/float/image/pointer/"
                              "zero/gpu) or a binary file to replay")
-    source.add_argument("--bursts", type=_positive_int, default=2000,
-                        metavar="N",
+    source.add_argument("--bursts", type=_positive_int,
+                        default=REPLAY_DEFAULTS["bursts"], metavar="N",
                         help="synthetic input: N random 8-byte bursts "
-                             "(default: 2000)")
+                             "(default: %(default)s)")
     source.add_argument("--trace-file", dest="trace_file", metavar="PATH",
                         help="binary trace file, streamed chunk by chunk "
                              "in bounded memory (also applies to --trace "
@@ -803,23 +718,31 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar="N",
                       help="streaming chunk size for trace files and "
                            f"--track (default: {DEFAULT_TRACE_CHUNK_BYTES})")
-    ctrl.add_argument("--seed", type=int, default=0x0DB1, help="RNG seed")
-    ctrl.add_argument("--channels", type=_positive_int, default=2)
-    ctrl.add_argument("--lanes", type=_positive_int, default=4,
-                      help="byte lanes per channel (default: 4)")
-    ctrl.add_argument("--window", type=_positive_int, default=16,
+    ctrl.add_argument("--seed", type=_non_negative_int,
+                      default=REPLAY_DEFAULTS["seed"], help="RNG seed")
+    ctrl.add_argument("--channels", type=_positive_int,
+                      default=REPLAY_DEFAULTS["channels"])
+    ctrl.add_argument("--lanes", type=_positive_int,
+                      default=REPLAY_DEFAULTS["lanes"],
+                      help="byte lanes per channel (default: %(default)s)")
+    ctrl.add_argument("--window", type=_positive_int,
+                      default=REPLAY_DEFAULTS["window"],
                       help="streaming-encoder lookahead in bytes "
-                           "(default: 16)")
+                           "(default: %(default)s)")
     ctrl.add_argument("--line-bytes", dest="line_bytes", type=_positive_int,
-                      default=64, help="transaction granularity (default: 64)")
+                      default=REPLAY_DEFAULTS["line_bytes"],
+                      help="transaction granularity (default: %(default)s)")
     ctrl.add_argument("--interface", nargs="+",
-                      choices=available_interfaces(), default=["pod135"],
+                      choices=available_interfaces(),
+                      default=list(REPLAY_DEFAULTS["interfaces"]),
                       help="electrical standard(s) to price the replay at")
     ctrl.add_argument("--data-rate-gbps", dest="data_rate_gbps",
-                      type=_positive_float, default=12.0,
-                      help="per-pin data rate (default: 12)")
+                      type=_positive_float,
+                      default=REPLAY_DEFAULTS["data_rate_gbps"],
+                      help="per-pin data rate (default: %(default)g)")
     ctrl.add_argument("--c-load-pf", dest="c_load_pf", type=_positive_float,
-                      default=3.0, help="lane load capacitance (default: 3)")
+                      default=REPLAY_DEFAULTS["c_load_pf"],
+                      help="lane load capacitance (default: %(default)g)")
     adaptive = ctrl.add_mutually_exclusive_group()
     adaptive.add_argument("--schedule", nargs="+", metavar="IFACE@GBPS[:START]",
                           help="replay once under a DVFS point schedule: "
@@ -834,21 +757,12 @@ def build_parser() -> argparse.ArgumentParser:
                       default="transactions",
                       help="what :START indexes (default: transactions)")
     ctrl.add_argument("--track-half-life", dest="track_half_life",
-                      type=float, default=DEFAULT_HALF_LIFE_BYTES,
+                      type=_positive_float, default=DEFAULT_HALF_LIFE_BYTES,
                       metavar="BYTES",
                       help="EWMA half-life of the tracker in committed "
                            "lane bytes (default: "
                            f"{DEFAULT_HALF_LIFE_BYTES:g})")
-    _add_backend_argument(ctrl)
-    ctrl.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
-                      help="worker processes for distinct operating-point "
-                           "replays (default: 1, serial)")
-    _add_cache_dir_argument(ctrl)
-    ctrl.add_argument("--out", metavar="PATH",
-                      help="persist the replay as a JSON experiment artifact")
-    ctrl.add_argument("--from-artifact", dest="from_artifact", metavar="PATH",
-                      help="re-render a saved replay artifact instead of "
-                           "simulating")
+    _add_engine_arguments(ctrl)
     ctrl.set_defaults(handler=_cmd_ctrl)
 
     faults = sub.add_parser(
@@ -859,7 +773,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default=["raw", "dbi-dc", "dbi-ac", "dbi-opt"],
                         help="schemes to inject into (default: the paper's "
                              "four)")
-    faults.add_argument("--rates", type=float, nargs="+", metavar="P",
+    faults.add_argument("--rates", type=_probability, nargs="+", metavar="P",
                         default=list(DEFAULT_FAULT_RATES),
                         help="per-lane-beat fault probabilities")
     faults.add_argument("--fault-seed", dest="fault_seed", type=int,
@@ -869,9 +783,9 @@ def build_parser() -> argparse.ArgumentParser:
     granularity = sub.add_parser(
         "granularity", help="grouped-DBI granularity ablation")
     _add_axis_arguments(granularity, word_impl=False)
-    granularity.add_argument("--alpha", type=float, default=1.0,
-                             help="transition cost (default: 1)")
-    granularity.add_argument("--beta", type=float, default=1.0,
+    granularity.add_argument("--alpha", type=_non_negative_float,
+                             default=1.0, help="transition cost (default: 1)")
+    granularity.add_argument("--beta", type=_non_negative_float, default=1.0,
                              help="zero-beat cost (default: 1)")
     granularity.add_argument("--group-sizes", dest="group_sizes", type=int,
                              nargs="+", choices=VALID_GROUP_SIZES,
@@ -903,7 +817,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="run the experiment query daemon (JSON lines over TCP)")
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default: 127.0.0.1)")
-    serve.add_argument("--port", type=int, default=7351,
+    serve.add_argument("--port", type=_port, default=7351,
                        help="TCP port; 0 binds an ephemeral port "
                             "(default: 7351)")
     _add_cache_dir_argument(serve)
@@ -913,18 +827,19 @@ def build_parser() -> argparse.ArgumentParser:
                             "serve")
     _add_backend_argument(serve)
     serve.add_argument("--request-timeout", dest="request_timeout",
-                       type=float, default=None, metavar="SECONDS",
+                       type=_positive_float, default=None,
+                       metavar="SECONDS",
                        help="per-request socket deadline; idle or stalled "
                             "connections are dropped (default: none)")
     serve.add_argument("--max-connections", dest="max_connections",
-                       type=int, default=64, metavar="N",
+                       type=_non_negative_int, default=64, metavar="N",
                        help="concurrent connection limit — excess clients "
                             "get a retryable busy answer; 0 = unlimited "
                             "(default: 64)")
     serve.set_defaults(handler=_cmd_serve)
 
     table1 = sub.add_parser("table1", help="Table I synthesis estimates")
-    table1.add_argument("--bursts", type=_positive_int, default=None,
+    table1.add_argument("--bursts", type=_two_or_more, default=None,
                         metavar="N",
                         help="random bursts for the activity simulation "
                              "(default: 100000 via the bit-parallel "
@@ -937,9 +852,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.handler(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.handler(args)
+    except _UsageError as error:
+        print(error, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -193,9 +193,9 @@ class AdaptiveCostTracker:
                  half_life_bytes: float = DEFAULT_HALF_LIFE_BYTES,
                  min_dwell_bytes: int = 0):
         self.points = _check_points(points, "tracker")
-        if half_life_bytes <= 0:
-            raise ValueError(
-                f"half_life_bytes must be positive, got {half_life_bytes}")
+        if not 0 < half_life_bytes < math.inf:  # NaN would freeze the EWMA
+            raise ValueError(f"half_life_bytes must be finite and positive, "
+                             f"got {half_life_bytes}")
         if min_dwell_bytes < 0:
             raise ValueError(
                 f"min_dwell_bytes must be >= 0, got {min_dwell_bytes}")
@@ -301,10 +301,9 @@ class TrackingConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "points",
                            _check_points(self.points, "tracking config"))
-        if self.half_life_bytes <= 0:
-            raise ValueError(
-                f"half_life_bytes must be positive, "
-                f"got {self.half_life_bytes}")
+        if not 0 < self.half_life_bytes < math.inf:
+            raise ValueError(f"half_life_bytes must be finite and positive, "
+                             f"got {self.half_life_bytes}")
         if self.min_dwell_bytes < 0:
             raise ValueError(
                 f"min_dwell_bytes must be >= 0, got {self.min_dwell_bytes}")

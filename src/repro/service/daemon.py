@@ -16,11 +16,11 @@ Operations (the ``op`` field of a request):
     cache entry/hit/miss counters, per-op served counts, uptime.
 ``sweep``
     build a figure spec (``figure`` = ``alpha``/``rate``/``load`` with
-    the CLI's parameters) and run it through the shared cache; the
-    response's ``artifact`` member is exactly
-    :func:`repro.sim.experiments.result_to_json` output — byte-identical
-    (modulo run-volatile provenance) to a direct
-    :func:`~repro.sim.experiments.run_experiment` + ``save_artifact``.
+    the CLI's parameters) with ``repro sweep-*``'s builder and defaults
+    and run it through the shared cache; the response's ``artifact``
+    member is exactly :func:`repro.sim.experiments.result_to_json`
+    output — canonically identical (modulo run-volatile provenance) to
+    ``repro sweep-* --out`` with the same parameters.
 ``replay``
     run a controller replay (synthetic ``bursts``/``seed`` payload or an
     explicit ``payload_hex``) and return the ``kind="replay"`` artifact.
@@ -35,6 +35,8 @@ Operations (the ``op`` field of a request):
 
 Every response carries ``ok``; failures carry ``error`` and never kill
 the connection (bad JSON included), so a client can stream requests.
+A parameter of the wrong type or range is refused, by name, before
+anything is built.
 Responses that are safe to retry (the *busy* rejection below) also
 carry ``retryable: true`` — the client's retry policy keys off it.
 
@@ -54,21 +56,23 @@ direct-versus-daemon comparisons.
 from __future__ import annotations
 
 import json
+import math
 import os
 import socketserver
 import threading
 import time
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
+from ..phy.interface import available_interfaces
 from ..phy.power import GBPS, PICOFARAD
 from ..sim.experiments import (
+    FIGURE_DEFAULTS,
+    REPLAY_DEFAULTS,
     ActivityCache,
     ExperimentSpec,
     ReplaySpec,
-    alpha_experiment,
+    figure_experiment,
     interface_replay_experiment,
-    load_experiment,
-    rate_experiment,
     replay_result_to_json,
     result_to_json,
     run_experiment,
@@ -76,9 +80,6 @@ from ..sim.experiments import (
 )
 from ..workloads.population import RandomPopulation
 from .diskcache import DiskActivityCache
-
-#: Figures the ``sweep`` op can build.
-SWEEP_FIGURES = ("alpha", "rate", "load")
 
 #: Hard cap on synthetic population / payload sizes a query may request
 #: (a serving daemon should not be OOM-able by one client line).
@@ -89,75 +90,82 @@ MAX_QUERY_SAMPLES = 1_000_000
 MAX_GRID_CELLS = 20_000
 
 
-def _int_param(params: Mapping[str, object], name: str, default: int,
-               minimum: int = 1, maximum: int = MAX_QUERY_SAMPLES) -> int:
-    value = int(params.get(name, default))
+def _int_param(params: Mapping[str, object], name: str, minimum: int = 1,
+               maximum: float = math.inf) -> int:
+    """``params[name]``: an integer (not a boolean) within the bounds."""
+    value = params[name]
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     if not minimum <= value <= maximum:
         raise ValueError(f"{name} must be in [{minimum}, {maximum}], "
                          f"got {value}")
     return value
 
 
-def sweep_spec_from_params(params: Mapping[str, object]) -> ExperimentSpec:
-    """The figure spec a ``sweep`` request describes (CLI parameter names)."""
-    figure = params.get("figure", "alpha")
-    if figure not in SWEEP_FIGURES:
-        raise ValueError(f"unknown figure {figure!r}; choose from "
-                         f"{SWEEP_FIGURES}")
-    samples = _int_param(params, "samples", 2000)
-    seed = int(params.get("seed", 0x0DB1))
-    population = RandomPopulation(count=samples, seed=seed)
-    if figure == "alpha":
-        return alpha_experiment(population,
-                                points=_int_param(params, "points", 26,
-                                                  minimum=2, maximum=10_000),
-                                include_fixed=bool(
-                                    params.get("include_fixed", True)))
-    from ..phy.pod import pod12, pod135
+def _list_param(params: Mapping[str, object], name: str,
+                choices: Sequence[str] = ()) -> list:
+    """``params[name]``: a non-empty list, of *choices* when given."""
+    value = params[name]
+    if (not isinstance(value, (list, tuple)) or not value
+            or choices and any(item not in choices for item in value)):
+        raise ValueError(f"{name} must be a non-empty list"
+                         + (f" of {list(choices)}" if choices else "")
+                         + f", got {value!r}")
+    return list(value)
 
-    interface = {"pod135": pod135, "pod12": pod12}[
-        str(params.get("interface", "pod135"))]()
-    max_gbps = _int_param(params, "max_gbps", 20, maximum=1000)
-    rates = [0.5 * GBPS * step for step in range(1, 2 * max_gbps + 1)]
-    c_load_pf = float(params.get("c_load_pf", 3.0))
-    if figure == "rate":
-        return rate_experiment(population, interface=interface,
-                               c_load_farads=c_load_pf * PICOFARAD,
-                               data_rates_hz=rates)
-    loads_pf = list(params.get("loads_pf", (1.0, 2.0, 3.0, 4.0, 6.0, 8.0)))
-    if len(loads_pf) * len(rates) > MAX_GRID_CELLS:
-        raise ValueError(f"{len(loads_pf)} loads x {len(rates)} rates "
-                         f"exceeds {MAX_GRID_CELLS} grid cells")
-    loads = [float(value) * PICOFARAD for value in loads_pf]
-    return load_experiment(population, interface=interface,
-                           c_loads_farads=loads, data_rates_hz=rates)
+
+def sweep_spec_from_params(params: Mapping[str, object]) -> ExperimentSpec:
+    """The figure spec a ``sweep`` request describes (CLI parameter
+    names): its parameters checked and capped, then ``repro sweep-*``'s
+    builder (which checks ``figure`` and ``interface``)."""
+    params = {**FIGURE_DEFAULTS, **params}
+    figure = params.get("figure", "alpha")
+    checked = {"samples": _int_param(params, "samples",
+                                     maximum=MAX_QUERY_SAMPLES),
+               "seed": _int_param(params, "seed", minimum=0)}
+    if figure == "alpha":
+        checked["points"] = _int_param(params, "points", minimum=2,
+                                       maximum=10_000)
+    else:
+        rates = 2 * _int_param(params, "max_gbps", maximum=1000)
+        loads = _list_param(params, "loads_pf") if figure == "load" else []
+        if len(loads) * rates > MAX_GRID_CELLS:
+            raise ValueError(f"{len(loads)} loads x {rates} rates "
+                             f"exceeds {MAX_GRID_CELLS} grid cells")
+    return figure_experiment(figure, {**params, **checked})
 
 
 def replay_spec_from_params(params: Mapping[str, object]) -> ReplaySpec:
-    """The replay spec a ``replay`` request describes."""
+    """The replay spec a ``replay`` request describes, every parameter
+    checked before the payload is built."""
+    params = {**REPLAY_DEFAULTS, **params}
+    link = dict(
+        interfaces=tuple(_list_param(params, "interfaces",
+                                     available_interfaces())),
+        data_rate_hz=float(params["data_rate_gbps"]) * GBPS,
+        c_load_farads=float(params["c_load_pf"]) * PICOFARAD,
+        channels=_int_param(params, "channels", maximum=1024),
+        byte_lanes=_int_param(params, "lanes", maximum=1024),
+        window=_int_param(params, "window", maximum=65536),
+        line_bytes=_int_param(params, "line_bytes", maximum=65536))
     payload_hex = params.get("payload_hex")
     if payload_hex is not None:
+        if not isinstance(payload_hex, str):
+            raise ValueError(f"payload_hex must be a string, got "
+                             f"{type(payload_hex).__name__}")
         if len(payload_hex) > 2 * MAX_QUERY_SAMPLES:
             raise ValueError("payload_hex too large")
-        payload = bytes.fromhex(str(payload_hex))
+        payload = bytes.fromhex(payload_hex)
         if not payload:
             raise ValueError("payload_hex decodes to an empty payload")
     else:
         payload = RandomPopulation(
-            count=_int_param(params, "bursts", 2000),
-            seed=int(params.get("seed", 0x0DB1))).to_bytes()
-    interfaces = tuple(str(name) for name in
-                       params.get("interfaces", ("pod135",)))
-    return interface_replay_experiment(
-        payload,
-        interfaces=interfaces,
-        data_rate_hz=float(params.get("data_rate_gbps", 12.0)) * GBPS,
-        c_load_farads=float(params.get("c_load_pf", 3.0)) * PICOFARAD,
-        channels=_int_param(params, "channels", 2, maximum=1024),
-        byte_lanes=_int_param(params, "lanes", 4, maximum=1024),
-        window=_int_param(params, "window", 16, maximum=65536),
-        line_bytes=_int_param(params, "line_bytes", 64, maximum=65536),
-        name="service-replay")
+            count=_int_param(params, "bursts", maximum=MAX_QUERY_SAMPLES),
+            seed=_int_param(params, "seed", minimum=0)).to_bytes()
+    return interface_replay_experiment(payload, name="service-replay",
+                                       **link)
 
 
 class ExperimentService:
@@ -384,6 +392,13 @@ class ExperimentDaemon:
                  request_timeout: Optional[float] = None,
                  max_connections: Optional[int] = DEFAULT_MAX_CONNECTIONS
                  ) -> None:
+        if request_timeout is not None and not (
+                0 < request_timeout < math.inf):
+            raise ValueError(f"request_timeout must be finite and > 0, got "
+                             f"{request_timeout}")
+        if (max_connections or 0) < 0:
+            raise ValueError(f"max_connections must be >= 0, got "
+                             f"{max_connections}")
         cache = (DiskActivityCache(cache_dir) if cache_dir
                  else ActivityCache())
         max_connections = max_connections or None

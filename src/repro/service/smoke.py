@@ -12,7 +12,8 @@ way CI does, with real processes:
    :func:`repro.sim.experiments.run_experiment` in *this* process and
    require the daemon's artifact to be byte-identical
    (:func:`repro.analysis.artifacts.canonical_artifact_json`) to the
-   direct result.
+   direct result, and to ``python -m repro sweep-alpha ... --out``'s
+   artifact for the same parameters.
 
 Exit code 0 on success, 1 on any mismatch — suitable as a CI gate.
 """
@@ -20,6 +21,7 @@ Exit code 0 on success, 1 on any mismatch — suitable as a CI gate.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import re
 import subprocess
@@ -105,6 +107,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             failures.append(
                 "daemon response differs from direct run_experiment output")
 
+        cli_path = os.path.join(scratch, "cli-alpha.json")
+        subprocess.run([sys.executable, "-m", "repro", "sweep-alpha",
+                        "--samples", str(args.samples), "--points",
+                        str(args.points), "--seed", str(args.seed),
+                        "--out", cli_path], check=True,
+                       stdout=subprocess.DEVNULL)
+        with open(cli_path, "r", encoding="utf-8") as handle:
+            from_cli = json.load(handle)
+        if canonical_artifact_json(cold) != canonical_artifact_json(from_cli):
+            failures.append(
+                "daemon response differs from repro sweep-alpha --out")
+
         print(f"cold sweep: {cold_s:.3f}s "
               f"({cold['provenance']['encodes']} encodes) | "
               f"warm sweep: {warm_s:.3f}s "
@@ -115,7 +129,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 print(f"FAIL: {failure}", file=sys.stderr)
             return 1
         print("service smoke OK: daemon output byte-identical to direct "
-              "run; warm path served entirely from the disk cache")
+              "run and CLI; warm path served entirely from the disk cache")
         return 0
 
 

@@ -460,6 +460,23 @@ def _describe_grid(spec: ExperimentSpec) -> Dict[str, object]:
 
 # -- figure spec builders ----------------------------------------------------
 
+#: A figure sweep's parameters by CLI name and their defaults, read by
+#: the ``repro sweep-*`` flags and the daemon's ``sweep`` op.
+FIGURE_DEFAULTS: Dict[str, object] = {
+    "samples": 2000, "seed": 0x0DB1, "points": 26, "interface": "pod135",
+    "c_load_pf": 3.0, "max_gbps": 20,
+    "loads_pf": (1.0, 2.0, 3.0, 4.0, 6.0, 8.0)}
+
+#: A figure sweep's interfaces: its grid prices zeros and transitions
+#: only, exact only for POD (see :meth:`ActivityTotals.mean_energy`).
+FIGURE_INTERFACES = ("pod135", "pod12")
+
+
+def rate_grid(max_gbps: int) -> List[float]:
+    """The figures' data-rate axis: 0.5 Gbps steps up to *max_gbps*."""
+    return [0.5 * GBPS * step for step in range(1, 2 * max_gbps + 1)]
+
+
 def _static_slots(include_raw: bool = True) -> List[SchemeSlot]:
     slots = []
     if include_raw:
@@ -496,7 +513,7 @@ def alpha_experiment(population, points: int = 51,
 def _default_rates(data_rates_hz) -> List[float]:
     if data_rates_hz is not None:
         return list(data_rates_hz)
-    return [0.5 * GBPS * step for step in range(1, 41)]
+    return rate_grid(FIGURE_DEFAULTS["max_gbps"])
 
 
 def rate_experiment(population, interface: Optional[PodInterface] = None,
@@ -566,6 +583,31 @@ def load_experiment(population, interface: Optional[PodInterface] = None,
                               "c_loads_farads": loads,
                               "data_rates_hz": rates,
                               "encoder_energy_j": dict(encoder_energy_j)})
+
+
+def figure_experiment(figure: str,
+                      params: Mapping[str, object]) -> ExperimentSpec:
+    """The ``alpha``, ``rate`` or ``load`` sweep from its parameters by
+    CLI name (the rest from :data:`FIGURE_DEFAULTS`): the one builder of
+    ``repro sweep-*`` and the daemon's ``sweep`` op."""
+    value = {**FIGURE_DEFAULTS, **params}
+    population = RandomPopulation(count=value["samples"], seed=value["seed"])
+    if figure == "alpha":
+        return alpha_experiment(population, value["points"],
+                                include_fixed=True)
+    if value["interface"] not in FIGURE_INTERFACES:
+        raise ValueError(f"interface must be one of {FIGURE_INTERFACES}, "
+                         f"got {value['interface']!r}")
+    pod = get_interface(value["interface"])
+    rates = rate_grid(value["max_gbps"])
+    if figure == "rate":
+        return rate_experiment(population, pod,
+                               float(value["c_load_pf"]) * PICOFARAD, rates)
+    if figure == "load":
+        return load_experiment(population, pod, [
+            float(load) * PICOFARAD for load in value["loads_pf"]], rates)
+    raise ValueError(f"unknown figure {figure!r}; choose from "
+                     "('alpha', 'rate', 'load')")
 
 
 # -- the controller-replay axis ----------------------------------------------
@@ -884,6 +926,15 @@ def _describe_replay(spec: ReplaySpec) -> Dict[str, object]:
         provenance["chunk_bytes"] = spec.effective_chunk_bytes()
         provenance["source"] = spec.source.describe()
     return provenance
+
+
+#: A synthetic replay's parameters by CLI name and their defaults, read
+#: by ``repro ctrl``'s flags and the daemon's ``replay`` op.
+REPLAY_DEFAULTS: Dict[str, object] = {
+    "bursts": 2000, "seed": FIGURE_DEFAULTS["seed"],
+    "interfaces": ("pod135",), "data_rate_gbps": 12.0,
+    "c_load_pf": FIGURE_DEFAULTS["c_load_pf"], "channels": 2, "lanes": 4,
+    "window": 16, "line_bytes": CACHE_LINE_BYTES}
 
 
 def interface_replay_experiment(payload: bytes,

@@ -257,3 +257,13 @@ def test_auto_is_vector_on_the_smallest_link():
     controller = MemoryController(channels=1, byte_lanes=1, window=1,
                                   backend="auto")
     assert controller.backend == "vector"
+
+
+@pytest.mark.parametrize("half_life", [float("nan"), float("inf"),
+                                       float("-inf")])
+def test_non_finite_half_life_is_refused(half_life):
+    """A NaN decay froze the estimate, so the tracker never switched."""
+    with pytest.raises(ValueError, match="half_life_bytes"):
+        AdaptiveCostTracker((POINT_A,), half_life_bytes=half_life)
+    with pytest.raises(ValueError, match="half_life_bytes"):
+        TrackingConfig((POINT_A, POINT_B), half_life_bytes=half_life)

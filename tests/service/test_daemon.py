@@ -357,7 +357,7 @@ class TestRequestBounds:
         def no_grid(*args, **kwargs):
             raise AssertionError("grid built for an oversized request")
 
-        monkeypatch.setattr(daemon_module, "load_experiment", no_grid)
+        monkeypatch.setattr("repro.sim.experiments.load_experiment", no_grid)
         loads = 1 + daemon_module.MAX_GRID_CELLS // 2
         response = ExperimentService().handle(
             {"op": "sweep", "figure": "load", "samples": 50, "max_gbps": 1,
@@ -374,3 +374,46 @@ class TestRequestBounds:
         assert len(spec.grid) == 8
         with pytest.raises(ValueError, match="grid cells"):
             sweep_spec_from_params({**params, "loads_pf": [1.0, 2.0, 3.0]})
+
+
+class TestRequestTypes:
+    @pytest.mark.parametrize("request_, name", [
+        ({"op": "sweep", "samples": True}, "samples"),
+        ({"op": "sweep", "samples": 2.7}, "samples"),
+        ({"op": "sweep", "figure": "alpha", "points": 9.5}, "points"),
+        ({"op": "sweep", "seed": -1}, "seed"),
+        ({"op": "sweep", "figure": "load", "loads_pf": 3}, "loads_pf"),
+        ({"op": "sweep", "figure": "load", "loads_pf": []}, "loads_pf"),
+        ({"op": "sweep", "figure": "rate", "interface": "lvstl11"},
+         "interface"),
+        ({"op": "replay", "interfaces": "pod135"}, "interfaces"),
+        ({"op": "replay", "interfaces": ["pod135", "ecl"]}, "interfaces"),
+        ({"op": "replay", "bursts": 2.5}, "bursts"),
+        ({"op": "replay", "channels": True}, "channels"),
+        ({"op": "replay", "seed": -1}, "seed"),
+        ({"op": "replay", "payload_hex": 12}, "payload_hex"),
+    ])
+    def test_bad_parameter_is_refused_by_name(self, request_, name):
+        """Each of these used to run (booleans, fractions) or answer a
+        bare error from deep inside that did not name the parameter."""
+        response = ExperimentService().handle(request_)
+        assert response["ok"] is False
+        assert name in response["error"]
+
+    def test_integral_float_is_an_integer(self):
+        response = ExperimentService().handle(
+            {"op": "sweep", "figure": "alpha", "samples": 40.0,
+             "points": 3.0})
+        assert response["ok"] is True
+        assert response["artifact"]["provenance"]["population_bursts"] == 40
+
+    @pytest.mark.parametrize("limits", [
+        {"request_timeout": -1.0}, {"request_timeout": 0},
+        {"request_timeout": float("nan")}, {"request_timeout": float("inf")},
+        {"max_connections": -1},
+    ])
+    def test_daemon_limits_are_checked_at_construction(self, limits):
+        """A bad timeout used to start a daemon whose every connection
+        failed with an empty reply."""
+        with pytest.raises(ValueError, match=next(iter(limits))):
+            ExperimentDaemon(port=0, **limits)

@@ -48,6 +48,13 @@ class TestEncode:
         assert code == 0
         assert "b=2" in out
 
+    @pytest.mark.parametrize("command", ["encode", "granularity"])
+    def test_all_zero_coefficients_are_a_usage_error(self, capsys, command):
+        code, __, err = run_cli(capsys, command, "--alpha", "0",
+                                "--beta", "0")
+        assert code == 2
+        assert "--alpha/--beta" in err
+
 
 class TestSchemes:
     def test_lists_all(self, capsys):
@@ -682,6 +689,23 @@ class TestNumericFlagValidation:
         (["sweep-load", "--loads-pf", "1", "inf"], "--loads-pf"),
         (["ctrl", "--c-load-pf", "nan"], "--c-load-pf"),
         (["ctrl", "--data-rate-gbps", "0"], "--data-rate-gbps"),
+        (["faults", "--rates", "2"], "--rates"),
+        (["faults", "--rates", "nan"], "--rates"),
+        (["faults", "--rates", "-0.1"], "--rates"),
+        (["encode", "--alpha", "nan"], "--alpha"),
+        (["granularity", "--alpha", "-1"], "--alpha"),
+        (["granularity", "--beta", "inf"], "--beta"),
+        (["table1", "--bursts", "1"], "--bursts"),
+        (["sweep-alpha", "--seed", "-1"], "--seed"),
+        (["sso", "--seed", "-1"], "--seed"),
+        (["ctrl", "--seed", "-1"], "--seed"),
+        (["ctrl", "--track", "pod135@12", "pod12@2",
+          "--track-half-life", "nan"], "--track-half-life"),
+        (["serve", "--port", "-5"], "--port"),
+        (["serve", "--port", "70000"], "--port"),
+        (["serve", "--max-connections", "-1"], "--max-connections"),
+        (["serve", "--request-timeout", "-1"], "--request-timeout"),
+        (["serve", "--request-timeout", "nan"], "--request-timeout"),
     ])
     def test_bad_value_is_a_usage_error(self, capsys, argv, flag):
         """Out-of-range values exit 2 with argparse's usage message
