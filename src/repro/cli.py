@@ -44,7 +44,7 @@ from .analysis.crossover import (
     interpolated_crossing,
     peak_advantage,
 )
-from .core.bitops import WORD_WIDTH
+from .core.bitops import BYTE_MASK, WORD_WIDTH, parse_bits
 from .core.burst import Burst
 from .core.costs import CostModel
 from .core.pareto import pareto_summary
@@ -99,10 +99,8 @@ class _UsageError(Exception):
 
 
 def _burst_from_args(args: argparse.Namespace) -> Burst:
-    if args.bits:
-        return Burst.from_bit_strings(args.bits)
-    if args.hex:
-        return Burst(int(token, 16) for token in args.hex)
+    if args.bits or args.hex:  # bytes checked by their argparse types
+        return Burst(args.bits or args.hex)
     from .core.burst import PAPER_FIG2_BURST
     return PAPER_FIG2_BURST
 
@@ -549,10 +547,11 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _add_burst_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--bits", nargs="+", metavar="BITSTRING",
+    parser.add_argument("--bits", nargs="+", type=_bit_string_byte,
+                        metavar="BITSTRING",
                         help="burst bytes as MSB-first bit strings")
-    parser.add_argument("--hex", nargs="+", metavar="HEXBYTE",
-                        help="burst bytes as hex values")
+    parser.add_argument("--hex", nargs="+", type=_hex_byte,
+                        metavar="HEXBYTE", help="burst bytes as hex values")
 
 
 def _add_population_arguments(parser: argparse.ArgumentParser) -> None:
@@ -569,14 +568,15 @@ def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
                              "or auto)")
 
 
-def _checked(convert, ok, rule: str):
+def _checked(convert, ok, rule: str, name: Optional[str] = None):
     """An argparse type: *convert* the value, then require *ok* of it."""
     def parse(value: str):
         number = convert(value)
         if not ok(number):
             raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
         return number
-    parse.__name__ = convert.__name__  # argparse's "invalid int value"
+    # argparse's "invalid int value" when *convert* raises ValueError
+    parse.__name__ = name or convert.__name__
     return parse
 
 
@@ -593,6 +593,11 @@ _non_negative_float = _checked(
     float, lambda number: math.isfinite(number) and number >= 0,
     "finite and >= 0")
 _probability = _checked(float, lambda number: 0 <= number <= 1, "in [0, 1]")
+_hex_byte = _checked(lambda value: int(value, 16),
+                     lambda byte: 0 <= byte <= BYTE_MASK, "a byte (00-ff)",
+                     name="hex byte")
+_bit_string_byte = _checked(parse_bits, lambda byte: byte <= BYTE_MASK,
+                            "at most 8 bits", name="bit string")
 
 
 def _add_cache_dir_argument(parser: argparse.ArgumentParser) -> None:

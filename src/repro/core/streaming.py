@@ -241,8 +241,9 @@ class BatchStreamingEncoder:
         self.record = record
         self._np = np
         self._prev = np.full(rows, prev_word, dtype=np.int64)
-        self._pending: List = [np.zeros(0, dtype=np.uint8)
-                               for _ in range(rows)]
+        # Pending bytes: row r holds ``_buffer[r, :_lengths[r]]``.
+        self._buffer = np.zeros((rows, 0), dtype=np.uint8)
+        self._lengths = np.zeros(rows, dtype=np.int64)
         self._zeros = np.zeros(rows, dtype=np.int64)
         self._transitions = np.zeros(rows, dtype=np.int64)
         self._beats = np.zeros(rows, dtype=np.int64)
@@ -252,42 +253,39 @@ class BatchStreamingEncoder:
     def push(self, streams: Sequence) -> None:
         """Append one byte stream per lane and commit every full window.
 
-        *streams* must have one entry per lane (``bytes``, array, or any
-        byte sequence; empty entries are fine).
+        *streams* is either a ``(rows, n)`` integer array, row *r* being
+        lane *r*'s next *n* bytes, or a sequence with one entry per lane
+        (``bytes``, array, or any byte sequence; empty entries are fine).
+        A matrix pushed while every lane holds the same number of
+        pending bytes is appended to the pending window matrix as a
+        whole, with no per-lane work.
         """
         np = self._np
         if len(streams) != self.rows:
             raise ValueError(
                 f"{len(streams)} streams for {self.rows} lanes")
+        if isinstance(streams, np.ndarray) and streams.ndim == 2:
+            streams = self._as_bytes(streams, "streams")
+            if (self._lengths == self._lengths[0]).all():
+                self._commit_windows(
+                    np.concatenate((self._buffer, streams), axis=1),
+                    self._lengths + streams.shape[1])
+                return
         # Validate every stream before mutating any pending buffer, so a
         # rejected push leaves the encoder state untouched.
         converted = []
         for row, stream in enumerate(streams):
-            if isinstance(stream, (bytes, bytearray)):
-                new = np.frombuffer(bytes(stream), dtype=np.uint8)
-            else:
-                new = np.asarray(stream)
-                if new.dtype != np.uint8:
-                    # Reject out-of-range values like the reference
-                    # encoder's check_byte, instead of wrapping mod 256.
-                    if not np.issubdtype(new.dtype, np.integer):
-                        raise TypeError(
-                            f"lane {row}: stream must hold integers, got "
-                            f"dtype {new.dtype}")
-                    if new.size and (new.min() < 0 or new.max() > BYTE_MASK):
-                        raise ValueError(
-                            f"lane {row}: byte values out of range "
-                            f"[0, {BYTE_MASK}]")
-                    new = new.astype(np.uint8)
+            new = self._as_bytes(stream, f"lane {row}")
             if new.ndim != 1:
                 raise ValueError(
                     f"lane {row}: stream must be one-dimensional")
             converted.append(new)
+        lengths = self._lengths + [len(new) for new in converted]
+        mat = np.zeros((self.rows, int(lengths.max())), dtype=np.uint8)
+        mat[:, :self._buffer.shape[1]] = self._buffer
         for row, new in enumerate(converted):
-            if len(new):
-                self._pending[row] = np.concatenate(
-                    [self._pending[row], new])
-        self._commit_windows()
+            mat[row, self._lengths[row]:lengths[row]] = new
+        self._commit_windows(mat, lengths)
 
     def flush(self) -> None:
         """Commit every pending byte on every lane (end of stream).
@@ -299,20 +297,16 @@ class BatchStreamingEncoder:
         from .vectorized import _viterbi_planes
 
         np = self._np
-        tails: dict = {}
-        for row, buf in enumerate(self._pending):
-            if len(buf):
-                tails.setdefault(len(buf), []).append(row)
-        for length, rows_idx in tails.items():
-            idx = np.asarray(rows_idx, dtype=np.intp)
-            mat = np.stack([self._pending[row] for row in rows_idx])
+        for length in sorted(set(self._lengths.tolist()) - {0}):
+            idx = np.flatnonzero(self._lengths == length)
+            mat = self._buffer[idx, :length]
             planes = self._planes(idx, mat)
             flags, _costs = _viterbi_planes(planes, self.model.alpha,
                                             self.model.beta, length)
             self._commit(idx, mat, planes, flags[:, 0, :, 0].T,
                          np.full(len(idx), length))
-            for row in rows_idx:
-                self._pending[row] = np.zeros(0, dtype=np.uint8)
+        self._buffer = np.zeros((self.rows, 0), dtype=np.uint8)
+        self._lengths = np.zeros(self.rows, dtype=np.int64)
 
     @property
     def prev_words(self):
@@ -336,7 +330,7 @@ class BatchStreamingEncoder:
 
     def pending_counts(self) -> List[int]:
         """Bytes buffered per lane, not yet committed."""
-        return [len(buf) for buf in self._pending]
+        return self._lengths.tolist()
 
     def set_model(self, model: CostModel) -> None:
         """Re-price every future windowed solve on every lane.
@@ -362,47 +356,66 @@ class BatchStreamingEncoder:
         return out
 
     # -- internals ------------------------------------------------------------
-    def _commit_windows(self) -> None:
-        """Commit every full window of every lane, all windows at once.
+    def _as_bytes(self, stream, what: str):
+        """*stream* as a ``uint8`` array, rejecting values the reference
+        encoder's ``check_byte`` rejects instead of wrapping mod 256."""
+        np = self._np
+        if isinstance(stream, (bytes, bytearray)):
+            return np.frombuffer(bytes(stream), dtype=np.uint8)
+        array = np.asarray(stream)
+        if array.dtype != np.uint8:
+            if not np.issubdtype(array.dtype, np.integer):
+                raise TypeError(f"{what}: stream must hold integers, got "
+                                f"dtype {array.dtype}")
+            if array.size and (array.min() < 0 or array.max() > BYTE_MASK):
+                raise ValueError(
+                    f"{what}: byte values out of range [0, {BYTE_MASK}]")
+            array = array.astype(np.uint8)
+        return array
 
-        Window *k* of a lane covers pending bytes ``[k*commit, k*commit +
-        window)`` and starts from the wire word of byte ``k*commit - 1``,
-        which is that byte's raw or inverted word.  So every window is
-        solved up front from both of those states (window 0 from the
-        lane's bus word) in one :func:`~repro.core.vectorized._viterbi_planes`
-        call, and :meth:`_chain` then follows each lane's actual states.
-        Lanes without a full window are left alone.
+    def _commit_windows(self, mat, lengths) -> None:
+        """Commit every full window of every lane, all windows at once,
+        and keep the rest pending.
+
+        Row *r* of *mat* holds lane *r*'s pending bytes
+        ``mat[r, :lengths[r]]``.  Window *k* of a lane covers pending
+        bytes ``[k*commit, k*commit + window)`` and starts from the wire
+        word of byte ``k*commit - 1``, which is that byte's raw or
+        inverted word.  So every window is solved up front from both of
+        those states (window 0 from the lane's bus word) in one
+        :func:`~repro.core.vectorized._viterbi_planes` call, and
+        :meth:`_chain` then follows each lane's actual states.  Lanes
+        without a full window are left alone.
         """
         from .vectorized import _viterbi_planes
 
         np = self._np
         window, commit = self.window, self.commit
-        lengths = np.array([len(buf) for buf in self._pending])
-        idx = np.flatnonzero(lengths >= window)
-        if not len(idx):
-            return
-        lengths = lengths[idx]
-        counts = ((lengths - window) // commit + 1) * commit
-        mat = np.zeros((len(idx), lengths.max()), dtype=np.uint8)
-        for slot, row in enumerate(idx):
-            mat[slot, :lengths[slot]] = self._pending[row]
-        windows = int(counts.max()) // commit
-        planes = self._planes(idx, mat)
-        flags, _costs = _viterbi_planes(planes, self.model.alpha,
-                                        self.model.beta, window, commit,
-                                        windows, states=2)
-        self._commit(idx, mat, planes, self._chain(flags), counts)
-        for slot, row in enumerate(idx):
-            # Copy the (< window) leftover so the push matrix is not
-            # pinned in memory by a tiny view.
-            self._pending[row] = mat[slot, counts[slot]:lengths[slot]].copy()
+        counts = np.where(lengths >= window,
+                          ((lengths - window) // commit + 1) * commit, 0)
+        idx = np.flatnonzero(counts)
+        if len(idx):
+            full = mat if len(idx) == self.rows else mat[idx]
+            windows = int(counts.max()) // commit
+            planes = self._planes(idx, full)
+            flags, _costs = _viterbi_planes(planes, self.model.alpha,
+                                            self.model.beta, window, commit,
+                                            windows, states=2)
+            self._commit(idx, full, planes, self._chain(flags), counts[idx])
+        # Keep each lane's (< window) leftover in a fresh matrix, so the
+        # push matrix is not pinned in memory by a tiny view.  Columns
+        # past a lane's length are padding that no commit reads.
+        self._lengths = lengths - counts
+        span = np.arange(int(self._lengths.max()))
+        columns = np.minimum(counts[:, None] + span, max(mat.shape[1] - 1, 0))
+        self._buffer = np.take_along_axis(mat, columns, axis=1)
 
     def _planes(self, idx, mat):
         """Edge planes of the ``(len(idx), n)`` byte matrix of lanes *idx*,
         counted from each lane's current bus word."""
         from .vectorized import _edge_planes, _word_planes
 
-        return _edge_planes(*_word_planes(mat), self._prev[idx])
+        return _edge_planes(_word_planes(mat)[0], self._prev[idx])
 
     def _chain(self, flags):
         """Committed flags ``(rows, windows * commit)`` of solved windows.

@@ -239,7 +239,7 @@ def _word_planes(data) -> Tuple:
 TILE_CELLS = 1 << 15
 
 
-def _edge_planes(words_raw, words_inv, prev, width: int = WORD_WIDTH):
+def _edge_planes(words_raw, prev, width: int = WORD_WIDTH):
     """Integer edge counts of a ``(rows, n)`` wire-word batch.
 
     Column *j* prices the edges into byte *j*: from byte *j-1* for
@@ -248,30 +248,31 @@ def _edge_planes(words_raw, words_inv, prev, width: int = WORD_WIDTH):
     zeros_inv)``:
 
     * ``same`` — transitions between words of equal polarity (raw→raw;
-      inv→inv is the same count, since ``words_inv == words_raw ^
-      (2**width - 1)`` flips the same lanes of both words);
+      inv→inv is the same count);
     * ``cross`` — transitions between polarities (inv→raw = raw→inv);
     * ``zeros_raw`` / ``zeros_inv`` — zero lanes of the raw/inverted word.
+
+    Only ``same`` and ``zeros_raw`` are looked up.  The inverted word is
+    ``words_raw ^ (2**width - 1)``, which flips every lane, so ``cross =
+    width - same`` and ``zeros_inv = width - zeros_raw`` exactly.
 
     In column 0 ``same`` counts from *prev* to the raw word and ``cross``
     from *prev* to the inverted one, so the first window of a row starts
     from *prev* as if it were a raw word.  ``width`` is the lane count of
     one word (zeros = ``width - popcount``): 9 for the paper's byte+DBI
     words, ``g + 1`` for the grouped-DBI trellises of
-    :class:`repro.extensions.granularity.GroupedDbiOptimal`.
+    :class:`repro.extensions.granularity.GroupedDbiOptimal`; *words_raw*
+    and *prev* must fit in ``width`` bits.
     """
     np = _require_numpy()
     if not 0 < width <= WORD_WIDTH:
         raise ValueError(f"width must be in [1, {WORD_WIDTH}], got {width}")
     pop = popcount_table().astype(np.uint8)
-    rows, n = words_raw.shape
-    same = np.empty((rows, n), dtype=np.uint8)
-    cross = np.empty((rows, n), dtype=np.uint8)
+    same = np.empty(words_raw.shape, dtype=np.uint8)
     same[:, 0] = pop[prev ^ words_raw[:, 0]]
-    cross[:, 0] = pop[prev ^ words_inv[:, 0]]
     same[:, 1:] = pop[words_raw[:, :-1] ^ words_raw[:, 1:]]
-    cross[:, 1:] = pop[words_inv[:, :-1] ^ words_raw[:, 1:]]
-    return same, cross, width - pop[words_raw], width - pop[words_inv]
+    zeros_raw = width - pop[words_raw]
+    return same, width - same, zeros_raw, width - zeros_raw
 
 
 def solve_batch(data, model, prev_words: Union[int, Sequence[int]] = ALL_ONES_WORD):
@@ -299,7 +300,7 @@ def solve_batch(data, model, prev_words: Union[int, Sequence[int]] = ALL_ONES_WO
     np = _require_numpy()
     data = pack_bursts(data)
     prev = _as_prev_words(prev_words, data.shape[0])
-    planes = _edge_planes(*_word_planes(data), prev)
+    planes = _edge_planes(_word_planes(data)[0], prev)
     flags, costs = _viterbi_planes(planes, model.alpha, model.beta,
                                    data.shape[1])
     return np.ascontiguousarray(flags[:, 0, :, 0].T), costs[0, :, 0]

@@ -13,8 +13,10 @@ Backend selection
   API).
 * ``vector`` (what ``auto`` resolves to with NumPy installed) — the
   batched write path: :meth:`MemoryController.submit` steers whole
-  transaction batches, stripes cache lines across channels × lanes as
-  packed byte strings, and hands every lane to one
+  transaction batches and stripes them across channels × lanes, while
+  :meth:`MemoryController.submit_source` turns each trace chunk into the
+  channels × lanes byte matrix by address arithmetic, building no
+  transaction.  Either way every lane goes to one
   :class:`~repro.core.streaming.BatchStreamingEncoder`, which solves all
   full lookahead windows of a batch at once; statistics are tallied per
   lane as integer arrays, never per byte.
@@ -29,12 +31,13 @@ picks ``vector`` whenever NumPy is installed, however small the link.
 
 Streaming ingestion and adaptive operating points
 -------------------------------------------------
-:func:`transactions_from_source` streams any
+:meth:`MemoryController.submit_source` streams any
 :class:`~repro.workloads.source.TraceSource` (file, synthetic, registry
-trace) through :meth:`MemoryController.submit` one chunk at a time in
-bounded memory, with chunk seams proven invisible (bit-identical to a
-one-shot submit for every chunking).  :mod:`repro.ctrl.adaptive` makes a
-single pass price segments under different operating points:
+trace) one chunk at a time in bounded memory (on the reference backend
+as :func:`transactions_from_source` batches), with chunk seams proven
+invisible (bit-identical to a one-shot submit for every chunking).
+:mod:`repro.ctrl.adaptive` makes a single pass price segments under
+different operating points:
 :class:`~repro.ctrl.adaptive.OperatingPointSchedule` switches the cost
 model at planned transaction/address boundaries (DVFS point schedules),
 and :class:`~repro.ctrl.adaptive.AdaptiveCostTracker` re-estimates

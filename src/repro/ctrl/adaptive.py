@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.bitops import WORD_WIDTH
 from ..core.costs import CostModel
@@ -151,6 +151,25 @@ class OperatingPointSchedule:
         key = (transaction_index if self.unit == "transactions"
                else address)
         return bisect_right(self.switch_at, key)
+
+    def runs(self, index: int, address: int, lines: int,
+             line_bytes: int) -> Iterator[Tuple[int, int, int]]:
+        """``(start, stop, segment)`` runs of *lines* consecutive lines.
+
+        The first line is transaction *index* at *address*, line *k*
+        transaction ``index + k`` at ``address + k * line_bytes``; each
+        run holds the lines :meth:`segment_for` puts in one segment.
+        """
+        key, step = ((index, 1) if self.unit == "transactions"
+                     else (address, line_bytes))
+        start = 0
+        while start < lines:
+            segment = bisect_right(self.switch_at, key + start * step)
+            stop = lines
+            if segment < len(self.switch_at):  # first line keyed past it
+                stop = min(lines, -((key - self.switch_at[segment]) // step))
+            yield start, stop, segment
+            start = stop
 
     def points_by_label(self) -> Dict[str, OperatingPoint]:
         return {point.label: point for point in self.points}

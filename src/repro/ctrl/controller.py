@@ -16,9 +16,13 @@ Two execution backends share one semantics (see
 * ``vector`` — all ``channels × byte_lanes`` lane streams share one
   :class:`~repro.core.streaming.BatchStreamingEncoder`, which solves
   every full lookahead window of a submitted batch at once (the batched
-  Viterbi kernel of :mod:`repro.core.vectorized`), with payload striping
-  done as packed byte-string slices and statistics tallied per lane
-  without any per-byte bookkeeping.
+  Viterbi kernel of :mod:`repro.core.vectorized`), with statistics
+  tallied per lane without any per-byte bookkeeping.  A trace source
+  (:meth:`MemoryController.submit_source`) is striped without building a
+  transaction: line *i* goes to channel ``(first_line + i) % channels``
+  and byte *j* of a line to lane ``j % byte_lanes``, so each chunk's
+  lines become the ``(channels × byte_lanes, n)`` lane matrix by one
+  reshape and transpose.
 
 The two are **bit-identical** — same per-lane invert decisions, same
 integer activity tallies — which ``tests/ctrl/test_batch_parity.py``
@@ -81,6 +85,36 @@ def transactions_from_bytes(payload: bytes, line_bytes: int = CACHE_LINE_BYTES,
             for start in range(0, len(payload), line_bytes)]
 
 
+def _line_blocks(source, line_bytes: int) -> Iterator[Tuple[int, bytes]]:
+    """``(offset, data)`` per source chunk: the chunk's whole lines.
+
+    *offset* is the stream position of *data*'s first byte.  A chunk that
+    ends mid-line carries its sub-line remainder into the next block, and
+    the remainder of the last chunk comes alone as the final, short line.
+    Chunks that complete no line yield nothing.
+    """
+    if line_bytes < 1:
+        raise ValueError(f"line_bytes must be >= 1, got {line_bytes}")
+    chunks = source.chunks() if hasattr(source, "chunks") else iter(source)
+    remainder = b""
+    offset = 0
+    empty = True
+    for chunk in chunks:
+        data = remainder + bytes(chunk)
+        if not data:
+            continue
+        empty = False
+        cut = len(data) - len(data) % line_bytes
+        if cut:
+            yield offset, data[:cut]
+            offset += cut
+        remainder = data[cut:]
+    if remainder:
+        yield offset, remainder
+    elif empty:
+        raise ValueError("trace source yielded no data")
+
+
 def transactions_from_source(source, line_bytes: int = CACHE_LINE_BYTES,
                              base_address: int = 0
                              ) -> Iterator[List[WriteTransaction]]:
@@ -100,28 +134,11 @@ def transactions_from_source(source, line_bytes: int = CACHE_LINE_BYTES,
     >>> [[t.address for t in batch] for batch in batches]
     [[0, 64], [128]]
     """
-    if line_bytes < 1:
-        raise ValueError(f"line_bytes must be >= 1, got {line_bytes}")
-    chunks = source.chunks() if hasattr(source, "chunks") else iter(source)
-    remainder = b""
-    address = base_address
-    empty = True
-    for chunk in chunks:
-        data = remainder + bytes(chunk)
-        if not data:
-            continue
-        empty = False
-        cut = len(data) - len(data) % line_bytes
-        if cut:
-            yield [WriteTransaction(address + start,
-                                    data[start:start + line_bytes])
-                   for start in range(0, cut, line_bytes)]
-            address += cut
-        remainder = data[cut:]
-    if remainder:
-        yield [WriteTransaction(address, remainder)]
-    elif empty:
-        raise ValueError("trace source yielded no data")
+    for offset, data in _line_blocks(source, line_bytes):
+        address = base_address + offset
+        yield [WriteTransaction(address + start,
+                                data[start:start + line_bytes])
+               for start in range(0, len(data), line_bytes)]
 
 
 @dataclass(frozen=True)
@@ -338,13 +355,87 @@ class MemoryController:
         if self.tracker is not None:
             self._observe_and_track()
 
-    def submit_source(self, source,
-                      base_address: int = 0) -> None:
-        """Stream a whole trace source through :meth:`submit`, one chunk
-        of transactions at a time (bounded memory at any trace size)."""
-        for batch in transactions_from_source(source, self.line_bytes,
-                                              base_address=base_address):
-            self.submit(batch)
+    def submit_source(self, source, base_address: int = 0) -> None:
+        """Stream a whole trace source, one chunk of lines at a time
+        (bounded memory at any trace size).
+
+        Line *i* of the source is the transaction at ``base_address + i *
+        line_bytes``, exactly as :func:`transactions_from_source` lays it
+        out, and the replay equals :meth:`submit` of those batches.  The
+        reference backend does just that.  The vector backend never
+        builds a transaction: each chunk's lines become the lane matrix
+        by address arithmetic (:meth:`_lane_streams`).
+        """
+        if self._batch is None:
+            for batch in transactions_from_source(
+                    source, self.line_bytes, base_address=base_address):
+                self.submit(batch)
+            return
+        for offset, data in _line_blocks(source, self.line_bytes):
+            self._submit_lines(data, base_address + offset)
+            if self.tracker is not None:
+                self._observe_and_track()
+
+    def _submit_lines(self, data: bytes, address: int) -> None:
+        """Push consecutive lines starting at *address* (vector backend),
+        split at the schedule's boundaries like :meth:`_submit_scheduled`.
+
+        *data* is whole lines, or one line shorter than ``line_bytes``.
+        """
+        line = min(len(data), self.line_bytes)
+        lines = len(data) // line
+        runs = [(0, lines, self._schedule_segment)]
+        if self.schedule is not None:
+            runs = self.schedule.runs(self._transactions, address, lines,
+                                      line)
+        for start, stop, segment in runs:
+            if segment != self._schedule_segment:
+                self._switch_point(self.schedule.point_at(segment))
+                self._schedule_segment = segment
+            streams, per_channel = self._lane_streams(
+                data[start * line:stop * line], address + start * line, line)
+            self._batch.push(streams)
+            for channel, count in enumerate(per_channel):
+                self._channel_transactions[channel] += count
+            self._transactions += stop - start
+            self._bytes_written += (stop - start) * line
+
+    def _lane_streams(self, data: bytes, address: int, line: int):
+        """``(streams, lines per channel)`` of consecutive *line*-byte
+        lines starting at *address*.
+
+        Line *i* goes to channel ``(address // line_bytes + i) % channels``
+        and its byte *j* to lane ``j % byte_lanes``, so the lines laid out
+        as rounds of ``channels`` lines (the first round rotated, the last
+        one ragged, every line padded to whole lanes) transpose into the
+        ``(channels * byte_lanes, n)`` lane matrix.  When padding would
+        land inside a row, the rows are returned as a list of
+        compacted arrays instead.
+        """
+        import numpy as np
+
+        channels, lanes = self.channels, self.byte_lanes
+        lines = len(data) // line
+        lead = (address // self.line_bytes) % channels
+        rounds = -(-(lead + lines) // channels)
+        depth = -(-line // lanes)
+        grid = np.zeros((rounds * channels, depth * lanes), dtype=np.uint8)
+        grid[lead:lead + lines, :line] = np.frombuffer(
+            data, dtype=np.uint8).reshape(lines, line)
+        # (channel, lane, round, byte of the lane within the line)
+        cube = grid.reshape(rounds, channels, depth, lanes).transpose(
+            1, 3, 0, 2)
+        first = [int(channel < lead) for channel in range(channels)]
+        stop = [(lead + lines - 1 - channel) // channels + 1
+                for channel in range(channels)]
+        per_channel = [b - a for a, b in zip(first, stop)]
+        if lead == 0 and lines % channels == 0 and line % lanes == 0:
+            return cube.reshape(channels * lanes, rounds * depth), per_channel
+        sizes = [len(range(lane, line, lanes)) for lane in range(lanes)]
+        return [cube[channel, lane, first[channel]:stop[channel],
+                     :sizes[lane]].reshape(-1)
+                for channel in range(channels)
+                for lane in range(lanes)], per_channel
 
     def _submit_scheduled(self, batch: Sequence[WriteTransaction]) -> None:
         """Split a batch at schedule boundaries, re-pricing at each."""

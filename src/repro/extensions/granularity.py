@@ -226,7 +226,7 @@ class GroupedDbiOptimal:
         words_raw = values | dbi_bit
         words_inv = values ^ mask
         prev = np.full(k * batch, idle, dtype=np.int64)
-        planes = _edge_planes(words_raw, words_inv, prev, width=g + 1)
+        planes = _edge_planes(words_raw, prev, width=g + 1)
         flags, _costs = _viterbi_planes(planes, self.model.alpha,
                                         self.model.beta, n)
         flags = np.ascontiguousarray(flags[:, 0, :, 0].T)

@@ -80,6 +80,43 @@ class TestBatchParity:
     def test_push_chunking_is_invisible(self, streams, model, chunks):
         assert_parity(streams, model, window=8, chunks=chunks)
 
+    @given(heads=byte_streams, model=models,
+           window=st.integers(min_value=1, max_value=12),
+           widths=st.lists(st.integers(min_value=0, max_value=40),
+                           min_size=1, max_size=4),
+           wide_ints=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_matrix_pushes(self, heads, model, window, widths, wide_ints):
+        """``(rows, n)`` matrices pushed after a ragged or an equal
+        list push, as uint8 or as wider integers, encode like the
+        per-lane reference of the concatenated streams."""
+        import numpy as np
+        rng = np.random.default_rng(len(heads) * 1000 + sum(widths))
+        matrices = [rng.integers(0, 256, size=(len(heads), width),
+                                 dtype=np.uint8) for width in widths]
+        batch = BatchStreamingEncoder(model, rows=len(heads), window=window,
+                                      record=True)
+        batch.push(heads)
+        for matrix in matrices:
+            batch.push(matrix.astype(np.int64) if wide_ints else matrix)
+        batch.flush()
+        for row, head in enumerate(heads):
+            stream = head + b"".join(bytes(m[row]) for m in matrices)
+            decisions, zeros, trans, last = reference_lane(stream, model,
+                                                           window)
+            assert batch.decisions(row) == decisions, f"lane {row}"
+            assert (int(batch.zeros[row]), int(batch.transitions[row]),
+                    int(batch.prev_words[row])) == (zeros, trans, last)
+
+    def test_rejects_out_of_range_matrix(self):
+        import numpy as np
+        batch = BatchStreamingEncoder(CostModel.fixed(), rows=2, window=4)
+        with pytest.raises(ValueError):
+            batch.push(np.full((2, 3), 256))
+        with pytest.raises(TypeError):
+            batch.push(np.zeros((2, 3)))
+        assert batch.pending_counts() == [0, 0]
+
     def test_many_equal_lanes(self):
         import numpy as np
         rng = np.random.default_rng(0x0DB1)

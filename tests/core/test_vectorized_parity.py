@@ -20,7 +20,9 @@ from repro.core.costs import CostModel, QuantizedCostModel
 from repro.core.schemes import get_scheme
 from repro.core.streaming import solve_stream
 from repro.core.trellis import brute_force, solve
+from repro.core.bitops import popcount
 from repro.core.vectorized import (
+    _edge_planes,
     available_backends,
     pack_bursts,
     resolve_backend,
@@ -106,6 +108,32 @@ class TestSolveBatchParity:
                                    [bool(f) for f in flags[row]], model,
                                    prev_word=int(prev_words[row]))
             assert realised == pytest.approx(oracle.total_cost, abs=1e-12)
+
+
+class TestEdgePlanes:
+    @pytest.mark.parametrize("width", range(2, 10))
+    def test_planes_match_popcount_definitions(self, width):
+        """Two lookups give all four planes: each equals its popcount
+        definition at every lane count grouped DBI uses (and the ones in
+        between), column 0 counted from arbitrary boundary words."""
+        rng = np.random.default_rng(width)
+        mask = (1 << width) - 1
+        raw = rng.integers(0, 1 << width, size=(32, 11)).astype(np.uint16)
+        inv = raw ^ mask
+        prev = rng.integers(0, 1 << width, size=32)
+        same, cross, zeros_raw, zeros_inv = _edge_planes(raw, prev, width)
+        count = np.vectorize(popcount)
+        # Column 0 counts from prev as if it were a raw word.
+        before = np.column_stack((prev, raw[:, :-1]))
+        assert (same == count(before ^ raw)).all()
+        assert (cross == count(before ^ inv)).all()
+        # Later columns: inv->inv equals raw->raw, inv->raw equals raw->inv.
+        assert (same[:, 1:] == count(inv[:, :-1] ^ inv[:, 1:])).all()
+        assert (cross[:, 1:] == count(inv[:, :-1] ^ raw[:, 1:])).all()
+        assert (zeros_raw == width - count(raw)).all()
+        assert (zeros_inv == width - count(inv)).all()
+        assert all(plane.dtype == np.uint8 for plane in
+                   (same, cross, zeros_raw, zeros_inv))
 
 
 class TestStreamingParity:

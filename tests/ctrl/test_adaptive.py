@@ -14,7 +14,11 @@ Three contracts:
   the batched path even on the smallest link.
 """
 
+from itertools import islice
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.vectorized import available_backends
 from repro.ctrl.adaptive import (
@@ -132,6 +136,26 @@ class TestSchedule:
         tracker = AdaptiveCostTracker((POINT_A, POINT_B))
         with pytest.raises(ValueError):
             MemoryController(schedule=schedule, tracker=tracker)
+
+    @given(unit=st.sampled_from(("transactions", "address")),
+           switch_at=st.sets(st.integers(1, 400), min_size=2, max_size=2),
+           index=st.integers(0, 300), address=st.integers(0, 400),
+           lines=st.integers(0, 40), line_bytes=st.integers(1, 30))
+    @settings(max_examples=200, deadline=None)
+    def test_runs_split_where_segment_for_changes(
+            self, unit, switch_at, index, address, lines, line_bytes):
+        third = OperatingPoint("sstl15", 2 * GBPS, 3 * PICOFARAD)
+        schedule = OperatingPointSchedule((POINT_A, POINT_B, third),
+                                          tuple(sorted(switch_at)), unit)
+        per_line = [schedule.segment_for(index + k, address + k * line_bytes)
+                    for k in range(lines)]
+        # Every run holds a line, so more than *lines* runs is a bug.
+        runs = list(islice(schedule.runs(index, address, lines, line_bytes),
+                           lines + 1))
+        assert [segment for start, stop, segment in runs
+                for _ in range(start, stop)] == per_line
+        assert all(start < stop for start, stop, _ in runs)
+        assert all(a[2] != b[2] for a, b in zip(runs, runs[1:]))
 
 
 class TestTracker:

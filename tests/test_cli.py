@@ -706,6 +706,11 @@ class TestNumericFlagValidation:
         (["serve", "--max-connections", "-1"], "--max-connections"),
         (["serve", "--request-timeout", "-1"], "--request-timeout"),
         (["serve", "--request-timeout", "nan"], "--request-timeout"),
+        (["encode", "--hex", "zz"], "--hex"),
+        (["encode", "--hex", "1ff"], "--hex"),
+        (["encode", "--bits", "102"], "--bits"),
+        (["encode", "--bits", "111111111"], "--bits"),
+        (["pareto", "--hex", "zz"], "--hex"),
     ])
     def test_bad_value_is_a_usage_error(self, capsys, argv, flag):
         """Out-of-range values exit 2 with argparse's usage message
