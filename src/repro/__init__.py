@@ -61,65 +61,26 @@ the raw array API :func:`repro.solve_batch` requires NumPy outright)::
     flags, costs = solve_batch([[0x00] * 8] * 1000, scheme.model)  # NumPy only
 """
 
-from . import baselines as _baselines  # noqa: F401 - populates the registry
-from .core import (
-    ALL_ONES_WORD,
-    Burst,
-    CostModel,
-    DEFAULT_BURST_LENGTH,
-    DbiOptimal,
-    DbiOptimalFixed,
-    DbiOptimalQuantized,
-    DbiScheme,
-    EncodedBurst,
-    HAVE_NUMPY,
-    PAPER_FIG2_BURST,
-    QuantizedCostModel,
-    available_backends,
-    available_schemes,
-    brute_force,
-    chunk_bytes,
-    get_default_backend,
-    get_scheme,
-    register_scheme,
-    resolve_backend,
-    set_default_backend,
-    solve,
-    solve_batch,
-)
-from .baselines import BusInvert, DbiAc, DbiAcDc, DbiDc, DbiGreedyWeighted, Raw
+# Importing these registers every scheme, whatever else is imported.
+from . import baselines as _baselines  # noqa: F401
+from .core import encoder as _encoder  # noqa: F401
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ALL_ONES_WORD",
-    "Burst",
-    "BusInvert",
-    "CostModel",
-    "DEFAULT_BURST_LENGTH",
-    "DbiAc",
-    "DbiAcDc",
-    "DbiDc",
-    "DbiGreedyWeighted",
-    "DbiOptimal",
-    "DbiOptimalFixed",
-    "DbiOptimalQuantized",
-    "DbiScheme",
-    "EncodedBurst",
-    "HAVE_NUMPY",
-    "PAPER_FIG2_BURST",
-    "QuantizedCostModel",
-    "Raw",
-    "available_backends",
-    "available_schemes",
-    "brute_force",
-    "chunk_bytes",
-    "get_default_backend",
-    "get_scheme",
-    "register_scheme",
-    "resolve_backend",
-    "set_default_backend",
-    "solve",
-    "solve_batch",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "baselines": ("BusInvert", "DbiAc", "DbiAcDc", "DbiDc",
+                  "DbiGreedyWeighted", "Raw"),
+    "core.bitops": ("ALL_ONES_WORD",),
+    "core.burst": ("Burst", "DEFAULT_BURST_LENGTH", "PAPER_FIG2_BURST",
+                   "chunk_bytes"),
+    "core.costs": ("CostModel", "QuantizedCostModel"),
+    "core.encoder": ("DbiOptimal", "DbiOptimalFixed", "DbiOptimalQuantized"),
+    "core.schemes": ("DbiScheme", "EncodedBurst", "available_schemes",
+                     "get_scheme", "register_scheme"),
+    "core.trellis": ("brute_force", "solve"),
+    "core.vectorized": ("HAVE_NUMPY", "available_backends",
+                        "get_default_backend", "resolve_backend",
+                        "set_default_backend", "solve_batch"),
+})
+__all__.append("__version__")

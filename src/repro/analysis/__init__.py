@@ -1,65 +1,18 @@
 """Analysis utilities: crossovers, savings, artifact diffs, ASCII plots."""
 
-from .artifacts import ArtifactDiff, compare_artifacts, summarize_artifact
-from .ascii_plot import AsciiPlot, quick_plot, sparkline
-from .crossover import (
-    advantage_region,
-    elementwise_min,
-    interpolated_crossing,
-    peak_advantage,
-)
-from .sso import (
-    DBI_DC_IDLE_FIRST_BEAT_BOUND,
-    DBI_DC_TOGGLE_BOUND,
-    DEFAULT_LINE_IMPEDANCE_OHMS,
-    SsoStatistics,
-    sso_comparison,
-    sso_of_scheme,
-    sso_of_scheme_batch,
-    sso_of_words,
-    sso_of_words_batch,
-)
-from .statistics import (
-    MeanEstimate,
-    estimate_mean,
-    per_burst_costs,
-    samples_for_precision,
-    scheme_cost_estimate,
-)
-from .savings import (
-    SavingsRecord,
-    savings_matrix,
-    savings_vs_best_conventional,
-    savings_vs_reference,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ArtifactDiff",
-    "AsciiPlot",
-    "compare_artifacts",
-    "summarize_artifact",
-    "DBI_DC_IDLE_FIRST_BEAT_BOUND",
-    "DBI_DC_TOGGLE_BOUND",
-    "DEFAULT_LINE_IMPEDANCE_OHMS",
-    "MeanEstimate",
-    "SavingsRecord",
-    "SsoStatistics",
-    "advantage_region",
-    "elementwise_min",
-    "estimate_mean",
-    "interpolated_crossing",
-    "per_burst_costs",
-    "peak_advantage",
-    "quick_plot",
-    "samples_for_precision",
-    "savings_matrix",
-    "scheme_cost_estimate",
-    "savings_vs_best_conventional",
-    "savings_vs_reference",
-    "sparkline",
-    "sso_comparison",
-    "sso_of_scheme",
-    "sso_of_scheme_batch",
-    "sso_of_words",
-    "sso_of_words_batch",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "artifacts": ("ArtifactDiff", "compare_artifacts", "summarize_artifact"),
+    "ascii_plot": ("AsciiPlot", "quick_plot", "sparkline"),
+    "crossover": ("advantage_region", "elementwise_min",
+                  "interpolated_crossing", "peak_advantage"),
+    "sso": ("DBI_DC_IDLE_FIRST_BEAT_BOUND", "DBI_DC_TOGGLE_BOUND",
+            "DEFAULT_LINE_IMPEDANCE_OHMS", "SsoStatistics", "sso_comparison",
+            "sso_of_scheme", "sso_of_scheme_batch", "sso_of_words",
+            "sso_of_words_batch"),
+    "statistics": ("MeanEstimate", "estimate_mean", "per_burst_costs",
+                   "samples_for_precision", "scheme_cost_estimate"),
+    "savings": ("SavingsRecord", "savings_matrix",
+                "savings_vs_best_conventional", "savings_vs_reference"),
+})

@@ -47,14 +47,13 @@ from .analysis.crossover import (
 from .core.bitops import BYTE_MASK, WORD_WIDTH, parse_bits
 from .core.burst import Burst
 from .core.costs import CostModel
-from .core.pareto import pareto_summary
 from .core.schemes import available_schemes, get_scheme
 from .core.vectorized import BACKENDS
 from .phy.interface import available_interfaces
 from .phy.power import GBPS, PICOFARAD, PICOJOULE
-from .extensions.granularity import VALID_GROUP_SIZES
-from .extensions.reliability import DEFAULT_FAULT_RATES
-from .service.diskcache import open_cache, resolve_cache_dir
+# Engines (the controller, the extensions, trace sources, the disk cache)
+# are imported by the commands that run them; only their defaults here.
+from .extensions import DEFAULT_FAULT_RATES, VALID_GROUP_SIZES
 from .sim.experiments import (
     FIGURE_DEFAULTS,
     FIGURE_INTERFACES,
@@ -89,9 +88,9 @@ from .ctrl.adaptive import (
     OperatingPointSchedule,
     TrackingConfig,
 )
+from .workloads import DEFAULT_TRACE_CHUNK_BYTES
 from .workloads.patterns import PATTERN_NAMES, pattern_population
 from .workloads.population import RandomPopulation
-from .workloads.source import DEFAULT_TRACE_CHUNK_BYTES, FileTraceSource
 
 
 class _UsageError(Exception):
@@ -135,6 +134,8 @@ def _cmd_schemes(args: argparse.Namespace) -> int:
 
 
 def _cmd_pareto(args: argparse.Namespace) -> int:
+    from .core.pareto import pareto_summary
+
     burst = _burst_from_args(args)
     if len(burst) > 16:
         raise _UsageError("pareto enumeration supports at most 16 bytes")
@@ -155,6 +156,8 @@ def _run_or_load(args: argparse.Namespace, run, build_spec, load=None,
     returns ``load(path)`` for ``--from-artifact``, else runs
     ``build_spec()`` with the backend, the cache and the kind's
     *options*."""
+    from .service.diskcache import open_cache
+
     if args.out:
         out_dir = os.path.dirname(os.path.abspath(args.out))
         if not os.path.isdir(out_dir):
@@ -258,6 +261,8 @@ def _ctrl_trace(args: argparse.Namespace) -> dict:
     path = args.trace_file or (args.trace if args.trace
                                and os.path.exists(args.trace) else None)
     if path is not None:
+        from .workloads.source import FileTraceSource
+
         try:
             return {"source": FileTraceSource(path,
                                               chunk_bytes=args.chunk_bytes,
@@ -515,6 +520,7 @@ def _cmd_sso(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .service.daemon import ExperimentDaemon
+    from .service.diskcache import resolve_cache_dir
 
     cache_dir = resolve_cache_dir(args.cache_dir)
     daemon = ExperimentDaemon(host=args.host, port=args.port,
@@ -536,13 +542,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
-    from .hw.synthesis import _design_specs, synthesize, table_one_markdown
-    results = {
-        name: synthesize(spec, activity_bursts=args.bursts,
-                         backend=args.backend)
-        for name, spec in _design_specs().items()
-    }
-    print(table_one_markdown(results))
+    from .hw.activity import DEFAULT_ACTIVITY_BURSTS
+    from .hw.synthesis import table_one, table_one_markdown
+
+    print(table_one_markdown(table_one(
+        args.bursts or DEFAULT_ACTIVITY_BURSTS, backend=args.backend)))
     return 0
 
 

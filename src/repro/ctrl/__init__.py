@@ -52,40 +52,20 @@ standard via :class:`~repro.phy.power.InterfaceEnergyModel`, including
 the one-level DC term that POD-only accounting omits.
 """
 
-from .adaptive import (
-    DEFAULT_HALF_LIFE_BYTES,
-    AdaptiveCostTracker,
-    OperatingPoint,
-    OperatingPointSchedule,
-    TrackingConfig,
-)
-from .controller import (
-    CACHE_LINE_BYTES,
-    ControllerStatistics,
-    LaneState,
-    MemoryController,
-    SegmentActivity,
-    WriteController,
-    WriteTransaction,
-    compare_controllers,
-    transactions_from_bytes,
-    transactions_from_source,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AdaptiveCostTracker",
-    "CACHE_LINE_BYTES",
-    "ControllerStatistics",
-    "DEFAULT_HALF_LIFE_BYTES",
-    "LaneState",
-    "MemoryController",
-    "OperatingPoint",
-    "OperatingPointSchedule",
-    "SegmentActivity",
-    "TrackingConfig",
-    "WriteController",
-    "WriteTransaction",
-    "compare_controllers",
-    "transactions_from_bytes",
-    "transactions_from_source",
-]
+#: Typical cache-line size; transactions default to this granularity.
+#: Defined here so replay specs and front ends read it without loading
+#: the controller.
+CACHE_LINE_BYTES = 64
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "adaptive": ("DEFAULT_HALF_LIFE_BYTES", "AdaptiveCostTracker",
+                 "OperatingPoint", "OperatingPointSchedule",
+                 "TrackingConfig"),
+    "controller": ("ControllerStatistics", "LaneState", "MemoryController",
+                   "SegmentActivity", "WriteController", "WriteTransaction",
+                   "compare_controllers", "transactions_from_bytes",
+                   "transactions_from_source"),
+})
+__all__.append("CACHE_LINE_BYTES")

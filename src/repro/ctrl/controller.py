@@ -45,10 +45,8 @@ from ..core.streaming import BatchStreamingEncoder, StreamingOptimalEncoder
 from ..core.vectorized import resolve_backend
 from ..phy.bus import BusStatistics
 from ..phy.power import InterfaceEnergyModel
+from . import CACHE_LINE_BYTES
 from .adaptive import AdaptiveCostTracker, OperatingPoint, OperatingPointSchedule
-
-#: Typical cache-line size; transactions default to this granularity.
-CACHE_LINE_BYTES = 64
 
 
 @dataclass(frozen=True)

@@ -28,46 +28,25 @@ This module, like every ``repro`` package, imports without NumPy
 installed; NumPy is consulted lazily inside the vector fast paths only.
 """
 
-from .granularity import (
-    GroupedDbiOptimal,
-    GroupedEncoding,
-    VALID_GROUP_SIZES,
-    granularity_table,
-    split_groups,
-)
-from .reliability import (
-    DEFAULT_FAULT_RATES,
-    FaultCoverageRow,
-    FaultStatistics,
-    decode_with_faults,
-    draw_fault_masks,
-    draw_fault_positions,
-    error_amplification,
-    fault_coverage_curve,
-    fault_coverage_rows,
-    fault_mask_planes,
-    fault_sweep,
-    fault_sweep_batch,
-    wrong_decision_is_harmless,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_FAULT_RATES",
-    "FaultCoverageRow",
-    "FaultStatistics",
-    "GroupedDbiOptimal",
-    "GroupedEncoding",
-    "VALID_GROUP_SIZES",
-    "decode_with_faults",
-    "draw_fault_masks",
-    "draw_fault_positions",
-    "error_amplification",
-    "fault_coverage_curve",
-    "fault_coverage_rows",
-    "fault_mask_planes",
-    "fault_sweep",
-    "fault_sweep_batch",
-    "granularity_table",
-    "split_groups",
-    "wrong_decision_is_harmless",
-]
+# The axes' defaults live here so specs and front ends read them without
+# loading the engines.
+
+#: Group sizes that tile a byte lane evenly.
+VALID_GROUP_SIZES = (1, 2, 4, 8)
+
+#: Default per-lane-beat fault rates for coverage curves (log-spaced).
+DEFAULT_FAULT_RATES = (1e-3, 3e-3, 1e-2, 3e-2, 1e-1)
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "granularity": ("GroupedDbiOptimal", "GroupedEncoding",
+                    "granularity_table", "split_groups"),
+    "reliability": ("FaultCoverageRow", "FaultStatistics",
+                    "decode_with_faults", "draw_fault_masks",
+                    "draw_fault_positions", "error_amplification",
+                    "fault_coverage_curve", "fault_coverage_rows",
+                    "fault_mask_planes", "fault_sweep", "fault_sweep_batch",
+                    "wrong_decision_is_harmless"),
+})
+__all__ += ["DEFAULT_FAULT_RATES", "VALID_GROUP_SIZES"]

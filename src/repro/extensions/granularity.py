@@ -39,9 +39,7 @@ from ..core.bitops import popcount
 from ..core.burst import Burst, as_bursts
 from ..core.costs import CostModel
 from ..core.vectorized import resolve_backend, try_pack_bursts
-
-#: Group sizes that tile a byte lane evenly.
-VALID_GROUP_SIZES = (1, 2, 4, 8)
+from . import VALID_GROUP_SIZES
 
 
 def split_groups(byte: int, group_size: int) -> List[int]:

@@ -56,6 +56,7 @@ from ..core.bitops import (
 from ..core.burst import Burst
 from ..core.schemes import DbiScheme, EncodedBurst
 from ..hw.bitsim import get_kernel, resolve_sim_backend
+from . import DEFAULT_FAULT_RATES
 
 
 def decode_with_faults(words: Sequence[int],
@@ -401,10 +402,6 @@ class FaultCoverageRow:
         """Decoded bit errors per injected lane fault."""
         return (self.bit_errors / self.injected_faults
                 if self.injected_faults else 0.0)
-
-
-#: Default per-lane-beat fault rates for coverage curves (log-spaced).
-DEFAULT_FAULT_RATES = (1e-3, 3e-3, 1e-2, 3e-2, 1e-1)
 
 
 def fault_coverage_curve(scheme: DbiScheme, bursts: Sequence[Burst],

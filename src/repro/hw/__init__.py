@@ -18,8 +18,10 @@ with the library-wide backend vocabulary (``backend="auto" | "reference"
   ``word_function`` forms, W input vectors are packed per net into one
   machine word, and toggles are tallied with popcounts.  Unlike the
   encoding layer's vector backend, this works *without* NumPy (packing
-  into arbitrary-width Python ints); NumPy switches the word type to
-  ``uint64`` lane arrays for a further ~5-10x.
+  into arbitrary-width Python ints); for assignment-dict vectors NumPy
+  switches the word type to ``uint64`` lane arrays for a further ~3-5x,
+  while :func:`~repro.hw.activity.measure_activity` packs populations
+  straight into ints and runs on them on every install.
 
 ``auto`` therefore always resolves to the bit-parallel engine here.  The
 two engines are bit-identical — same toggle tallies, same outputs — which
@@ -27,99 +29,25 @@ the differential suite in ``tests/hw/test_bitsim.py`` enforces over
 hypothesis-generated netlists and every encoder design.
 """
 
-from .activity import (
-    DEFAULT_ACTIVITY_BURSTS,
-    burst_to_vector,
-    encode_with_netlist,
-    iter_vectors,
-    measure_activity,
-    netlist_invert_flags,
-    vectors_from_bursts,
-)
-from .bitsim import (
-    CompiledNetlist,
-    compile_netlist,
-    resolve_sim_backend,
-    word_function_from_truth_table,
-)
-from .cells import DFF, LIBRARY, Cell, get_cell
-from .components import (
-    add_many,
-    carry_select_adder,
-    full_adder,
-    half_adder,
-    less_than,
-    min_select,
-    multiply,
-    mux_bus,
-    popcount,
-    ripple_adder,
-    subtract_from_const,
-    xor_bus,
-    xor_with_bit,
-)
-from .encoders import (
-    build_ac_encoder,
-    build_dc_encoder,
-    build_decoder,
-    build_opt_encoder,
-)
-from .netlist import ActivityReport, Gate, Netlist
-from .pipeline import PipelinePlan, plan_pipeline, stages_for_frequency
-from .synthesis import (
-    DesignSpec,
-    SynthesisResult,
-    TARGET_BURST_RATE_HZ,
-    encoder_energy_per_burst,
-    synthesize,
-    table_one,
-    table_one_markdown,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ActivityReport",
-    "Cell",
-    "CompiledNetlist",
-    "DEFAULT_ACTIVITY_BURSTS",
-    "DFF",
-    "DesignSpec",
-    "Gate",
-    "LIBRARY",
-    "Netlist",
-    "PipelinePlan",
-    "SynthesisResult",
-    "TARGET_BURST_RATE_HZ",
-    "add_many",
-    "compile_netlist",
-    "build_ac_encoder",
-    "build_dc_encoder",
-    "build_decoder",
-    "build_opt_encoder",
-    "burst_to_vector",
-    "carry_select_adder",
-    "encode_with_netlist",
-    "encoder_energy_per_burst",
-    "full_adder",
-    "get_cell",
-    "half_adder",
-    "iter_vectors",
-    "less_than",
-    "measure_activity",
-    "min_select",
-    "multiply",
-    "mux_bus",
-    "netlist_invert_flags",
-    "plan_pipeline",
-    "popcount",
-    "resolve_sim_backend",
-    "stages_for_frequency",
-    "ripple_adder",
-    "subtract_from_const",
-    "synthesize",
-    "word_function_from_truth_table",
-    "table_one",
-    "table_one_markdown",
-    "vectors_from_bursts",
-    "xor_bus",
-    "xor_with_bit",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "activity": ("DEFAULT_ACTIVITY_BURSTS", "PackedPopulation",
+                 "burst_to_vector", "encode_with_netlist", "iter_vectors",
+                 "measure_activity", "netlist_invert_flags",
+                 "vectors_from_bursts"),
+    "bitsim": ("CompiledNetlist", "compile_netlist", "resolve_sim_backend",
+               "word_function_from_truth_table"),
+    "cells": ("DFF", "LIBRARY", "Cell", "get_cell"),
+    "components": ("add_many", "carry_select_adder", "full_adder",
+                   "half_adder", "less_than", "min_select", "multiply",
+                   "mux_bus", "popcount", "ripple_adder",
+                   "subtract_from_const", "xor_bus", "xor_with_bit"),
+    "encoders": ("build_ac_encoder", "build_dc_encoder", "build_decoder",
+                 "build_opt_encoder"),
+    "netlist": ("ActivityReport", "Gate", "Netlist"),
+    "pipeline": ("PipelinePlan", "plan_pipeline", "stages_for_frequency"),
+    "synthesis": ("DesignSpec", "SynthesisResult", "TARGET_BURST_RATE_HZ",
+                  "encoder_energy_per_burst", "synthesize", "table_one",
+                  "table_one_markdown"),
+})

@@ -8,22 +8,40 @@ per-design dynamic energy — the basis of Table I's dynamic-power column.
 :func:`measure_activity` accepts any :class:`~repro.workloads.population.
 BurstPopulation` (or an explicit burst sequence), so Table I numbers can
 be driven by the trace and patterned workloads of :mod:`repro.workloads`
-as well as the default seeded uniform-random population.  With the
-bit-parallel backend and NumPy available, rectangular populations take a
-packed fast path: the burst byte matrix is transposed straight into
-bit-plane words without ever materialising per-vector assignment dicts.
+as well as the default seeded uniform-random population.  On the
+bit-parallel backend, rectangular populations take a packed path on
+every install: each chunk's byte lanes are transposed in bulk into one
+Python-int bit plane per input bit, without ever materialising
+per-vector assignment dicts, and the compiled netlist runs on the
+``int`` word kernel: with the inputs packed, a gate on 65,536-bit ints
+costs less than one ``uint64`` NumPy call, and the int toggle tally
+takes a shift, an XOR and a popcount where the ``uint64`` one takes
+seven NumPy calls.
+:class:`PackedPopulation` lets several designs share one draw and
+packing (Table I's four).
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
+from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from ..core.bitops import ALL_ONES_WORD
 from ..core.burst import Burst
-from ..workloads.population import BurstPopulation, RandomPopulation, as_population
+from ..workloads.population import (
+    DEFAULT_CHUNK_SIZE,
+    BurstPopulation,
+    RandomPopulation,
+    as_population,
+)
 from . import bitsim
 from .netlist import ActivityReport, Netlist
+
+try:  # pragma: no cover - trivially true/false per environment
+    import numpy as _np
+except ImportError:  # pragma: no cover
+    _np = None
 
 #: Default population size for Table I activity measurement.  The paper's
 #: software figures are simulated over 10k-burst populations; the
@@ -71,19 +89,103 @@ def iter_vectors(bursts: Iterable[Burst],
         yield burst_to_vector(burst, prev_word, alpha, beta)
 
 
-def _packed_activity(netlist: Netlist, packed_chunks,
+#: Vectors per chunk of the packed path: every input bit of a chunk is one
+#: Python int this wide.  Wide ints amortise the per-gate dispatch and
+#: tally (16,384- and 131,072-vector chunks were both slower on Table I).
+ACTIVITY_CHUNK_VECTORS = 65536
+
+#: ``_BIT_DIGITS[p]`` translates a byte into the ASCII digit of its bit *p*.
+_BIT_DIGITS = tuple(bytes(0x30 | ((value >> position) & 1)
+                          for value in range(256))
+                    for position in range(8))
+
+#: One packed chunk: ``(n_vectors, planes)``, where ``planes[j][p]`` is the
+#: int whose bit *i* is bit *p* of byte *j* of vector *i*.
+PackedChunk = Tuple[int, List[List[int]]]
+
+
+def _lane_planes(batch) -> List[List[int]]:
+    """The bit planes of one batch, as :data:`PackedChunk` describes.
+
+    A packed ``uint8`` array is packed by NumPy, one ``np.packbits`` per
+    bit of each byte lane.  A burst list goes through its bytes: each
+    byte lane, reversed so vector 0 lands in the low bit, is translated
+    into one base-2 digit string per bit.
+    """
+    if _np is not None and isinstance(batch, _np.ndarray):
+        return [[int.from_bytes(_np.packbits((column >> position) & 1,
+                                             bitorder="little").tobytes(),
+                                "little")
+                 for position in range(8)]
+                for column in _np.ascontiguousarray(batch.T)]
+    width = len(batch[0])
+    data = bytes(chain.from_iterable(burst.data for burst in batch))
+    planes = []
+    for lane in range(width):
+        column = data[lane::width][::-1]
+        planes.append([int(column.translate(digits), 2)
+                       for digits in _BIT_DIGITS])
+    return planes
+
+
+def _iter_planes(population: BurstPopulation) -> Iterator[PackedChunk]:
+    """A rectangular population as :data:`PackedChunk` s, one per
+    :data:`ACTIVITY_CHUNK_VECTORS` vectors, from batches in the source's
+    own form (no :class:`~repro.core.burst.Burst` is built for a random
+    population with NumPy)."""
+    for batch in population.iter_batches(ACTIVITY_CHUNK_VECTORS):
+        yield len(batch), _lane_planes(batch)
+
+
+class PackedPopulation(BurstPopulation):
+    """A rectangular population drawn and packed once, however many
+    designs :func:`measure_activity` simulates over it (the four of
+    :func:`repro.hw.synthesis.table_one`).
+
+    It is the population it wraps — same size, digest and bursts — and
+    packs its bit planes on the first bit-parallel measurement.
+    """
+
+    def __init__(self, population: BurstPopulation):
+        if population.burst_length is None:
+            raise ValueError("ragged population cannot be packed")
+        self.population = population
+        self._planes: Optional[List[PackedChunk]] = None
+
+    @property
+    def burst_length(self) -> int:
+        return self.population.burst_length
+
+    def __len__(self) -> int:
+        return len(self.population)
+
+    def digest(self) -> str:
+        return self.population.digest()
+
+    def iter_chunks(self, chunk_size: int = DEFAULT_CHUNK_SIZE
+                    ) -> Iterator[List[Burst]]:
+        return self.population.iter_chunks(chunk_size)
+
+    def planes(self) -> List[PackedChunk]:
+        """Every packed chunk, drawn and packed on the first call."""
+        if self._planes is None:
+            self._planes = list(_iter_planes(self.population))
+        return self._planes
+
+
+def _packed_activity(netlist: Netlist, packed_chunks: Iterable[PackedChunk],
                      burst_length: int, prev_word: int,
                      alpha: Optional[int],
                      beta: Optional[int]) -> ActivityReport:
-    """Bit-parallel activity straight from packed ``uint8`` burst chunks.
+    """Bit-parallel activity straight from packed bit planes.
 
-    Bypasses assignment-dict construction entirely: each byte lane of the
-    packed ``(batch, burst_length)`` chunks is transposed into bit-plane
-    words, and the ``prev_word``/coefficient buses (constant across the
-    workload) become constant words.
+    Bypasses assignment-dict construction entirely: each byte lane's
+    planes drive its input nets as they are, and the
+    ``prev_word``/coefficient buses (constant across the workload)
+    become constant words.
     """
     compiled = bitsim.compile_netlist(netlist)
-    kernel = bitsim.get_kernel("uint64")
+    kernel = bitsim.get_kernel("int")
     inputs = netlist.inputs
 
     # Mirror the per-vector contract of burst_to_vector exactly: any
@@ -114,28 +216,30 @@ def _packed_activity(netlist: Netlist, packed_chunks,
             raise KeyError(f"missing input {f'byte{index}'!r}")
 
     def blocks():
-        for chunk in packed_chunks:
-            n_vectors = len(chunk)
+        for n_vectors, planes in packed_chunks:
             values = compiled.new_values(kernel, n_vectors)
             for value, nets in constant_buses:
                 for position, net in enumerate(nets):
                     values[net] = kernel.constant_word(
                         (value >> position) & 1, n_vectors)
             for index, nets in byte_buses:
-                column = chunk[:, index]
+                lane = planes[index]
                 width = len(nets)
                 # Mirror the scalar overflow check: a byte lane narrower
                 # than 8 bits must reject values that do not fit instead
                 # of silently truncating.
-                if width < 8 and n_vectors and int(column.max()) >> width:
-                    value = int(column[
-                        (column >> width).astype(bool).argmax()])
+                overflow = 0
+                for plane in lane[width:]:
+                    overflow |= plane
+                if overflow:
+                    first = (overflow & -overflow).bit_length() - 1
+                    value = sum(((plane >> first) & 1) << position
+                                for position, plane in enumerate(lane))
                     raise ValueError(
                         f"input 'byte{index}'={value} does not fit in "
                         f"{width} bits")
-                for net, word in zip(nets, kernel.pack_bus(
-                        column, width, n_vectors)):
-                    values[net] = word
+                for position, net in enumerate(nets):
+                    values[net] = lane[position] if position < 8 else 0
             yield n_vectors, values
 
     return compiled.activity_from_blocks(kernel, blocks())
@@ -179,26 +283,12 @@ def measure_activity(netlist: Netlist, n_bursts: Optional[int] = None,
             f"{len(population)} bursts")
 
     resolved = bitsim.resolve_sim_backend(backend)
-    if (resolved == "vector" and "uint64" in bitsim._KERNELS
-            and population.burst_length is not None):
-        kernel = bitsim.get_kernel("uint64")
-        chunks = population.iter_packed(kernel.default_chunk)
-        # Probe the first chunk only: a source that cannot yield packed
-        # arrays (OpaquePopulation, exotic custom populations) falls back
-        # to dict packing here; errors from the simulation itself
-        # propagate normally.
-        try:
-            head = next(chunks)
-        except StopIteration:
-            chunks = iter(())
-        except (NotImplementedError, RuntimeError):
-            chunks = None
-        else:
-            chunks = chain([head], chunks)
-        if chunks is not None:
-            return _packed_activity(netlist, chunks,
-                                    population.burst_length, ALL_ONES_WORD,
-                                    alpha, beta)
+    if resolved == "vector" and population.burst_length is not None:
+        chunks = (population.planes()
+                  if isinstance(population, PackedPopulation)
+                  else _iter_planes(population))
+        return _packed_activity(netlist, chunks, population.burst_length,
+                                ALL_ONES_WORD, alpha, beta)
     return netlist.simulate_activity(
         iter_vectors(population, alpha=alpha, beta=beta), backend=backend)
 

@@ -17,8 +17,9 @@ gate ``ceil(n_vectors / W)`` times instead of ``n_vectors`` times.
 Two word implementations share the engine:
 
 * ``"int"`` — arbitrary-precision Python integers, W = :data:`INT_CHUNK_VECTORS`
-  bits per word.  Dependency-free; CPython's bignum kernels do the heavy
-  lifting 64 bits per machine word.
+  bits per word for assignment dicts (packed populations use
+  :data:`repro.hw.activity.ACTIVITY_CHUNK_VECTORS`).  Dependency-free;
+  CPython's bignum kernels do the heavy lifting 64 bits per machine word.
 * ``"uint64"`` — NumPy ``uint64`` lane arrays, W = 64 bits per array
   element over :data:`UINT64_CHUNK_VECTORS`-vector chunks.
 
@@ -33,7 +34,8 @@ Backend selection mirrors the encoding layer: entry points accept
 encoding layer, ``auto`` resolves to the bit-parallel engine even
 without NumPy, because the pure-Python ``int`` packing is itself a large
 win over the scalar interpreter; NumPy only selects the faster word
-implementation.
+implementation for assignment dicts, while packed populations run on
+ints on every install (:func:`repro.hw.activity.measure_activity`).
 """
 
 from __future__ import annotations
@@ -202,9 +204,13 @@ class _IntKernel:
 
     @staticmethod
     def transition_count(word: int, n_vectors: int) -> int:
-        """Toggles between consecutive vectors within one word."""
-        transitions = (word ^ (word >> 1)) & ((1 << (n_vectors - 1)) - 1)
-        return _popcount_int(transitions)
+        """Toggles between consecutive vectors within one word.
+
+        An int word holds no bits above its ``n_vectors`` lanes, so the
+        top set bit ``word ^ (word >> 1)`` can gain is the last lane
+        itself: subtract it instead of building a mask per call.
+        """
+        return _popcount_int(word ^ (word >> 1)) - (word >> (n_vectors - 1))
 
     @staticmethod
     def first_bit(word: int) -> int:
@@ -222,8 +228,7 @@ class _IntKernel:
 
 
 if hasattr(int, "bit_count"):  # Python >= 3.10
-    def _popcount_int(value: int) -> int:
-        return value.bit_count()
+    _popcount_int = int.bit_count
 else:  # pragma: no cover - exercised only on Python 3.9
     def _popcount_int(value: int) -> int:
         return bin(value).count("1")

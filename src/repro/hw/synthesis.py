@@ -29,7 +29,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional
 
-from .activity import DEFAULT_ACTIVITY_BURSTS, measure_activity
+from ..workloads.population import RandomPopulation
+from .activity import (
+    DEFAULT_ACTIVITY_BURSTS,
+    DEFAULT_ACTIVITY_SEED,
+    PackedPopulation,
+    measure_activity,
+)
 from .cells import DFF, REGISTER_OVERHEAD_PS
 from .encoders import (
     build_ac_encoder,
@@ -208,16 +214,19 @@ def synthesize(spec: DesignSpec,
 
 
 @lru_cache(maxsize=2)
-def table_one(activity_bursts: int = DEFAULT_ACTIVITY_BURSTS
-              ) -> Dict[str, SynthesisResult]:
+def table_one(activity_bursts: int = DEFAULT_ACTIVITY_BURSTS,
+              backend: Optional[str] = None) -> Dict[str, SynthesisResult]:
     """Synthesis results for all four Table I designs (cached).
 
     Dynamic power is measured over 100k random bursts by default — the
     same population scale as the software figures — via the bit-parallel
-    activity engine.
+    activity engine.  The four designs share one population, drawn and
+    packed once (:class:`~repro.hw.activity.PackedPopulation`).
     """
+    population = PackedPopulation(RandomPopulation(
+        count=activity_bursts, seed=DEFAULT_ACTIVITY_SEED))
     return {
-        name: synthesize(spec, activity_bursts=activity_bursts)
+        name: synthesize(spec, population=population, backend=backend)
         for name, spec in _design_specs().items()
     }
 

@@ -49,56 +49,18 @@ scalar/batched tests in ``tests/phy`` enforce identity between the
 engines.
 """
 
-from .bus import BusStatistics, ByteLane, MemoryBus
-from .devices import DeviceProfile, PROFILES, ddr4, gddr5, gddr5x, get_profile
-from .interface import (
-    COSTLY_LEVELS,
-    INTERFACES,
-    Interface,
-    available_interfaces,
-    get_interface,
-)
-from .lane import Lane, LaneGroup
-from .lvstl import LvstlInterface, lvstl11
-from .pod import PodInterface, pod12, pod135, pod15
-from .power import (
-    GBPS,
-    InterfaceEnergyModel,
-    PICOFARAD,
-    PICOJOULE,
-    crossover_data_rate,
-)
-from .sstl import SstlInterface, sstl135, sstl15
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BusStatistics",
-    "ByteLane",
-    "COSTLY_LEVELS",
-    "DeviceProfile",
-    "GBPS",
-    "INTERFACES",
-    "Interface",
-    "InterfaceEnergyModel",
-    "Lane",
-    "LaneGroup",
-    "LvstlInterface",
-    "MemoryBus",
-    "PICOFARAD",
-    "PICOJOULE",
-    "PodInterface",
-    "PROFILES",
-    "SstlInterface",
-    "available_interfaces",
-    "crossover_data_rate",
-    "ddr4",
-    "get_interface",
-    "get_profile",
-    "gddr5",
-    "gddr5x",
-    "lvstl11",
-    "pod12",
-    "pod135",
-    "pod15",
-    "sstl135",
-    "sstl15",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "bus": ("BusStatistics", "ByteLane", "MemoryBus"),
+    "devices": ("DeviceProfile", "PROFILES", "ddr4", "gddr5", "gddr5x",
+                "get_profile"),
+    "interface": ("COSTLY_LEVELS", "INTERFACES", "Interface",
+                  "available_interfaces", "get_interface"),
+    "lane": ("Lane", "LaneGroup"),
+    "lvstl": ("LvstlInterface", "lvstl11"),
+    "pod": ("PodInterface", "pod12", "pod135", "pod15"),
+    "power": ("GBPS", "InterfaceEnergyModel", "PICOFARAD", "PICOJOULE",
+              "crossover_data_rate"),
+    "sstl": ("SstlInterface", "sstl135", "sstl15"),
+})

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Sequence, Tuple
 
 from ..core.bitops import WORD_WIDTH, check_word, popcount
-from ..hw.bitsim import get_kernel
 
 
 @dataclass
@@ -115,6 +114,8 @@ class LaneGroup:
         (the differential suite in ``tests/phy/test_lane.py`` enforces
         it); ``word_impl="int"`` runs NumPy-free.
         """
+        from ..hw.bitsim import get_kernel
+
         word_list = list(words)
         beats = len(word_list)
         if not beats:

@@ -77,37 +77,13 @@ to the fault-free run or a loud typed error** — never silent corruption.
   can prove the invariant byte-for-byte.
 """
 
-from .diskcache import DiskActivityCache, open_cache, resolve_cache_dir
-from .faults import FaultPlan, FaultyCache, FlakyProxy, crash_point
-from .retry import (
-    TRANSIENT_ERRORS,
-    RetryExhaustedError,
-    RetryPolicy,
-    TransientServiceError,
-)
-from .shard import (
-    SHARD_RETRYABLE,
-    ShardExecutionError,
-    merge_shards,
-    run_shards,
-    shard_spec,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DiskActivityCache",
-    "FaultPlan",
-    "FaultyCache",
-    "FlakyProxy",
-    "RetryExhaustedError",
-    "RetryPolicy",
-    "SHARD_RETRYABLE",
-    "ShardExecutionError",
-    "TRANSIENT_ERRORS",
-    "TransientServiceError",
-    "crash_point",
-    "merge_shards",
-    "open_cache",
-    "resolve_cache_dir",
-    "run_shards",
-    "shard_spec",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "diskcache": ("DiskActivityCache", "open_cache", "resolve_cache_dir"),
+    "faults": ("FaultPlan", "FaultyCache", "FlakyProxy", "crash_point"),
+    "retry": ("TRANSIENT_ERRORS", "RetryExhaustedError", "RetryPolicy",
+              "TransientServiceError"),
+    "shard": ("SHARD_RETRYABLE", "ShardExecutionError", "merge_shards",
+              "run_shards", "shard_spec"),
+})

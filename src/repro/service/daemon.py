@@ -104,6 +104,19 @@ def _int_param(params: Mapping[str, object], name: str, minimum: int = 1,
     return value
 
 
+def _float_param(name: str, value: object) -> float:
+    """*value* as a float: a real number (not a boolean or a string),
+    finite and > 0; the error names the parameter *name*."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond the float range
+            number = math.inf
+        if math.isfinite(number) and number > 0:
+            return number
+    raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+
+
 def _list_param(params: Mapping[str, object], name: str,
                 choices: Sequence[str] = ()) -> list:
     """``params[name]``: a non-empty list, of *choices* when given."""
@@ -130,10 +143,16 @@ def sweep_spec_from_params(params: Mapping[str, object]) -> ExperimentSpec:
                                        maximum=10_000)
     else:
         rates = 2 * _int_param(params, "max_gbps", maximum=1000)
-        loads = _list_param(params, "loads_pf") if figure == "load" else []
-        if len(loads) * rates > MAX_GRID_CELLS:
-            raise ValueError(f"{len(loads)} loads x {rates} rates "
-                             f"exceeds {MAX_GRID_CELLS} grid cells")
+        if figure != "load":
+            checked["c_load_pf"] = _float_param("c_load_pf",
+                                                params["c_load_pf"])
+        else:
+            loads = _list_param(params, "loads_pf")
+            if len(loads) * rates > MAX_GRID_CELLS:
+                raise ValueError(f"{len(loads)} loads x {rates} rates "
+                                 f"exceeds {MAX_GRID_CELLS} grid cells")
+            checked["loads_pf"] = [_float_param("loads_pf", load)
+                                   for load in loads]
     return figure_experiment(figure, {**params, **checked})
 
 
@@ -144,8 +163,10 @@ def replay_spec_from_params(params: Mapping[str, object]) -> ReplaySpec:
     link = dict(
         interfaces=tuple(_list_param(params, "interfaces",
                                      available_interfaces())),
-        data_rate_hz=float(params["data_rate_gbps"]) * GBPS,
-        c_load_farads=float(params["c_load_pf"]) * PICOFARAD,
+        data_rate_hz=_float_param("data_rate_gbps",
+                                  params["data_rate_gbps"]) * GBPS,
+        c_load_farads=_float_param("c_load_pf",
+                                   params["c_load_pf"]) * PICOFARAD,
         channels=_int_param(params, "channels", maximum=1024),
         byte_lanes=_int_param(params, "lanes", maximum=1024),
         window=_int_param(params, "window", maximum=65536),

@@ -62,7 +62,6 @@ import os
 import platform
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple, Union)
@@ -74,32 +73,25 @@ from ..core.costs import CostModel
 from ..core.encoder import DbiOptimal
 from ..core.schemes import DbiScheme, get_scheme
 from ..core.vectorized import resolve_backend
+# Each axis imports its engine (the controller, the extensions, trace
+# sources, the SSO tally) where it runs, so a cold call loads only its own.
+from ..ctrl import CACHE_LINE_BYTES
 from ..ctrl.adaptive import (
     OperatingPoint,
     OperatingPointSchedule,
     TrackingConfig,
 )
-from ..ctrl.controller import CACHE_LINE_BYTES, MemoryController
-from ..extensions.granularity import GroupedDbiOptimal, VALID_GROUP_SIZES
-from ..extensions.reliability import (
-    DEFAULT_FAULT_RATES,
-    FaultCoverageRow,
-    fault_coverage_rows,
-)
+from ..extensions import DEFAULT_FAULT_RATES, VALID_GROUP_SIZES
 from ..phy.interface import get_interface
 from ..phy.pod import PodInterface, pod135
 from ..phy.power import GBPS, InterfaceEnergyModel, PICOFARAD
+from ..workloads import DEFAULT_TRACE_CHUNK_BYTES
 from ..workloads.population import (
     DEFAULT_CHUNK_SIZE,
     BurstPopulation,
     OpaquePopulation,
     RandomPopulation,
     as_population,
-)
-from ..workloads.source import (
-    DEFAULT_TRACE_CHUNK_BYTES,
-    BytesTraceSource,
-    source_from_json,
 )
 from .metrics import SchemeMetrics
 
@@ -742,6 +734,8 @@ class ReplaySpec:
 
     def trace_source(self):
         """The spec's trace as a :class:`TraceSource` (payload wrapped)."""
+        from ..workloads.source import BytesTraceSource
+
         if self.source is not None:
             return self.source
         return BytesTraceSource(self.payload, chunk_bytes=self.chunk_bytes)
@@ -789,7 +783,7 @@ class ReplayTotals:
 
 
 #: What an :class:`ActivityCache` stores (see its docstring).
-CachedTotals = Union[ActivityTotals, ReplayTotals, FaultCoverageRow,
+CachedTotals = Union[ActivityTotals, ReplayTotals, "FaultCoverageRow",
                      "SsoStatistics"]
 
 
@@ -825,6 +819,8 @@ def _replay_once(spec: ReplaySpec, model: Optional[CostModel],
     submissions were chunked (the chunk-seam invariant
     ``tests/ctrl/test_chunk_seams.py`` enforces).
     """
+    from ..ctrl.controller import MemoryController
+
     if model is not None:
         setting = {"model": model}
     elif spec.schedule is not None:
@@ -998,7 +994,7 @@ class FaultSpec:
                 f"{scheme.fingerprint()}@{self.population.digest()}")
 
 
-def _coverage_row_json(row: FaultCoverageRow) -> Dict[str, object]:
+def _coverage_row_json(row: "FaultCoverageRow") -> Dict[str, object]:
     """The row's totals record plus its derived rates: the fault kind's
     series rows and artifact ``totals``."""
     return {**totals_to_json(row)[1],
@@ -1019,7 +1015,7 @@ class FaultResult:
 
     spec: FaultSpec
     series: Dict[str, List[Dict[str, object]]]
-    totals: Dict[str, FaultCoverageRow]
+    totals: Dict[str, "FaultCoverageRow"]
     provenance: Dict[str, object]
 
     def save(self, path) -> None:
@@ -1041,6 +1037,8 @@ def _inject_missing(spec: FaultSpec, tasks, backend: str, word_impl: str):
     never depends on which other rates the run computes, and each rate's
     masks are drawn once and shared by every slot that misses it.
     """
+    from ..extensions.reliability import fault_coverage_rows
+
     return fault_coverage_rows(tasks, _one_batch(spec.population),
                                seed=spec.seed, backend=backend,
                                word_impl=word_impl)
@@ -1100,7 +1098,9 @@ class GranularitySpec:
                     f"group_size must be one of {VALID_GROUP_SIZES}, "
                     f"got {group_size}")
 
-    def scheme_for(self, group_size: int) -> GroupedDbiOptimal:
+    def scheme_for(self, group_size: int) -> "GroupedDbiOptimal":
+        from ..extensions.granularity import GroupedDbiOptimal
+
         return GroupedDbiOptimal(self.model, group_size=group_size)
 
 
@@ -1323,8 +1323,8 @@ def _histogram(record: Mapping[str, object]) -> Dict[int, int]:
 @functools.lru_cache(maxsize=None)
 def _totals_codec() -> Dict[str, Tuple[type, Dict[str, Callable]]]:
     """Record kind -> (totals type, JSON decoder of each persisted field)."""
-    # Imported here: the repro.analysis package imports this module.
     from ..analysis.sso import SsoStatistics
+    from ..extensions.reliability import FaultCoverageRow
 
     return {
         "activity": (ActivityTotals, {"transitions": int, "zeros": int,
@@ -1552,6 +1552,8 @@ def _replay_spec_to_json(result: "ReplayResult") -> Dict[str, object]:
 
 
 def _replay_spec_from_json(record: Mapping[str, object]) -> ReplaySpec:
+    from ..workloads.source import source_from_json
+
     payload = record["payload"]
     source = (source_from_json(payload["source"])
               if "source" in payload else None)
@@ -1678,6 +1680,8 @@ def _fan_out(jobs: int, shared, task, arguments: Sequence[tuple]):
         for args in arguments:
             yield task(shared, *args)
         return
+    from concurrent.futures import ProcessPoolExecutor
+
     # jobs is an explicit request — honour it (capped by the task count);
     # over-subscribing cores costs little here.
     with ProcessPoolExecutor(max_workers=min(jobs, len(arguments)),

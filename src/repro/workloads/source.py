@@ -51,6 +51,8 @@ import os
 import random
 from typing import Dict, Iterator, List, Optional, Union
 
+from . import DEFAULT_TRACE_CHUNK_BYTES
+
 try:  # pragma: no cover - Protocol exists on every supported version
     from typing import Protocol, runtime_checkable
 except ImportError:  # pragma: no cover
@@ -58,11 +60,6 @@ except ImportError:  # pragma: no cover
 
     def runtime_checkable(cls):  # type: ignore[misc]
         return cls
-
-#: Default streaming chunk size (1 MiB) — large enough that per-chunk
-#: Python overhead is negligible against the encode cost, small enough
-#: that peak memory stays flat at any trace size.
-DEFAULT_TRACE_CHUNK_BYTES = 1 << 20
 
 #: Generation block of :class:`SyntheticTraceSource`.  Bytes are a pure
 #: function of ``(seed, block index)`` at this granularity, which is what

@@ -392,10 +392,22 @@ class TestRequestTypes:
         ({"op": "replay", "channels": True}, "channels"),
         ({"op": "replay", "seed": -1}, "seed"),
         ({"op": "replay", "payload_hex": 12}, "payload_hex"),
+        ({"op": "replay", "bursts": 10, "data_rate_gbps": True},
+         "data_rate_gbps"),
+        ({"op": "replay", "data_rate_gbps": -1}, "data_rate_gbps"),
+        ({"op": "replay", "c_load_pf": "3"}, "c_load_pf"),
+        ({"op": "replay", "c_load_pf": float("inf")}, "c_load_pf"),
+        ({"op": "sweep", "figure": "rate", "c_load_pf": "3"}, "c_load_pf"),
+        ({"op": "sweep", "figure": "rate", "c_load_pf": 10 ** 400},
+         "c_load_pf"),
+        ({"op": "sweep", "figure": "load", "loads_pf": [1, "x"]},
+         "loads_pf"),
+        ({"op": "sweep", "figure": "load", "loads_pf": [1, 0]}, "loads_pf"),
     ])
     def test_bad_parameter_is_refused_by_name(self, request_, name):
-        """Each of these used to run (booleans, fractions) or answer a
-        bare error from deep inside that did not name the parameter."""
+        """Each of these used to run (booleans, fractions, numeric
+        strings) or answer a bare error from deep inside that did not
+        name the parameter."""
         response = ExperimentService().handle(request_)
         assert response["ok"] is False
         assert name in response["error"]
