@@ -195,8 +195,10 @@ class BatchStreamingEncoder:
     Decisions and the integer activity tallies (zeros, transitions,
     beats per lane) are **bit-identical** to the per-lane reference;
     that is a guarantee (enforced by the differential suites), not an
-    approximation, because every window's solve performs the reference
-    trellis's IEEE-754 operations in the reference order.
+    approximation, because every window's solve makes the reference
+    trellis's comparisons on the reference's values (in int16 where the
+    model's coefficients allow it exactly, see
+    :func:`~repro.core.vectorized._viterbi_planes`).
 
     Requires NumPy (the vector backend); per-lane reference encoding is
     the fallback for NumPy-free environments.

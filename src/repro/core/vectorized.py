@@ -10,10 +10,18 @@ paper's Fig. 5 runs across the whole batch at once — the only Python loop
 is over the ``n`` byte positions of a burst (8 for JEDEC bursts).
 
 Bit-identity with the reference is a hard guarantee, not an
-approximation: the recursion performs the same IEEE-754 double operations
-in the same order as :func:`repro.core.trellis.solve`, so invert flags
-*and* path costs match the reference exactly (the differential suite in
-``tests/core/test_vectorized_parity.py`` enforces this).
+approximation: invert flags *and* path costs match
+:func:`repro.core.trellis.solve` exactly (the differential suite in
+``tests/core/test_vectorized_parity.py`` enforces this).  The recursion
+reads every edge weight from a small per-model table.  For most models
+the table holds the reference's own doubles, ``alpha * transitions +
+beta * zeros``, and the recursion adds and compares them in the
+reference's order.  When ``alpha = a / 2**k`` and ``beta = b / 2**k`` for
+small integers *a* and *b* (the paper's fixed ``alpha = beta = 1`` and
+its 3-bit coefficients among them), every double the reference forms is
+an exact multiple of ``2**-k``.  The recursion then runs on those
+multiples in int16: integer sums compare as the doubles do, and the
+costs come back exactly through ``ldexp``.
 
 Backend selection
 -----------------
@@ -156,8 +164,10 @@ def pack_bursts(bursts: Sequence):
     Accepts :class:`~repro.core.burst.Burst` objects, byte sequences, an
     already-packed 2-D array or a population (from its ``iter_packed``
     chunks, so no ``Burst`` is built).  Raises ``ValueError`` when the
-    batch is empty or the lengths are ragged (callers that can encounter
-    ragged batches should use :func:`try_pack_bursts`).
+    batch is empty, the bursts hold no byte (as a
+    :class:`~repro.core.burst.Burst` does) or the lengths are ragged
+    (callers that can encounter ragged batches should use
+    :func:`try_pack_bursts`).
     """
     np = _require_numpy()
     if hasattr(bursts, "iter_packed"):
@@ -165,6 +175,8 @@ def pack_bursts(bursts: Sequence):
     if isinstance(bursts, np.ndarray):
         if bursts.ndim != 2:
             raise ValueError(f"packed bursts must be 2-D, got shape {bursts.shape}")
+        if bursts.shape[1] == 0:
+            raise ValueError("a burst must contain at least one byte")
         if bursts.dtype != np.uint8:
             if not np.issubdtype(bursts.dtype, np.integer):
                 raise TypeError(
@@ -184,8 +196,8 @@ def pack_bursts(bursts: Sequence):
 
 
 def try_pack_bursts(bursts: Sequence):
-    """Like :func:`pack_bursts` but returns ``None`` on empty or ragged
-    batches."""
+    """Like :func:`pack_bursts` but returns ``None`` on empty, zero-width
+    or ragged batches."""
     try:
         return pack_bursts(bursts)
     except ValueError:
@@ -234,8 +246,8 @@ def _word_planes(data) -> Tuple:
 
 #: Row × window × state cells one :func:`_viterbi_planes` tile solves at
 #: once.  It bounds the recursion's memory whatever the batch or push
-#: size: 256 KiB per float temporary, 1 MiB of choice planes at a
-#: 16-byte window.
+#: size: 64 KiB per cost temporary in int16 (256 KiB in float64), 1 MiB
+#: of choice planes at a 16-byte window.
 TILE_CELLS = 1 << 15
 
 
@@ -306,19 +318,56 @@ def solve_batch(data, model, prev_words: Union[int, Sequence[int]] = ALL_ONES_WO
     return np.ascontiguousarray(flags[:, 0, :, 0].T), costs[0, :, 0]
 
 
+def _edge_table(alpha: float, beta: float, span: int, width: int):
+    """The ``(rr, ir, ri, ii)`` weights of every ``(same, zeros_raw)`` pair.
+
+    Returns ``(table, shift)``.  ``table`` is ``(4, (width + 1)**2)``:
+    column ``same * (width + 1) + zeros_raw`` holds the weights of the
+    four edges whose :func:`_edge_planes` counts are ``same`` and
+    ``zeros_raw``.
+
+    Every float is an integer over a power of two (its
+    ``as_integer_ratio``), so ``alpha = a / 2**shift`` and ``beta = b /
+    2**shift`` for integers *a*, *b* over the larger denominator.  When
+    no *span*-step path can cost more than int16 holds, ``span * width *
+    (a + b) <= 32767``, the table holds ``a * same + b * zeros`` in int16
+    and a weight is ``ldexp(entry, -shift)``.  Otherwise it holds
+    ``alpha * same + beta * zeros`` in float64, the operations of
+    :meth:`repro.core.costs.CostModel.word_cost`, and ``shift`` is
+    ``None``.
+    """
+    np = _require_numpy()
+    same, zeros = np.divmod(np.arange((width + 1) ** 2), width + 1)
+    cross, zeros_inv = width - same, width - zeros
+    (a, den_a), (b, den_b) = alpha.as_integer_ratio(), beta.as_integer_ratio()
+    den = max(den_a, den_b)
+    a, b = a * (den // den_a), b * (den // den_b)
+    if span * width * (a + b) <= np.iinfo(np.int16).max:
+        shift, dtype = den.bit_length() - 1, np.int16
+    else:
+        a, b, shift, dtype = alpha, beta, None, np.float64
+    table = np.stack((a * same + b * zeros, a * cross + b * zeros,
+                      a * cross + b * zeros_inv, a * same + b * zeros_inv))
+    return table.astype(dtype), shift
+
+
 def _viterbi_planes(planes, alpha: float, beta: float, span: int,
                     commit: Optional[int] = None, windows: int = 1,
-                    states: int = 1):
+                    states: int = 1, width: int = WORD_WIDTH):
     """The two-state Viterbi recursion, over every window of a row at once.
 
     The compute core of :func:`solve_batch`, of the windowed
     :class:`repro.core.streaming.BatchStreamingEncoder` and of the
     grouped-DBI trellises.  *planes* are the ``(same, cross, zeros_raw,
-    zeros_inv)`` integer planes of :func:`_edge_planes`.  Window *k* of a
-    row covers columns ``[k*commit, k*commit + span)``: its step-*i* edge
-    weights are read as strided views at column ``k*commit + i``, so
-    overlapping windows share one set of planes.  ``commit`` defaults to
-    ``span`` (one window per row for ``windows=1``).
+    zeros_inv)`` integer planes of :func:`_edge_planes` for words of
+    *width* lanes.  Each step reads its edge weights from one
+    :func:`_edge_table` of the model, built once per call, by one
+    ``take`` on the index plane ``same * (width + 1) + zeros_raw``.
+    Window *k* of a row covers columns ``[k*commit, k*commit + span)``:
+    its step-*i* weights are read through a strided view of that plane
+    at column ``k*commit + i``, so overlapping windows share one plane.
+    ``commit`` defaults to ``span`` (one window per row for
+    ``windows=1``).
 
     With ``states=2`` every window ``k >= 1`` is solved twice: from the
     raw (state 0) and from the inverted (state 1) word of byte
@@ -326,10 +375,15 @@ def _viterbi_planes(planes, alpha: float, beta: float, span: int,
     has one boundary, the word column 0 counts from, so only its state 0
     is meaningful.
 
-    Each window performs the same IEEE-754 double operations in the same
-    order as :func:`repro.core.trellis.solve`; all guarantees of
-    :func:`solve_batch` flow from this function.  Windows are solved in
-    tiles of at most :data:`TILE_CELLS` row × window × state cells.
+    Flags and costs equal :func:`repro.core.trellis.solve`'s bit for bit;
+    all guarantees of :func:`solve_batch` flow from this function.  A
+    float64 table holds the reference's edge weights, and the recursion
+    then adds and compares them as the reference does.  An int16 table
+    holds the weights scaled by ``2**shift`` to exact integers; every
+    float the reference forms is then an exact multiple of
+    ``2**-shift``, so integer sums compare as the reference's doubles do
+    and the costs return exactly through ``ldexp``.  Windows are solved
+    in tiles of at most :data:`TILE_CELLS` row × window × state cells.
 
     Returns ``(flags, costs)``: ``flags`` is ``(commit, states, rows,
     windows)`` bool, the first ``commit`` decisions of each window (True
@@ -337,20 +391,23 @@ def _viterbi_planes(planes, alpha: float, beta: float, span: int,
     float64, each window's optimal path cost.
     """
     np = _require_numpy()
-    # Integer coefficients would otherwise multiply in the planes' uint8.
-    alpha, beta = float(alpha), float(beta)
+    same, _cross, zeros_raw, _zeros_inv = planes
+    table, shift = _edge_table(float(alpha), float(beta), span, width)
+    index = same * (width + 1) + zeros_raw
     commit = span if commit is None else commit
-    rows = planes[0].shape[0]
+    rows = same.shape[0]
     flags = np.empty((commit, states, rows, windows), dtype=bool)
-    costs = np.empty((states, rows, windows))
+    costs = np.empty((states, rows, windows), dtype=table.dtype)
     tile_rows = max(1, min(rows, TILE_CELLS // states))
     tile_windows = max(1, TILE_CELLS // (tile_rows * states))
     for first_row in range(0, rows, tile_rows):
         row_slice = slice(first_row, first_row + tile_rows)
         for first in range(0, windows, tile_windows):
             tile = (row_slice, slice(first, first + tile_windows))
-            _viterbi_tile(planes, alpha, beta, span, commit, row_slice,
-                          first, flags[(...,) + tile], costs[(...,) + tile])
+            _viterbi_tile(table, index, span, commit, row_slice, first,
+                          flags[(...,) + tile], costs[(...,) + tile])
+    if shift is not None:
+        costs = np.ldexp(costs, -shift, dtype=np.float64)
     return flags, costs
 
 
@@ -360,8 +417,8 @@ def _pick(cond, if_true, if_false):
     return if_false ^ (cond & (if_true ^ if_false))
 
 
-def _viterbi_tile(planes, alpha: float, beta: float, span: int, commit: int,
-                  rows: slice, first: int, flags, costs) -> None:
+def _viterbi_tile(table, index, span: int, commit: int, rows: slice,
+                  first: int, flags, costs) -> None:
     """Solve one tile of :func:`_viterbi_planes` into *flags*/*costs*.
 
     The tile is the row slice *rows* × the windows starting at *first*,
@@ -373,37 +430,33 @@ def _viterbi_tile(planes, alpha: float, beta: float, span: int, commit: int,
 
     def edges(i):
         """``(rr, ir, ri, ii)`` edge weights into column ``k*commit + i``
-        of every window *k* of the tile, ``(rows, windows)`` each."""
+        of every window *k* of the tile, ``(4, rows, windows)``."""
         start = first * commit + i
-        same, cross, zeros_raw, zeros_inv = (
-            plane[rows, start:start + stop:commit] for plane in planes)
-        # Same IEEE ops, same order, as CostModel.word_cost.
-        a_same, a_cross = alpha * same, alpha * cross
-        b_raw, b_inv = beta * zeros_raw, beta * zeros_inv
-        return a_same + b_raw, a_cross + b_raw, a_cross + b_inv, a_same + b_inv
+        return table.take(index[rows, start:start + stop:commit], axis=1)
 
-    rr, ir, ri, ii = edges(0)
-    cost_raw = np.stack((rr, ir)[:states])
-    cost_inv = np.stack((ri, ii)[:states])
+    weights = edges(0)
+    cost_raw, cost_inv = weights[:states], weights[2:2 + states]
     choice_raw = np.empty((span,) + cost_raw.shape, dtype=bool)
     choice_inv = np.empty((span,) + cost_raw.shape, dtype=bool)
 
+    # Costs are finite and non-negative, so np.minimum picks what
+    # np.where(via_inv < via_raw, via_inv, via_raw) would.
     for i in range(1, span):
         rr, ir, ri, ii = edges(i)
 
         via_raw = cost_raw + rr
         via_inv = cost_inv + ir
-        from_inv = np.less(via_inv, via_raw, out=choice_raw[i])
-        next_raw = np.where(from_inv, via_inv, via_raw)
+        np.less(via_inv, via_raw, out=choice_raw[i])
+        next_raw = np.minimum(via_inv, via_raw, out=via_inv)
 
         via_raw = cost_raw + ri
         via_inv = cost_inv + ii
-        from_inv = np.less(via_inv, via_raw, out=choice_inv[i])
-        cost_inv = np.where(from_inv, via_inv, via_raw)
+        np.less(via_inv, via_raw, out=choice_inv[i])
+        cost_inv = np.minimum(via_inv, via_raw, out=via_inv)
         cost_raw = next_raw
 
     current = cost_inv < cost_raw
-    costs[...] = np.where(current, cost_inv, cost_raw)
+    np.minimum(cost_inv, cost_raw, out=costs)
     for i in range(span - 1, -1, -1):
         if i < commit:
             flags[i] = current

@@ -23,10 +23,10 @@ the vector path stripes the ``8 // g`` group lanes of every burst along
 the batch axis — an 8-byte burst at ``group_size=4`` becomes two
 independent 5-lane trellis columns — and solves them as one window per
 row in a single :func:`repro.core.vectorized._viterbi_planes` call, over
-edge planes counted with ``width = group_size + 1``.  Invert flags,
-zeros and transitions are bit-identical to the scalar
-:meth:`GroupedDbiOptimal._solve_group` reference (same IEEE-754
-operations in the same order; the differential suite in
+edge planes and an edge-weight table of ``width = group_size + 1``
+lanes.  Invert flags, zeros and transitions are bit-identical to the
+scalar :meth:`GroupedDbiOptimal._solve_group` reference (the same
+comparisons on the same values; the differential suite in
 ``tests/extensions/test_granularity.py`` enforces this).
 """
 
@@ -226,7 +226,7 @@ class GroupedDbiOptimal:
         prev = np.full(k * batch, idle, dtype=np.int64)
         planes = _edge_planes(words_raw, prev, width=g + 1)
         flags, _costs = _viterbi_planes(planes, self.model.alpha,
-                                        self.model.beta, n)
+                                        self.model.beta, n, width=g + 1)
         flags = np.ascontiguousarray(flags[:, 0, :, 0].T)
         words = np.where(flags, words_inv, words_raw)
         transitions, zeros = batch_activity(words, idle, width=g + 1)

@@ -64,6 +64,8 @@ models = st.sampled_from([
     CostModel.ac_only(),
     CostModel.from_ac_fraction(0.3),
     CostModel.from_ac_fraction(0.77),
+    CostModel(7.0, 3.0),
+    CostModel(0.25, 0.75),
 ])
 
 

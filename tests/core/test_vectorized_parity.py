@@ -17,12 +17,14 @@ np = pytest.importorskip("numpy", exc_type=ImportError)
 
 from repro.core.burst import Burst
 from repro.core.costs import CostModel, QuantizedCostModel
+from repro.core.encoder import DbiOptimal
 from repro.core.schemes import get_scheme
-from repro.core.streaming import solve_stream
+from repro.core.streaming import BatchStreamingEncoder, solve_stream
 from repro.core.trellis import brute_force, solve
-from repro.core.bitops import popcount
+from repro.core.bitops import WORD_WIDTH, popcount
 from repro.core.vectorized import (
     _edge_planes,
+    _edge_table,
     available_backends,
     pack_bursts,
     resolve_backend,
@@ -136,6 +138,63 @@ class TestEdgePlanes:
                    (same, cross, zeros_raw, zeros_inv))
 
 
+class TestEdgeTable:
+    """The recursion runs in int16 exactly when the model's coefficients
+    are ``a / 2**k`` and ``b / 2**k`` with ``span * width * (a + b) <=
+    32767``; either way flags and costs are the reference's."""
+
+    @pytest.mark.parametrize("model, dtype", [
+        # 8 bytes * 9 lanes * 455 = 32760: the last model inside the bound.
+        (CostModel(227, 228), np.int16),
+        # 8 * 9 * 456 = 32832: one past it.
+        (CostModel(228, 228), np.float64),
+        (CostModel(2.0 ** -60, 3 * 2.0 ** -60), np.int16),
+        # Subnormal coefficients: 2**-1074 and 2**-1073.
+        (CostModel(5e-324, 1e-323), np.int16),
+    ])
+    def test_bound_scales_and_subnormals(self, model, dtype):
+        table, _shift = _edge_table(float(model.alpha), float(model.beta),
+                                    8, WORD_WIDTH)
+        assert table.dtype == dtype
+        rng = np.random.default_rng(0x7AB1E)
+        data = random_batch(rng, 600, 8)
+        prev_words = rng.integers(0, 512, size=600)
+        flags, costs = solve_batch(data, model, prev_words=prev_words)
+        ref_flags, ref_costs = reference_rows(data, model, prev_words)
+        assert (flags == ref_flags).all()
+        assert costs.dtype == np.float64
+        assert costs.tobytes() == ref_costs.tobytes()
+
+
+class TestExactScaleInvariance:
+    """Equal fingerprints promise identical decisions.  For models whose
+    coefficients are exact small multiples of one power of two, the
+    int16 recursion compares integers, which positive scaling does not
+    reorder, so the promise holds for them."""
+
+    GROUPS = [[CostModel(1, 1), CostModel(0.5, 0.5), CostModel(3, 3)],
+              [CostModel(3, 2), CostModel(1.5, 1), CostModel(6, 4)]]
+
+    @pytest.mark.parametrize("models", GROUPS)
+    def test_solve_batch_flags_equal(self, models):
+        assert len({DbiOptimal(m).fingerprint() for m in models}) == 1
+        data = random_batch(np.random.default_rng(0x5CA1E), 10_000, 8)
+        first, *others = (solve_batch(data, m)[0] for m in models)
+        for flags in others:
+            assert (flags == first).all()
+
+    def test_streaming_decisions_equal(self):
+        streams = random_batch(np.random.default_rng(0x5CA1F), 8, 1250)
+        decisions = []
+        for model in (CostModel(3, 2), CostModel(1.5, 1)):
+            encoder = BatchStreamingEncoder(model, rows=8, window=16,
+                                            record=True)
+            encoder.push(streams)
+            encoder.flush()
+            decisions.append([encoder.decisions(row) for row in range(8)])
+        assert decisions[0] == decisions[1]
+
+
 class TestStreamingParity:
     def test_chained_evaluation_parity(self):
         """Runner chained mode: identical metrics on both backends."""
@@ -217,6 +276,19 @@ class TestBackendSelection:
         with pytest.raises(ValueError):
             pack_bursts([Burst([1, 2]), Burst([3])])
         assert try_pack_bursts([Burst([1, 2]), Burst([3])]) is None
+
+    def test_pack_rejects_zero_width(self):
+        """Zero-byte bursts fail as a ``Burst`` does, on both branches."""
+        empty = np.zeros((3, 0), dtype=np.uint8)
+        with pytest.raises(ValueError, match="at least one byte"):
+            pack_bursts(empty)
+        assert try_pack_bursts(empty) is None
+        with pytest.raises(ValueError, match="at least one byte"):
+            solve_batch(empty, CostModel.fixed())
+        scheme = DbiOptimal(CostModel.fixed())
+        for backend in ("vector", "reference"):
+            with pytest.raises(ValueError, match="at least one byte"):
+                scheme.wire_words(empty, 0x1FF, False, backend)
 
     def test_encode_batch_falls_back_on_ragged(self):
         scheme = get_scheme("dbi-opt")

@@ -129,7 +129,7 @@ class TestBatchBackendParity:
     def test_encode_batch_matches_encode(self, small_random_bursts,
                                          group_size):
         for model in (CostModel.fixed(), CostModel.from_ac_fraction(0.3),
-                      CostModel.from_ac_fraction(0.8)):
+                      CostModel.from_ac_fraction(0.8), CostModel(7, 3)):
             scheme = GroupedDbiOptimal(model, group_size=group_size)
             batch = scheme.encode_batch(small_random_bursts,
                                         backend="vector")
