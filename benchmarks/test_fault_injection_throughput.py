@@ -8,16 +8,13 @@ both backends:
   Python decode per injected fault (timed on a fraction of the workload
   and extrapolated linearly — it is linear in faults by construction);
 * **mask-parallel** — :func:`fault_sweep_batch`: all faults packed into
-  the :mod:`repro.hw.bitsim` word representation, XOR injection and
-  popcount tallies, under both word implementations (``uint64`` NumPy
-  lanes and pure-Python big ints).
+  :mod:`repro.hw.bitsim` bit planes (one Python int per wire lane), XOR
+  injection and popcount tallies.
 
-The gate requires the auto word implementation (``uint64`` whenever
-NumPy is present, as on this CI job) to be **>= 10x faster**, with
-bit-identical statistics on the parity prefix; the pure-int row is
-reported ungated — it is the no-NumPy fallback, not the production
-path.  A coverage-curve row (multi-lane faults at the default rate
-grid) is reported for context.
+The gate requires the mask-parallel engine, with NumPy installed as on
+this CI job, to be **>= 10x faster**, with bit-identical statistics on
+the parity prefix.  A coverage-curve row (multi-lane faults at the
+default rate grid) is reported for context.
 
 Every run persists its measurements to ``BENCH_reliability.json`` in
 the ``artifact_dir`` of ``conftest.py`` (``REPRO_BENCH_ARTIFACT_DIR``,
@@ -53,7 +50,7 @@ BENCH_BURSTS = int(os.environ.get("REPRO_BENCH_FAULT_BURSTS", "10000"))
 FAULTS_PER_BURST = 10
 SEED = 7
 
-#: Required wall-clock advantage of the gated (auto) word implementation.
+#: Required wall-clock advantage of the mask-parallel engine.
 SPEEDUP_FLOOR = 10.0
 
 #: The reference is timed on 1/N of the workload and extrapolated.
@@ -78,7 +75,7 @@ def _timed(fn):
 
 
 @pytest.mark.skipif(not HAVE_NUMPY,
-                    reason="the gated word implementation requires NumPy")
+                    reason="the gate is set for the NumPy install")
 def test_fault_injection_throughput_gate(artifact_dir):
     bursts = RandomPopulation(count=BENCH_BURSTS, seed=0x0DB1).bursts()
     scheme = get_scheme("dbi-opt")
@@ -97,25 +94,20 @@ def test_fault_injection_throughput_gate(artifact_dir):
                              faults_per_burst=FAULTS_PER_BURST,
                              seed=SEED) == reference_stats
 
-    rows = []
-    for word_impl, gated in (("uint64", True), ("int", False)):
-        stats = fault_sweep_batch(scheme, bursts,
+    stats = fault_sweep_batch(scheme, bursts,
+                              faults_per_burst=FAULTS_PER_BURST, seed=SEED)
+    elapsed = _best_of(
+        TIMING_REPS,
+        lambda: fault_sweep_batch(scheme, bursts,
                                   faults_per_burst=FAULTS_PER_BURST,
-                                  seed=SEED, word_impl=word_impl)
-        elapsed = _best_of(
-            TIMING_REPS,
-            lambda: fault_sweep_batch(scheme, bursts,
-                                      faults_per_burst=FAULTS_PER_BURST,
-                                      seed=SEED, word_impl=word_impl))
-        assert stats.injected_faults == BENCH_BURSTS * FAULTS_PER_BURST
-        rows.append({
-            "word_impl": word_impl,
-            "gated": gated,
-            "batch_s": round(elapsed, 4),
-            "speedup": round(t_reference / elapsed, 1),
-            "faults_per_second": round(stats.injected_faults / elapsed),
-            "mean_amplification": round(stats.mean_amplification, 4),
-        })
+                                  seed=SEED))
+    assert stats.injected_faults == BENCH_BURSTS * FAULTS_PER_BURST
+    row = {
+        "batch_s": round(elapsed, 4),
+        "speedup": round(t_reference / elapsed, 1),
+        "faults_per_second": round(stats.injected_faults / elapsed),
+        "mean_amplification": round(stats.mean_amplification, 4),
+    }
 
     start = time.perf_counter()
     curve = fault_coverage_curve(scheme, bursts, rates=DEFAULT_FAULT_RATES,
@@ -129,28 +121,24 @@ def test_fault_injection_throughput_gate(artifact_dir):
         "speedup_floor": SPEEDUP_FLOOR,
         "reference_s": round(t_reference, 4),
         "reference_extrapolated": True,
-        "sweeps": rows,
+        "sweep": row,
         "coverage_curve": {
             "rates": list(DEFAULT_FAULT_RATES),
             "elapsed_s": round(t_curve, 4),
-            "injected_faults": sum(row.injected_faults for row in curve),
+            "injected_faults": sum(point.injected_faults
+                                   for point in curve),
         },
     })
 
-    lines = [
-        f"| {row['word_impl']} | {row['batch_s']:.3f}s "
-        f"({row['speedup']:.0f}x, {row['faults_per_second']:,} faults/s) "
-        f"| {'GATED >= ' + str(SPEEDUP_FLOOR) + 'x' if row['gated'] else 'reported'} |"
-        for row in rows
-    ]
+    line = (f"| mask-parallel | {row['batch_s']:.3f}s "
+            f"({row['speedup']:.0f}x, {row['faults_per_second']:,} "
+            f"faults/s) | GATED >= {SPEEDUP_FLOOR}x |")
     emit(f"mask-parallel fault injection at {BENCH_BURSTS} bursts x "
          f"{FAULTS_PER_BURST} faults (artifact: {path})",
-         f"reference {t_reference:.2f}s* \n" + "\n".join(lines)
+         f"reference {t_reference:.2f}s* \n" + line
          + f"\ncoverage curve ({len(DEFAULT_FAULT_RATES)} rates): "
          f"{t_curve:.3f}s"
          + "\n(* = reference time extrapolated from "
          f"1/{REFERENCE_FRACTION} of the workload)")
 
-    for row in rows:
-        if row["gated"]:
-            assert row["speedup"] >= SPEEDUP_FLOOR, row
+    assert row["speedup"] >= SPEEDUP_FLOOR, row

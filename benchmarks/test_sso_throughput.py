@@ -8,16 +8,13 @@ Tallies the per-beat switching statistics of ``REPRO_BENCH_SSO_BURSTS``
   extrapolated linearly — it is linear in beats by construction);
 * **word-parallel** — :func:`sso_of_scheme_batch`: one
   ``batch_flags`` encode, transition words packed into bit planes, the
-  histogram read off carry-save counter planes with popcounts, under
-  both word implementations (``uint64`` NumPy lanes and pure-Python big
-  ints).
+  histogram read off carry-save counter planes with popcounts.
 
-The gate requires the ``uint64`` word implementation (the auto pick
-whenever NumPy is present, as on this CI job) to be **>= 10x faster**,
-with bit-identical statistics on the parity prefix; the pure-int row is
-reported ungated — it is the no-NumPy fallback, not the production
-path.  A batched :class:`repro.phy.bus.MemoryBus` write row is reported
-for context (the same word-parallel layer driving per-wire counters).
+The gate requires the word-parallel engine, with NumPy installed as on
+this CI job, to be **>= 10x faster**, with bit-identical statistics on
+the parity prefix.  A batched :class:`repro.phy.bus.MemoryBus` write row
+is reported for context (the same word-parallel layer driving per-wire
+counters).
 
 Every run persists its measurements to ``BENCH_phy_sso.json`` in the
 ``artifact_dir`` of ``conftest.py`` (``REPRO_BENCH_ARTIFACT_DIR``, which
@@ -46,7 +43,7 @@ except ImportError:  # pragma: no cover - benches are skipped without NumPy
 #: Workload size of the gate.
 BENCH_BURSTS = int(os.environ.get("REPRO_BENCH_SSO_BURSTS", "10000"))
 
-#: Required wall-clock advantage of the gated (auto) word implementation.
+#: Required wall-clock advantage of the word-parallel engine.
 SPEEDUP_FLOOR = 10.0
 
 #: The reference is timed on 1/N of the workload and extrapolated.
@@ -71,7 +68,7 @@ def _timed(fn):
 
 
 @pytest.mark.skipif(not HAVE_NUMPY,
-                    reason="the gated word implementation requires NumPy")
+                    reason="the gate is set for the NumPy install")
 def test_sso_throughput_gate(artifact_dir):
     bursts = RandomPopulation(count=BENCH_BURSTS, seed=0x0DB1).bursts()
     scheme = get_scheme("dbi-opt")
@@ -84,22 +81,17 @@ def test_sso_throughput_gate(artifact_dir):
     # Bit-identity (histogram, max, total) on the parity prefix.
     assert sso_of_scheme_batch(scheme, prefix) == reference_stats
 
-    rows = []
-    for word_impl, gated in (("uint64", True), ("int", False)):
-        stats = sso_of_scheme_batch(scheme, bursts, word_impl=word_impl)
-        elapsed = _best_of(
-            TIMING_REPS,
-            lambda: sso_of_scheme_batch(scheme, bursts, word_impl=word_impl))
-        assert stats.beats == sum(len(burst) for burst in bursts)
-        rows.append({
-            "word_impl": word_impl,
-            "gated": gated,
-            "batch_s": round(elapsed, 4),
-            "speedup": round(t_reference / elapsed, 1),
-            "beats_per_second": round(stats.beats / elapsed),
-            "max_switching": stats.max_switching,
-            "mean_switching": round(stats.mean_switching, 4),
-        })
+    stats = sso_of_scheme_batch(scheme, bursts)
+    elapsed = _best_of(TIMING_REPS,
+                       lambda: sso_of_scheme_batch(scheme, bursts))
+    assert stats.beats == sum(len(burst) for burst in bursts)
+    row = {
+        "batch_s": round(elapsed, 4),
+        "speedup": round(t_reference / elapsed, 1),
+        "beats_per_second": round(stats.beats / elapsed),
+        "max_switching": stats.max_switching,
+        "mean_switching": round(stats.mean_switching, 4),
+    }
 
     # Context row: the same word-parallel layer behind MemoryBus.write.
     payload = bytes(byte for burst in bursts for byte in burst)
@@ -114,7 +106,7 @@ def test_sso_throughput_gate(artifact_dir):
         "speedup_floor": SPEEDUP_FLOOR,
         "reference_s": round(t_reference, 4),
         "reference_extrapolated": True,
-        "tallies": rows,
+        "tally": row,
         "bus_write": {
             "payload_bytes": len(payload),
             "byte_lanes": 4,
@@ -122,20 +114,15 @@ def test_sso_throughput_gate(artifact_dir):
         },
     })
 
-    lines = [
-        f"| {row['word_impl']} | {row['batch_s']:.3f}s "
-        f"({row['speedup']:.0f}x, {row['beats_per_second']:,} beats/s) "
-        f"| {'GATED >= ' + str(SPEEDUP_FLOOR) + 'x' if row['gated'] else 'reported'} |"
-        for row in rows
-    ]
+    line = (f"| word-parallel | {row['batch_s']:.3f}s "
+            f"({row['speedup']:.0f}x, {row['beats_per_second']:,} "
+            f"beats/s) | GATED >= {SPEEDUP_FLOOR}x |")
     emit(f"word-parallel SSO tally at {BENCH_BURSTS} bursts "
          f"(artifact: {path})",
-         f"reference {t_reference:.2f}s* \n" + "\n".join(lines)
+         f"reference {t_reference:.2f}s* \n" + line
          + f"\nbatched MemoryBus.write of {len(payload):,} bytes: "
          f"{t_bus:.3f}s"
          + "\n(* = reference time extrapolated from "
          f"1/{REFERENCE_FRACTION} of the workload)")
 
-    for row in rows:
-        if row["gated"]:
-            assert row["speedup"] >= SPEEDUP_FLOOR, row
+    assert row["speedup"] >= SPEEDUP_FLOOR, row

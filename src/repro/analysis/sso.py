@@ -20,14 +20,12 @@ library-wide backend vocabulary (``backend="auto" | "reference" |
   the burst population is encoded by
   :meth:`~repro.core.schemes.DbiScheme.wire_words` (the scheme's NumPy
   batch kernel where available), the per-beat transition words are
-  packed into bit planes (one machine word per wire, one bit per beat — the
-  :mod:`repro.hw.bitsim` trick applied to the phy layer), the nine
-  planes are summed with carry-save adders into per-beat switching
-  counts, and the histogram falls out of ten popcounts.  Like the
-  gate-level engine this works *without* NumPy — ``word_impl="int"``
-  packs into arbitrary-width Python ints; ``word_impl="uint64"``
-  (the ``auto`` choice whenever NumPy is importable) packs into
-  ``uint64`` lane arrays.
+  packed into bit planes (one Python int per wire, one bit per beat,
+  by :func:`repro.hw.bitsim.pack_planes` — the gate-level trick applied
+  to the phy layer), the nine planes are summed with carry-save adders
+  into per-beat switching counts, and the histogram falls out of ten
+  popcounts.  Like the gate-level engine this works *without* NumPy;
+  with it, NumPy forms the transition words and packs the planes.
 
 ``auto`` therefore always resolves to the batched engine here.  The two
 engines are bit-identical — same histogram, same max, same total,
@@ -50,7 +48,8 @@ from ..core.bitops import (
 )
 from ..core.burst import Burst
 from ..core.schemes import DbiScheme
-from ..hw.bitsim import get_kernel, resolve_sim_backend
+from ..hw import bitsim
+from ..hw.bitsim import resolve_sim_backend
 
 try:
     import numpy as _np
@@ -155,7 +154,7 @@ def sso_of_scheme(scheme: DbiScheme, bursts: Sequence[Burst],
 
 # -- the word-parallel engine -------------------------------------------------
 
-def _switching_statistics(kernel, trans_values, beats: int) -> SsoStatistics:
+def _switching_statistics(trans_values, beats: int) -> SsoStatistics:
     """Tally per-beat switching counts from packed transition words.
 
     *trans_values* holds one 9-bit transition word (``prev ^ word``) per
@@ -164,10 +163,9 @@ def _switching_statistics(kernel, trans_values, beats: int) -> SsoStatistics:
     popcount of the plane where that counter equals *k* — exact integer
     arithmetic, bit-identical to the scalar walk.
     """
-    planes = kernel.pack_bus(trans_values, WORD_WIDTH, beats)
-    valid = kernel.valid_mask(beats)
-    zero = kernel.zero_word(beats)
-    s0 = s1 = s2 = s3 = zero
+    planes = bitsim.pack_planes(trans_values, WORD_WIDTH)
+    valid = (1 << beats) - 1
+    s0 = s1 = s2 = s3 = 0
     for plane in planes:
         carry0 = s0 & plane
         s0 = s0 ^ plane
@@ -187,7 +185,7 @@ def _switching_statistics(kernel, trans_values, beats: int) -> SsoStatistics:
                 indicator = indicator & bit_plane
             else:
                 indicator = indicator & (bit_plane ^ valid)
-        count = kernel.popcount(indicator)
+        count = bitsim.popcount(indicator)
         if count:
             histogram[k] = count
             worst = k
@@ -251,8 +249,7 @@ def _transition_values_list(rows, prev_words, chained: bool) -> List[int]:
 
 def sso_of_words_batch(rows,
                        prev_words: Union[int, Sequence[int]] = ALL_ONES_WORD,
-                       chained: bool = False,
-                       word_impl: str = "auto") -> SsoStatistics:
+                       chained: bool = False) -> SsoStatistics:
     """SSO statistics of many word rows, tallied word-parallel.
 
     *rows* is a sequence of wire-word sequences (or a packed ``(batch,
@@ -268,30 +265,26 @@ def sso_of_words_batch(rows,
     """
     if chained and not isinstance(prev_words, int):
         raise ValueError("chained mode takes a single scalar boundary word")
-    kernel = get_kernel(word_impl)
     if _np is not None and isinstance(rows, _np.ndarray):
         if rows.ndim != 2:
             raise ValueError(f"packed word rows must be 2-D, "
                              f"got shape {rows.shape}")
         if isinstance(prev_words, int):
             check_word(prev_words)
-        trans = _transition_values_array(rows, prev_words, chained)
-        beats = int(trans.size)
-        if kernel.name == "int":
-            trans = trans.tolist()
-    else:
-        row_list = [list(row) for row in rows]
-        trans = _transition_values_list(row_list, prev_words, chained)
-        beats = len(trans)
-    if not beats:
+        if rows.size:
+            trans = _transition_values_array(rows, prev_words, chained)
+            return _switching_statistics(trans, len(trans))
+        rows = rows.tolist()  # no beat: the list form checks the boundaries
+    trans = _transition_values_list([list(row) for row in rows], prev_words,
+                                    chained)
+    if not trans:
         return _EMPTY
-    return _switching_statistics(kernel, trans, beats)
+    return _switching_statistics(trans, len(trans))
 
 
 def sso_of_scheme_batch(scheme: DbiScheme, bursts: Sequence[Burst],
                         chained: bool = False,
-                        backend: Optional[str] = None,
-                        word_impl: str = "auto") -> SsoStatistics:
+                        backend: Optional[str] = None) -> SsoStatistics:
     """SSO statistics of a scheme over a population, batched.
 
     Bit-identical to :func:`sso_of_scheme` on every scheme in both
@@ -307,21 +300,20 @@ def sso_of_scheme_batch(scheme: DbiScheme, bursts: Sequence[Burst],
         return sso_of_scheme(scheme, bursts, chained=chained)
     rows = scheme.wire_words(bursts, chained=chained, backend="auto")
     return sso_of_words_batch(rows, prev_words=ALL_ONES_WORD,
-                              chained=chained, word_impl=word_impl)
+                              chained=chained)
 
 
 def sso_comparison(schemes: Dict[str, DbiScheme],
                    bursts: Sequence[Burst],
                    chained: bool = False,
-                   backend: Optional[str] = None,
-                   word_impl: str = "auto") -> List[List[object]]:
+                   backend: Optional[str] = None) -> List[List[object]]:
     """Rows (scheme, max, mean, fraction of beats > half the lanes) for a
     markdown table, in either transmission mode (``chained=``)."""
     rows: List[List[object]] = []
     half = WORD_WIDTH // 2
     for name, scheme in schemes.items():
         stats = sso_of_scheme_batch(scheme, bursts, chained=chained,
-                                    backend=backend, word_impl=word_impl)
+                                    backend=backend)
         rows.append([
             name,
             stats.max_switching,

@@ -447,8 +447,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         lambda: fault_experiment(_axis_population(args),
                                  schemes=list(dict.fromkeys(args.schemes)),
                                  rates=tuple(args.rates),
-                                 seed=args.fault_seed),
-        word_impl=args.word_impl)
+                                 seed=args.fault_seed))
     spec = result.spec
     rows: List[List[object]] = []
     for slot_name, _scheme in spec.slots:
@@ -463,7 +462,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     print(markdown_table(
         ["scheme", "fault rate", "injected", "bit errors", "BER",
          "beat ER", "amplification"], rows))
-    return _finish(args, result, "word_impl", "injections")
+    return _finish(args, result, "injections")
 
 
 def _cmd_granularity(args: argparse.Namespace) -> int:
@@ -493,8 +492,7 @@ def _cmd_sso(args: argparse.Namespace) -> int:
             _axis_population(args),
             schemes=list(dict.fromkeys(args.schemes)),
             interfaces=list(dict.fromkeys(args.interfaces)),
-            chained=args.chained, threshold=args.threshold),
-        word_impl=args.word_impl)
+            chained=args.chained, threshold=args.threshold))
     spec = result.spec
     # Rank worst-first: highest peak switching, then highest mean.
     flat = [(slot_name, row)
@@ -515,7 +513,7 @@ def _cmd_sso(args: argparse.Namespace) -> int:
     print(markdown_table(
         ["scheme", "interface", "max SSO", "mean SSO",
          f">{spec.threshold} lanes", "peak mA", "mean mA"], rows))
-    return _finish(args, result, "word_impl", "encodes")
+    return _finish(args, result, "encodes")
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -612,21 +610,13 @@ def _add_cache_dir_argument(parser: argparse.ArgumentParser) -> None:
                              "REPRO_CACHE_DIR, else in-memory)")
 
 
-def _add_axis_arguments(parser: argparse.ArgumentParser,
-                        word_impl: bool = True) -> None:
+def _add_axis_arguments(parser: argparse.ArgumentParser) -> None:
     """Flags the faults, granularity and sso commands share."""
     _add_population_arguments(parser)
     parser.add_argument("--patterns", nargs="*", metavar="NAME",
                         choices=PATTERN_NAMES, default=None,
                         help="use the directed pattern suite (optionally a "
                              "subset) instead of random bursts")
-    if word_impl:
-        parser.add_argument("--word-impl", dest="word_impl",
-                            choices=("auto", "int", "uint64"),
-                            default="auto",
-                            help="word-parallel representation (default: "
-                                 "auto — uint64 lanes with NumPy, big ints "
-                                 "without)")
     _add_backend_argument(parser)
     _add_cache_dir_argument(parser)
     parser.add_argument("--out", metavar="PATH",
@@ -791,7 +781,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     granularity = sub.add_parser(
         "granularity", help="grouped-DBI granularity ablation")
-    _add_axis_arguments(granularity, word_impl=False)
+    _add_axis_arguments(granularity)
     granularity.add_argument("--alpha", type=_non_negative_float,
                              default=1.0, help="transition cost (default: 1)")
     granularity.add_argument("--beta", type=_non_negative_float, default=1.0,

@@ -191,7 +191,12 @@ def pack_bursts(bursts: Sequence):
     if any(len(row) != length for row in rows):
         raise ValueError("bursts have ragged lengths; pack per length group")
     # Re-enter through the ndarray branch so dtype/range validation is
-    # applied uniformly regardless of the input form.
+    # applied uniformly regardless of the input form.  Byte strings are
+    # joined, not handed to np.asarray, which would make a 1-D array of
+    # them.
+    if all(isinstance(row, (bytes, bytearray)) for row in rows):
+        return pack_bursts(np.frombuffer(b"".join(rows), dtype=np.uint8)
+                           .reshape(len(rows), length))
     return pack_bursts(np.asarray(rows))
 
 

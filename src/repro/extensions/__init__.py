@@ -18,11 +18,10 @@ differential suites in ``tests/extensions/`` pin bit-identical:
 * **reliability** (:mod:`repro.extensions.reliability`) — the scalar
   reference re-decodes one corrupted burst per injected fault; the
   mask-parallel engine XORs packed error-mask planes into the
-  :mod:`repro.hw.bitsim` word representation and tallies decoded bit
-  errors with popcounts.  Like the gate-level layer — and unlike the
-  encoding layer — the batched engine works *without* NumPy (packing
-  into arbitrary-width Python ints; ``word_impl`` selects the word
-  representation), so ``auto`` always resolves to it.
+  :mod:`repro.hw.bitsim` bit planes (one Python int per wire) and
+  tallies decoded bit errors with popcounts.  Like the gate-level layer
+  — and unlike the encoding layer — the batched engine works *without*
+  NumPy, so ``auto`` always resolves to it.
 
 This module, like every ``repro`` package, imports without NumPy
 installed; NumPy is consulted lazily inside the vector fast paths only.

@@ -22,20 +22,19 @@ The Monte Carlo sweeps come in two forms.  :func:`fault_sweep` is the
 per-burst reference: one Python decode per injected fault.
 :func:`fault_sweep_batch` and :func:`fault_coverage_curve` are the
 mask-parallel engines: every fault of the whole population is packed
-into the :mod:`repro.hw.bitsim` word representation (one word per wire
-lane, one *bit* per fault vector — arbitrary-precision Python ints or
-NumPy ``uint64`` lane arrays, selected by ``word_impl`` exactly like
-:class:`~repro.hw.bitsim.CompiledNetlist`), fault masks are XOR-ed into
-the encoded word planes, the DBI decode runs plane-wise, and bit-error
+into :mod:`repro.hw.bitsim` bit planes (one Python int per wire lane,
+one *bit* per fault vector, built by
+:func:`~repro.hw.bitsim.pack_planes`), fault masks are XOR-ed into the
+encoded word planes, the DBI decode runs plane-wise, and bit-error
 tallies come from popcounts of the decoded-difference planes.  Entry
 points accept ``backend="auto" | "reference" | "vector"``; like the
 gate-level layer (:func:`repro.hw.bitsim.resolve_sim_backend`), ``auto``
 resolves to the mask-parallel engine even without NumPy, because the
 pure-int packing is itself a large win.  Each fault rate's masks come
 from one ``random.Random`` stream, drawn per lane by
-:func:`draw_fault_masks` and decoded in bulk on ``uint64`` by
+:func:`draw_fault_masks` and, with NumPy, decoded in bulk by
 :func:`fault_mask_planes`, so statistics are bit-identical across
-backends, word implementations and the CI NumPy matrix.
+backends and the CI NumPy matrix.
 :func:`fault_coverage_rows` draws each rate's masks once and shares
 them across every scheme it tallies.
 """
@@ -55,7 +54,8 @@ from ..core.bitops import (
 )
 from ..core.burst import Burst
 from ..core.schemes import DbiScheme, EncodedBurst
-from ..hw.bitsim import get_kernel, resolve_sim_backend
+from ..hw import bitsim
+from ..hw.bitsim import resolve_sim_backend
 from . import DEFAULT_FAULT_RATES
 
 
@@ -212,21 +212,19 @@ def fault_sweep(scheme: DbiScheme, bursts: Sequence[Burst],
 
 # -- the mask-parallel fault engine -----------------------------------------
 
-def _tally_masked_faults(values: Sequence[int], masks: Sequence[int],
-                         word_impl: str = "auto") -> FaultStatistics:
+def _tally_masked_faults(values, masks: Sequence[int]) -> FaultStatistics:
     """Decode-and-tally for one fault per vector, mask-parallel.
 
     ``values[f]`` is the clean 9-bit wire word fault *f* lands on,
     ``masks[f]`` its (single-lane) fault mask.  Both are packed into
-    bit-plane words — one word per wire lane, bit *f* of lane *l*'s word
-    is bit *l* of vector *f* — so the XOR injection, the plane-wise DBI
+    bit planes — one int per wire lane, bit *f* of lane *l*'s plane is
+    bit *l* of vector *f* — so the XOR injection, the plane-wise DBI
     decode and the error popcounts each touch all faults at once.
     """
-    kernel = get_kernel(word_impl)
-    n = len(values)
-    planes = kernel.pack_bus(values, WORD_WIDTH, n)
-    mask_planes = kernel.pack_bus(masks, WORD_WIDTH, n)
-    valid = kernel.valid_mask(n)
+    n = len(masks)
+    planes = bitsim.pack_planes(values, WORD_WIDTH)
+    mask_planes = bitsim.pack_planes(masks, WORD_WIDTH)
+    valid = (1 << n) - 1
     # Plane-wise DBI decode: a DBI bit of 0 means "transmitted inverted",
     # so the invert-back flip plane is the complement of the DBI plane.
     flip_clean = planes[BYTE_WIDTH] ^ valid
@@ -238,18 +236,17 @@ def _tally_masked_faults(values: Sequence[int], masks: Sequence[int],
         decoded_clean = planes[lane] ^ flip_clean
         decoded_faulty = (planes[lane] ^ mask_planes[lane]) ^ flip_faulty
         diff = decoded_clean ^ decoded_faulty
-        total_errors += kernel.popcount(diff)
-        dbi_errors += kernel.popcount(diff & dbi_fault_plane)
+        total_errors += bitsim.popcount(diff)
+        dbi_errors += bitsim.popcount(diff & dbi_fault_plane)
     return FaultStatistics(injected_faults=n,
                            total_bit_errors=total_errors,
-                           dbi_lane_faults=kernel.popcount(dbi_fault_plane),
+                           dbi_lane_faults=bitsim.popcount(dbi_fault_plane),
                            dbi_lane_bit_errors=dbi_errors)
 
 
 def fault_sweep_batch(scheme: DbiScheme, bursts: Sequence[Burst],
                       faults_per_burst: int = 1, seed: int = 7,
-                      backend: Optional[str] = None,
-                      word_impl: str = "auto") -> FaultStatistics:
+                      backend: Optional[str] = None) -> FaultStatistics:
     """Mask-parallel :func:`fault_sweep`: identical statistics, batched.
 
     Draws the same ``(beat, lane)`` faults as :func:`fault_sweep` (the
@@ -261,9 +258,7 @@ def fault_sweep_batch(scheme: DbiScheme, bursts: Sequence[Burst],
 
     ``backend`` follows :func:`repro.hw.bitsim.resolve_sim_backend`
     (``auto`` picks the mask-parallel engine even without NumPy;
-    ``reference`` delegates to the per-burst sweep).  ``word_impl``
-    selects the packed word representation exactly as for
-    :class:`~repro.hw.bitsim.CompiledNetlist`.
+    ``reference`` delegates to the per-burst sweep).
     """
     if faults_per_burst < 1:
         raise ValueError("faults_per_burst must be >= 1")
@@ -284,10 +279,9 @@ def fault_sweep_batch(scheme: DbiScheme, bursts: Sequence[Burst],
         positions = draw_fault_positions([length] * batch, faults_per_burst,
                                          seed)
         beats = [beat for faults in positions for beat, _lane in faults]
-        values = words[np.repeat(np.arange(batch), faults_per_burst),
-                       beats].tolist()
+        values = words[np.repeat(np.arange(batch), faults_per_burst), beats]
     masks = [1 << lane for faults in positions for _beat, lane in faults]
-    return _tally_masked_faults(values, masks, word_impl)
+    return _tally_masked_faults(values, masks)
 
 
 def _mask_stream(rate: float, seed: int) -> random.Random:
@@ -320,39 +314,35 @@ def draw_fault_masks(n_words: int, rate: float, seed: int) -> List[int]:
     return masks
 
 
-#: Wire words per block of the bulk ``uint64`` mask draw: a multiple of
-#: 64, so each block fills whole plane words, and ~1 MiB of generator
-#: output per block bounds the draw's memory.
+#: Wire words per block of the bulk mask draw: a multiple of 8, so each
+#: block fills whole plane bytes, and ~1 MiB of generator output per
+#: block bounds the draw's memory.
 MASK_DRAW_BLOCK_WORDS = 1 << 14
 
 
-def fault_mask_planes(n_words: int, rate: float, seed: int,
-                      word_impl: str = "auto") -> List[object]:
+def fault_mask_planes(n_words: int, rate: float, seed: int) -> List[int]:
     """:func:`draw_fault_masks` packed into one plane per wire lane.
 
-    Always equal to ``get_kernel(word_impl).pack_bus(draw_fault_masks(
-    n_words, rate, seed), WORD_WIDTH, n_words)``.  The ``int`` kernel
-    computes exactly that; the ``uint64`` kernel decodes the same
-    ``random.Random`` stream in bulk instead of calling ``random()`` per
-    lane.  Each ``random()`` value is ``((a >> 5) * 2**26 + (b >> 6)) *
-    2**-53`` for two consecutive 32-bit Mersenne Twister outputs *a*,
-    *b*, and ``getrandbits`` returns those same outputs, least
-    significant word first, on every platform — so one
+    Always equal to ``bitsim.pack_planes(draw_fault_masks(n_words, rate,
+    seed), WORD_WIDTH)``, which is what it computes without NumPy.  With
+    NumPy it decodes the same ``random.Random`` stream in bulk instead of
+    calling ``random()`` per lane.  Each ``random()`` value is ``((a >>
+    5) * 2**26 + (b >> 6)) * 2**-53`` for two consecutive 32-bit Mersenne
+    Twister outputs *a*, *b*, and ``getrandbits`` returns those same
+    outputs, least significant word first, on every platform — so one
     ``getrandbits(64 * 9 * count)`` block, read as little-endian
     ``uint32`` words, yields the next ``9 * count`` values.  They are
     formed and compared with the rate by the same (exact) float64
     operations, and each lane column is bit-packed straight into its
     plane.
     """
-    kernel = get_kernel(word_impl)
-    if kernel.name != "uint64":
-        return kernel.pack_bus(draw_fault_masks(n_words, rate, seed),
-                               WORD_WIDTH, n_words)
-    import numpy as np
-
+    try:
+        import numpy as np
+    except ImportError:
+        return bitsim.pack_planes(draw_fault_masks(n_words, rate, seed),
+                                  WORD_WIDTH)
     rng = _mask_stream(rate, seed)
-    columns = np.zeros((WORD_WIDTH, ((n_words + 63) >> 6) * 8),
-                       dtype=np.uint8)
+    columns = np.zeros((WORD_WIDTH, (n_words + 7) >> 3), dtype=np.uint8)
     for start in range(0, n_words, MASK_DRAW_BLOCK_WORDS):
         count = min(MASK_DRAW_BLOCK_WORDS, n_words - start)
         n_bytes = 8 * WORD_WIDTH * count  # two outputs per random()
@@ -366,7 +356,7 @@ def fault_mask_planes(n_words: int, rate: float, seed: int,
         packed = np.packbits(hits, axis=0, bitorder="little")
         first = start >> 3
         columns[:, first:first + packed.shape[0]] = packed.T
-    return list(columns.view("<u8").astype(np.uint64, copy=False))
+    return [int.from_bytes(column.tobytes(), "little") for column in columns]
 
 
 @dataclass(frozen=True)
@@ -406,8 +396,8 @@ class FaultCoverageRow:
 
 def fault_coverage_curve(scheme: DbiScheme, bursts: Sequence[Burst],
                          rates: Sequence[float] = DEFAULT_FAULT_RATES,
-                         seed: int = 7, backend: Optional[str] = None,
-                         word_impl: str = "auto") -> List[FaultCoverageRow]:
+                         seed: int = 7, backend: Optional[str] = None
+                         ) -> List[FaultCoverageRow]:
     """Decoded-error statistics versus raw fault rate, one row per rate.
 
     Every lane-beat of the encoded population flips independently with
@@ -418,13 +408,12 @@ def fault_coverage_curve(scheme: DbiScheme, bursts: Sequence[Burst],
     ``reference`` — with bit-identical rows either way.
     """
     return list(fault_coverage_rows([(scheme, rate) for rate in rates],
-                                    bursts, seed, backend, word_impl))
+                                    bursts, seed, backend))
 
 
 def fault_coverage_rows(tasks: Iterable[Tuple[DbiScheme, float]],
                         bursts: Sequence[Burst], seed: int = 7,
-                        backend: Optional[str] = None,
-                        word_impl: str = "auto"
+                        backend: Optional[str] = None
                         ) -> Iterator[FaultCoverageRow]:
     """:func:`fault_coverage_curve` rows of ``(scheme, rate)`` tasks, in
     task order.
@@ -437,12 +426,11 @@ def fault_coverage_rows(tasks: Iterable[Tuple[DbiScheme, float]],
     if iter(bursts) is bursts:
         bursts = list(bursts)
     vector = resolve_sim_backend(backend) == "vector"
-    kernel = get_kernel(word_impl) if vector else None
-    draws: Dict[float, object] = {}
+    draws: Dict[float, List[int]] = {}
 
-    def masks_for(rate: float, total: int):
+    def masks_for(rate: float, total: int) -> List[int]:
         if rate not in draws:
-            draws[rate] = (fault_mask_planes(total, rate, seed, kernel.name)
+            draws[rate] = (fault_mask_planes(total, rate, seed)
                            if vector else draw_fault_masks(total, rate, seed))
         return draws[rate]
 
@@ -451,24 +439,23 @@ def fault_coverage_rows(tasks: Iterable[Tuple[DbiScheme, float]],
         words = scheme.wire_words(bursts,
                                   backend=None if vector else "reference")
         values = ([word for row in words for word in row]
-                  if isinstance(words, list) else words.ravel().tolist())
+                  if isinstance(words, list) else words.ravel())
         total = len(values)
         if vector:
-            planes = kernel.pack_bus(values, WORD_WIDTH, total)
-            valid = kernel.valid_mask(total)
+            planes = bitsim.pack_planes(values, WORD_WIDTH)
             for __, rate in group:
-                yield _masked_coverage_row(kernel, planes, valid,
-                                           masks_for(rate, total), rate,
-                                           total)
+                yield _masked_coverage_row(planes, masks_for(rate, total),
+                                           rate, total)
         else:
             for __, rate in group:
                 yield _reference_coverage_row(values, masks_for(rate, total),
                                               rate)
 
 
-def _masked_coverage_row(kernel, planes, valid, mask_planes, rate: float,
-                         total: int) -> FaultCoverageRow:
+def _masked_coverage_row(planes: List[int], mask_planes: List[int],
+                         rate: float, total: int) -> FaultCoverageRow:
     """One coverage row, mask-parallel over packed word planes."""
+    valid = (1 << total) - 1
     flip_clean = planes[BYTE_WIDTH] ^ valid
     flip_faulty = (planes[BYTE_WIDTH] ^ mask_planes[BYTE_WIDTH]) ^ valid
     bit_errors = 0
@@ -476,15 +463,15 @@ def _masked_coverage_row(kernel, planes, valid, mask_planes, rate: float,
     for lane in range(BYTE_WIDTH):
         diff = ((planes[lane] ^ flip_clean)
                 ^ ((planes[lane] ^ mask_planes[lane]) ^ flip_faulty))
-        bit_errors += kernel.popcount(diff)
+        bit_errors += bitsim.popcount(diff)
         union = diff if union is None else union | diff
     return FaultCoverageRow(
         rate=float(rate),
-        injected_faults=sum(kernel.popcount(plane) for plane in mask_planes),
+        injected_faults=sum(bitsim.popcount(plane) for plane in mask_planes),
         total_beats=total,
         bit_errors=bit_errors,
-        corrupted_beats=kernel.popcount(union),
-        dbi_lane_faults=kernel.popcount(mask_planes[BYTE_WIDTH]))
+        corrupted_beats=bitsim.popcount(union),
+        dbi_lane_faults=bitsim.popcount(mask_planes[BYTE_WIDTH]))
 
 
 def _reference_coverage_row(values: Sequence[int], masks: Sequence[int],

@@ -16,12 +16,11 @@ with the library-wide backend vocabulary (``backend="auto" | "reference"
   (:mod:`repro.hw.bitsim`): the netlist is lowered once into a
   straight-line program of bitwise word operations over the cells'
   ``word_function`` forms, W input vectors are packed per net into one
-  machine word, and toggles are tallied with popcounts.  Unlike the
-  encoding layer's vector backend, this works *without* NumPy (packing
-  into arbitrary-width Python ints); for assignment-dict vectors NumPy
-  switches the word type to ``uint64`` lane arrays for a further ~3-5x,
-  while :func:`~repro.hw.activity.measure_activity` packs populations
-  straight into ints and runs on them on every install.
+  arbitrary-precision Python int, and toggles are tallied with
+  popcounts.  Unlike the encoding layer's vector backend, this works
+  *without* NumPy: the word is an int on every install, and NumPy, when
+  importable, only speeds up the packing
+  (:func:`~repro.hw.bitsim.pack_planes`).
 
 ``auto`` therefore always resolves to the bit-parallel engine here.  The
 two engines are bit-identical — same toggle tallies, same outputs — which

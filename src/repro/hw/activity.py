@@ -11,12 +11,9 @@ be driven by the trace and patterned workloads of :mod:`repro.workloads`
 as well as the default seeded uniform-random population.  On the
 bit-parallel backend, rectangular populations take a packed path on
 every install: each chunk's byte lanes are transposed in bulk into one
-Python-int bit plane per input bit, without ever materialising
-per-vector assignment dicts, and the compiled netlist runs on the
-``int`` word kernel: with the inputs packed, a gate on 65,536-bit ints
-costs less than one ``uint64`` NumPy call, and the int toggle tally
-takes a shift, an XOR and a popcount where the ``uint64`` one takes
-seven NumPy calls.
+Python-int bit plane per input bit (:func:`repro.hw.bitsim.pack_planes`),
+without ever materialising per-vector assignment dicts, and the
+compiled netlist runs straight on those planes.
 :class:`PackedPopulation` lets several designs share one draw and
 packing (Table I's four).
 """
@@ -37,11 +34,6 @@ from ..workloads.population import (
 )
 from . import bitsim
 from .netlist import ActivityReport, Netlist
-
-try:  # pragma: no cover - trivially true/false per environment
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 #: Default population size for Table I activity measurement.  The paper's
 #: software figures are simulated over 10k-burst populations; the
@@ -94,38 +86,22 @@ def iter_vectors(bursts: Iterable[Burst],
 #: tally (16,384- and 131,072-vector chunks were both slower on Table I).
 ACTIVITY_CHUNK_VECTORS = 65536
 
-#: ``_BIT_DIGITS[p]`` translates a byte into the ASCII digit of its bit *p*.
-_BIT_DIGITS = tuple(bytes(0x30 | ((value >> position) & 1)
-                          for value in range(256))
-                    for position in range(8))
-
 #: One packed chunk: ``(n_vectors, planes)``, where ``planes[j][p]`` is the
 #: int whose bit *i* is bit *p* of byte *j* of vector *i*.
 PackedChunk = Tuple[int, List[List[int]]]
 
 
 def _lane_planes(batch) -> List[List[int]]:
-    """The bit planes of one batch, as :data:`PackedChunk` describes.
-
-    A packed ``uint8`` array is packed by NumPy, one ``np.packbits`` per
-    bit of each byte lane.  A burst list goes through its bytes: each
-    byte lane, reversed so vector 0 lands in the low bit, is translated
-    into one base-2 digit string per bit.
-    """
-    if _np is not None and isinstance(batch, _np.ndarray):
-        return [[int.from_bytes(_np.packbits((column >> position) & 1,
-                                             bitorder="little").tobytes(),
-                                "little")
-                 for position in range(8)]
-                for column in _np.ascontiguousarray(batch.T)]
-    width = len(batch[0])
-    data = bytes(chain.from_iterable(burst.data for burst in batch))
-    planes = []
-    for lane in range(width):
-        column = data[lane::width][::-1]
-        planes.append([int(column.translate(digits), 2)
-                       for digits in _BIT_DIGITS])
-    return planes
+    """The bit planes of one batch, as :data:`PackedChunk` describes, one
+    :func:`~repro.hw.bitsim.pack_planes` call per byte lane: a column of
+    a packed ``uint8`` array, or a stride of a burst list's bytes."""
+    if isinstance(batch, list):
+        width = len(batch[0])
+        data = bytes(chain.from_iterable(burst.data for burst in batch))
+        columns = [data[lane::width] for lane in range(width)]
+    else:
+        columns = batch.T.copy()
+    return [bitsim.pack_planes(column, 8) for column in columns]
 
 
 def _iter_planes(population: BurstPopulation) -> Iterator[PackedChunk]:
@@ -185,7 +161,6 @@ def _packed_activity(netlist: Netlist, packed_chunks: Iterable[PackedChunk],
     become constant words.
     """
     compiled = bitsim.compile_netlist(netlist)
-    kernel = bitsim.get_kernel("int")
     inputs = netlist.inputs
 
     # Mirror the per-vector contract of burst_to_vector exactly: any
@@ -217,11 +192,11 @@ def _packed_activity(netlist: Netlist, packed_chunks: Iterable[PackedChunk],
 
     def blocks():
         for n_vectors, planes in packed_chunks:
-            values = compiled.new_values(kernel, n_vectors)
+            values = compiled.new_values(n_vectors)
+            ones = (1 << n_vectors) - 1
             for value, nets in constant_buses:
                 for position, net in enumerate(nets):
-                    values[net] = kernel.constant_word(
-                        (value >> position) & 1, n_vectors)
+                    values[net] = ones if (value >> position) & 1 else 0
             for index, nets in byte_buses:
                 lane = planes[index]
                 width = len(nets)
@@ -242,7 +217,7 @@ def _packed_activity(netlist: Netlist, packed_chunks: Iterable[PackedChunk],
                     values[net] = lane[position] if position < 8 else 0
             yield n_vectors, values
 
-    return compiled.activity_from_blocks(kernel, blocks())
+    return compiled.activity_from_blocks(blocks())
 
 
 def measure_activity(netlist: Netlist, n_bursts: Optional[int] = None,

@@ -15,8 +15,8 @@ the identical boolean operation applied lane-wise across every bit of a
 machine word, which is what lets :mod:`repro.hw.bitsim` evaluate one gate
 for W packed input vectors at once.  Word functions receive an explicit
 all-ones ``mask`` as their first argument so complement is expressed as
-``x ^ mask`` — correct both for arbitrary-precision Python ints (where
-``~x`` would go negative) and for NumPy ``uint64`` lanes.
+``x ^ mask`` — correct for arbitrary-precision Python ints, where
+``~x`` would go negative.
 """
 
 from __future__ import annotations

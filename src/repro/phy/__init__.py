@@ -35,13 +35,12 @@ engines with bit-identical results:
   :class:`~repro.phy.bus.MemoryBus` on ``backend="reference"`` encodes
   one burst at a time.  Always available; the differential reference.
 * **word-parallel** — :meth:`~repro.phy.lane.LaneGroup.drive_words_batch`
-  packs each wire's beat stream into one bit plane and tallies
-  zero-beats/transitions with the popcount kernels of
-  :mod:`repro.hw.bitsim` (``word_impl="int"`` works without NumPy,
-  ``"uint64"`` uses packed NumPy lanes), and :class:`MemoryBus` on the
-  ``vector`` backend encodes each lane's whole burst train through
-  :meth:`~repro.core.schemes.DbiScheme.batch_flags` with state threaded
-  across bursts.
+  packs each wire's beat stream into one Python-int bit plane and
+  tallies zero-beats/transitions with the popcounts of
+  :mod:`repro.hw.bitsim` (with or without NumPy), and :class:`MemoryBus`
+  on the ``vector`` backend encodes each lane's whole burst train
+  through :meth:`~repro.core.schemes.DbiScheme.batch_flags` with state
+  threaded across bursts.
 
 ``backend=None`` defers to ``REPRO_BACKEND``/auto exactly like the
 encode path (:func:`repro.core.vectorized.resolve_backend`); the paired

@@ -109,8 +109,7 @@ class ByteLane:
 
     def send_bursts(self, bursts: Sequence[Burst],
                     energy_model: Optional[InterfaceEnergyModel],
-                    backend: Optional[str] = None,
-                    word_impl: str = "auto") -> None:
+                    backend: Optional[str] = None) -> None:
         """Encode and transmit a burst train, state threaded across bursts.
 
         The batched twin of calling :meth:`send_burst` in a loop, on the
@@ -132,8 +131,7 @@ class ByteLane:
         boundaries[0] = self.state_word
         boundaries[1:] = words[:-1, -1]
         per_transitions, per_zeros = batch_activity(words, boundaries)
-        self.group.drive_words_batch(words.ravel().tolist(),
-                                     word_impl=word_impl)
+        self.group.drive_words_batch(words.ravel().tolist())
         self.state_word = int(words[-1, -1])
         self.stats.bursts += batch
         self.stats.beats += batch * length
@@ -166,9 +164,6 @@ class MemoryBus:
         Execution backend for the per-lane encode
         (``auto``/``reference``/``vector``, defaulting from
         ``REPRO_BACKEND``); statistics are bit-identical either way.
-    word_impl:
-        Word representation of the batched per-wire tallies
-        (:func:`repro.hw.bitsim.get_kernel`).
 
     >>> from repro.baselines import DbiDc
     >>> bus = MemoryBus(DbiDc, byte_lanes=2, burst_length=4)
@@ -180,8 +175,7 @@ class MemoryBus:
     def __init__(self, scheme_factory, byte_lanes: int = 4,
                  burst_length: int = 8,
                  energy_model: Optional[InterfaceEnergyModel] = None,
-                 backend: Optional[str] = None,
-                 word_impl: str = "auto"):
+                 backend: Optional[str] = None):
         if byte_lanes < 1:
             raise ValueError(f"byte_lanes must be >= 1, got {byte_lanes}")
         if burst_length < 1:
@@ -190,7 +184,6 @@ class MemoryBus:
         self.burst_length = burst_length
         self.energy_model = energy_model
         self.backend = backend
-        self.word_impl = word_impl
         self.lanes: List[ByteLane] = [ByteLane(scheme=scheme_factory())
                                       for _ in range(byte_lanes)]
 
@@ -209,8 +202,7 @@ class MemoryBus:
             if not lane_bytes:
                 continue
             lane.send_bursts(chunk_bytes(lane_bytes, self.burst_length),
-                             self.energy_model, backend=self.backend,
-                             word_impl=self.word_impl)
+                             self.energy_model, backend=self.backend)
         after = self.statistics()
         return BusStatistics(
             bursts=after.bursts - before.bursts,
@@ -234,7 +226,7 @@ class MemoryBus:
         target = self.lanes[lane]
         before = BusStatistics(**vars(target.stats))
         target.send_bursts(list(bursts), self.energy_model,
-                           backend=self.backend, word_impl=self.word_impl)
+                           backend=self.backend)
         after = target.stats
         return BusStatistics(
             bursts=after.bursts - before.bursts,

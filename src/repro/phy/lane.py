@@ -12,10 +12,10 @@ and lane imbalance that the aggregate counts hide.
 Word sequences can be clocked two ways: :meth:`LaneGroup.drive_words`
 walks beat by beat (one :meth:`Lane.drive` per wire per beat — the
 differential reference), while :meth:`LaneGroup.drive_words_batch` packs
-the stream into one bit plane per wire and tallies zero-beats and
-transitions with popcounts via the :mod:`repro.hw.bitsim` word kernels —
-bit-identical counters, one pass per wire instead of one call per beat,
-and NumPy-free under ``word_impl="int"``.
+the stream into one Python-int bit plane per wire
+(:func:`repro.hw.bitsim.pack_planes`) and tallies zero-beats and
+transitions with popcounts — bit-identical counters, one pass per wire
+instead of one call per beat, with or without NumPy.
 """
 
 from __future__ import annotations
@@ -101,20 +101,19 @@ class LaneGroup:
         for word in words:
             self.drive_word(word)
 
-    def drive_words_batch(self, words: Sequence[int],
-                          word_impl: str = "auto") -> None:
+    def drive_words_batch(self, words: Sequence[int]) -> None:
         """Clock a whole word sequence via bit-plane popcounts.
 
         Packs the stream into one bit plane per wire (bit *t* of plane
-        *i* = lane *i* at beat *t*) with a :mod:`repro.hw.bitsim` word
-        kernel, then reads each wire's zero-beats off one popcount and
-        its transitions off one shifted-XOR popcount plus the boundary
-        toggle from the wire's current level.  Counters, levels and
-        :attr:`state_word` end up bit-identical to :meth:`drive_words`
-        (the differential suite in ``tests/phy/test_lane.py`` enforces
-        it); ``word_impl="int"`` runs NumPy-free.
+        *i* = lane *i* at beat *t*) with
+        :func:`repro.hw.bitsim.pack_planes`, then reads each wire's
+        zero-beats off one popcount and its transitions off one
+        shifted-XOR popcount plus the boundary toggle from the wire's
+        current level.  Counters, levels and :attr:`state_word` end up
+        bit-identical to :meth:`drive_words` (the differential suite in
+        ``tests/phy/test_lane.py`` enforces it).
         """
-        from ..hw.bitsim import get_kernel
+        from ..hw import bitsim
 
         word_list = list(words)
         beats = len(word_list)
@@ -122,16 +121,15 @@ class LaneGroup:
             return
         for word in word_list:
             check_word(word)
-        kernel = get_kernel(word_impl)
-        planes = kernel.pack_bus(word_list, WORD_WIDTH, beats)
+        planes = bitsim.pack_planes(word_list, WORD_WIDTH)
         for position, lane in enumerate(self.lanes):
             plane = planes[position]
-            transitions = kernel.transition_count(plane, beats)
-            if kernel.first_bit(plane) != lane.level:
+            transitions = bitsim.transition_count(plane, beats)
+            if plane & 1 != lane.level:
                 transitions += 1
-            lane.zero_beats += beats - kernel.popcount(plane)
+            lane.zero_beats += beats - bitsim.popcount(plane)
             lane.transitions += transitions
-            lane.level = kernel.last_bit(plane, beats)
+            lane.level = (plane >> (beats - 1)) & 1
             lane.beats += beats
 
     # -- aggregates ---------------------------------------------------------

@@ -1030,7 +1030,7 @@ def _plan_faults(spec: FaultSpec):
                    (scheme, rate))
 
 
-def _inject_missing(spec: FaultSpec, tasks, backend: str, word_impl: str):
+def _inject_missing(spec: FaultSpec, tasks, backend: str):
     """The missing ``(scheme, rate)`` rows, in task order.
 
     Rates draw per-``(seed, rate)`` independent mask streams, so a row
@@ -1040,8 +1040,7 @@ def _inject_missing(spec: FaultSpec, tasks, backend: str, word_impl: str):
     from ..extensions.reliability import fault_coverage_rows
 
     return fault_coverage_rows(tasks, _one_batch(spec.population),
-                               seed=spec.seed, backend=backend,
-                               word_impl=word_impl)
+                               seed=spec.seed, backend=backend)
 
 
 def _price_faults(spec: FaultSpec, cells, cache) -> Dict[str, object]:
@@ -1246,15 +1245,15 @@ def _plan_sso(spec: SsoSpec):
         yield slot_name, spec.sso_key(scheme), scheme
 
 
-def _tally_switching(spec: SsoSpec, schemes, backend: str, word_impl: str):
-    """Statistics are bit-identical across backends and word
-    implementations (enforced by ``tests/analysis/test_sso_batch.py``)."""
+def _tally_switching(spec: SsoSpec, schemes, backend: str):
+    """Statistics are bit-identical across backends (enforced by
+    ``tests/analysis/test_sso_batch.py``)."""
     from ..analysis.sso import sso_of_scheme_batch
 
     batch = _one_batch(spec.population)
     for scheme in schemes:
         yield sso_of_scheme_batch(scheme, batch, chained=spec.chained,
-                                  backend=backend, word_impl=word_impl)
+                                  backend=backend)
 
 
 def _price_interfaces(spec: SsoSpec, cells, cache) -> Dict[str, object]:
@@ -1794,18 +1793,17 @@ def run_replay(spec: ReplaySpec, backend: Optional[str] = None,
 
 
 def run_faults(spec: FaultSpec, backend: Optional[str] = None,
-               cache: Optional[ActivityCache] = None,
-               word_impl: str = "auto") -> FaultResult:
+               cache: Optional[ActivityCache] = None) -> FaultResult:
     """Execute a fault spec: plan unique coverage rows, inject, tally.
 
     Rows are deduplicated by :meth:`FaultSpec.coverage_key`, only the
     missing rates of a slot are injected, and the result is
-    bit-identical across backends and word implementations (there is no
-    ``jobs``: the vector engine is already mask-parallel).  ``backend``
+    bit-identical across backends (there is no ``jobs``: the vector
+    engine is already mask-parallel).  ``backend``
     follows :func:`repro.hw.bitsim.resolve_sim_backend` — ``auto``
     resolves to the mask-parallel engine even without NumPy.
     """
-    return _run(_AXES["faults"], spec, backend, cache, word_impl=word_impl)
+    return _run(_AXES["faults"], spec, backend, cache)
 
 
 def run_granularity(spec: GranularitySpec, backend: Optional[str] = None,
@@ -1821,14 +1819,13 @@ def run_granularity(spec: GranularitySpec, backend: Optional[str] = None,
 
 
 def run_sso(spec: SsoSpec, backend: Optional[str] = None,
-            cache: Optional[ActivityCache] = None,
-            word_impl: str = "auto") -> SsoResult:
+            cache: Optional[ActivityCache] = None) -> SsoResult:
     """Execute an SSO spec: encode + tally once per slot, price per interface.
 
     Statistics come from :func:`~repro.analysis.sso.sso_of_scheme_batch`;
     ``backend`` follows :func:`repro.hw.bitsim.resolve_sim_backend`.
     """
-    return _run(_AXES["sso"], spec, backend, cache, word_impl=word_impl)
+    return _run(_AXES["sso"], spec, backend, cache)
 
 
 # -- artifacts ---------------------------------------------------------------

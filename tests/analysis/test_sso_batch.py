@@ -1,8 +1,10 @@
 """Differential tests: batched SSO engine vs the scalar reference.
 
-Runs on the no-NumPy CI leg too: every case exercises ``word_impl="int"``
-and the uint64/ndarray legs skip themselves when NumPy is absent.
+Runs on the no-NumPy CI leg too: every case packs its planes without
+NumPy there, and the NumPy-packer and ndarray legs skip themselves.
 """
+
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from repro.analysis.sso import (
 from repro.core.bitops import ALL_ONES_WORD
 from repro.core.burst import Burst
 from repro.core.schemes import available_schemes, get_scheme
+from repro.hw import bitsim
 
 try:
     import numpy
@@ -26,7 +29,16 @@ try:
 except ImportError:
     HAVE_NUMPY = False
 
-IMPLS = ("int", "uint64") if HAVE_NUMPY else ("int",)
+#: The :func:`~repro.hw.bitsim.pack_planes` branches testable here, by the
+#: ids these legs have always had: ``int`` hides NumPy from the packer (its
+#: ``bytes.translate`` branch), ``uint64`` packs through NumPy.
+PACKERS = ("int", "uint64") if HAVE_NUMPY else ("int",)
+
+
+def packed_on(packer):
+    """A context running the packed engines on one packer branch."""
+    hidden = None if packer == "int" else bitsim._np
+    return mock.patch.object(bitsim, "_np", hidden)
 
 word_rows = st.lists(
     st.lists(st.integers(min_value=0, max_value=0x1FF),
@@ -66,25 +78,28 @@ def merged_reference(rows, prev_words, chained):
 
 
 class TestSsoOfWordsBatch:
-    @pytest.mark.parametrize("impl", IMPLS)
+    @pytest.mark.parametrize("packer", PACKERS)
     @settings(max_examples=60, deadline=None)
     @given(rows=word_rows, chained=st.booleans())
-    def test_matches_merged_scalar(self, rows, chained, impl):
-        batch = sso_of_words_batch(rows, chained=chained, word_impl=impl)
+    def test_matches_merged_scalar(self, rows, chained, packer):
+        with packed_on(packer):
+            batch = sso_of_words_batch(rows, chained=chained)
         assert batch == merged_reference(rows, ALL_ONES_WORD, chained)
 
-    @pytest.mark.parametrize("impl", IMPLS)
+    @pytest.mark.parametrize("packer", PACKERS)
     @settings(max_examples=40, deadline=None)
     @given(rows=word_rows, prev=st.integers(min_value=0, max_value=0x1FF))
-    def test_scalar_prev_broadcast(self, rows, prev, impl):
-        batch = sso_of_words_batch(rows, prev_words=prev, word_impl=impl)
+    def test_scalar_prev_broadcast(self, rows, prev, packer):
+        with packed_on(packer):
+            batch = sso_of_words_batch(rows, prev_words=prev)
         assert batch == merged_reference(rows, prev, chained=False)
 
-    @pytest.mark.parametrize("impl", IMPLS)
-    def test_per_row_prev_words(self, impl):
+    @pytest.mark.parametrize("packer", PACKERS)
+    def test_per_row_prev_words(self, packer):
         rows = [[0x000, 0x0FF], [0x1FF], [0x155, 0x0AA]]
         prevs = [0x1FF, 0x000, 0x155]
-        batch = sso_of_words_batch(rows, prev_words=prevs, word_impl=impl)
+        with packed_on(packer):
+            batch = sso_of_words_batch(rows, prev_words=prevs)
         assert batch == merged_reference(rows, prevs, chained=False)
 
     def test_prev_words_length_mismatch(self):
@@ -100,6 +115,21 @@ class TestSsoOfWordsBatch:
         assert stats == SsoStatistics(beats=0, max_switching=0,
                                       total_switching=0, histogram={})
 
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="ndarray input requires NumPy")
+    @pytest.mark.parametrize("shape, chained", [
+        ((3, 0), False), ((0, 8), False), ((0, 8), True), ((2, 0), True)],
+        ids=["3x0", "0x8", "0x8-chained", "2x0-chained"])
+    def test_empty_ndarray_like_its_rows(self, shape, chained):
+        """A zero-size matrix gives what its rows as lists give."""
+        matrix = numpy.zeros(shape, dtype=numpy.int64)
+        assert (sso_of_words_batch(matrix, chained=chained)
+                == sso_of_words_batch(matrix.tolist(), chained=chained)
+                == SsoStatistics(beats=0, max_switching=0,
+                                 total_switching=0, histogram={}))
+        if not chained:
+            with pytest.raises(ValueError):
+                sso_of_words_batch(matrix, prev_words=[0x1FF] * 5)
+
     def test_out_of_range_word_rejected(self):
         with pytest.raises(ValueError):
             sso_of_words_batch([[0x200]])
@@ -108,15 +138,15 @@ class TestSsoOfWordsBatch:
         assert sso_of_words_batch([[0x000], [0x1FF]]).histogram == {0: 1, 9: 1}
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="ndarray input requires NumPy")
-    @pytest.mark.parametrize("impl", IMPLS)
-    def test_ndarray_input(self, impl):
+    @pytest.mark.parametrize("packer", PACKERS)
+    def test_ndarray_input(self, packer):
         rng = numpy.random.default_rng(11)
         matrix = rng.integers(0, 0x200, size=(7, 8), dtype=numpy.int64)
         rows = [list(map(int, row)) for row in matrix]
         for chained in (False, True):
-            assert (sso_of_words_batch(matrix, chained=chained,
-                                       word_impl=impl)
-                    == merged_reference(rows, ALL_ONES_WORD, chained))
+            with packed_on(packer):
+                batch = sso_of_words_batch(matrix, chained=chained)
+            assert batch == merged_reference(rows, ALL_ONES_WORD, chained)
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="ndarray input requires NumPy")
     def test_ndarray_must_be_2d(self):
@@ -127,14 +157,16 @@ class TestSsoOfWordsBatch:
 class TestSsoOfSchemeBatch:
     @pytest.mark.parametrize("scheme_name", available_schemes())
     @pytest.mark.parametrize("chained", (False, True))
-    @pytest.mark.parametrize("impl", IMPLS)
+    @pytest.mark.parametrize("packer", PACKERS)
     @settings(max_examples=12, deadline=None)
     @given(bursts=burst_lists)
-    def test_matches_scalar_engine(self, bursts, scheme_name, chained, impl):
+    def test_matches_scalar_engine(self, bursts, scheme_name, chained,
+                                   packer):
         reference = sso_of_scheme(get_scheme(scheme_name), bursts,
                                   chained=chained)
-        batch = sso_of_scheme_batch(get_scheme(scheme_name), bursts,
-                                    chained=chained, word_impl=impl)
+        with packed_on(packer):
+            batch = sso_of_scheme_batch(get_scheme(scheme_name), bursts,
+                                        chained=chained)
         assert batch == reference
 
     @pytest.mark.parametrize("scheme_name", ("raw", "dbi-dc", "dbi-opt"))

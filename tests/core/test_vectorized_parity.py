@@ -290,6 +290,26 @@ class TestBackendSelection:
             with pytest.raises(ValueError, match="at least one byte"):
                 scheme.wire_words(empty, 0x1FF, False, backend)
 
+    def test_byte_string_bursts_take_the_vector_branch(self):
+        """Bursts given as ``bytes`` pack like the same bursts as int
+        lists, so the vector encoder runs on them and returns its array."""
+        rng = np.random.default_rng(17)
+        data = random_batch(rng, 500, 8)
+        as_bytes = [row.tobytes() for row in data]
+        as_lists = [row.tolist() for row in data]
+        assert np.array_equal(pack_bursts(as_bytes), data)
+        assert np.array_equal(pack_bursts([bytearray(row) for row in as_bytes]),
+                              data)
+        scheme = get_scheme("dbi-opt")
+        words = scheme.wire_words(as_bytes, backend="vector")
+        assert isinstance(words, np.ndarray)
+        assert np.array_equal(words,
+                              scheme.wire_words(as_lists, backend="vector"))
+        with pytest.raises(ValueError, match="ragged"):
+            pack_bursts([bytes(2), bytes(3)])
+        with pytest.raises(ValueError, match="at least one byte"):
+            pack_bursts([b"", b""])
+
     def test_encode_batch_falls_back_on_ragged(self):
         scheme = get_scheme("dbi-opt")
         bursts = [Burst([0x00, 0xFF]), Burst([0x0F])]

@@ -1,5 +1,8 @@
 """Unit and property tests for reliability analysis."""
 
+import sys
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,13 +28,21 @@ from repro.extensions.reliability import (
     fault_sweep_batch,
     wrong_decision_is_harmless,
 )
-from repro.hw.bitsim import get_kernel
+from repro.hw import bitsim
 
 bursts = st.lists(st.integers(min_value=0, max_value=255),
                   min_size=1, max_size=12).map(Burst)
 
-#: Packed word representations available in this environment.
-WORD_IMPLS = ["int"] + (["uint64"] if HAVE_NUMPY else [])
+#: The :func:`~repro.hw.bitsim.pack_planes` branches testable here, by the
+#: ids these legs have always had: ``int`` hides NumPy from the packer (its
+#: ``bytes.translate`` branch), ``uint64`` packs through NumPy.
+PACKERS = ("int", "uint64") if HAVE_NUMPY else ("int",)
+
+
+def packed_on(packer):
+    """A context running the packed engines on one packer branch."""
+    hidden = None if packer == "int" else bitsim._np
+    return mock.patch.object(bitsim, "_np", hidden)
 
 
 class TestDecodeWithFaults:
@@ -155,19 +166,20 @@ class TestFaultSweepBatch:
         from repro.workloads.population import RandomPopulation
         return RandomPopulation(count=200, seed=55).bursts()
 
-    @pytest.mark.parametrize("word_impl", WORD_IMPLS)
+    @pytest.mark.parametrize("packer", PACKERS)
     @pytest.mark.parametrize("scheme_name",
                              ["raw", "dbi-dc", "dbi-ac", "dbi-opt"])
     def test_bit_identical_to_reference(self, population, scheme_name,
-                                        word_impl):
+                                        packer):
         scheme = get_scheme(scheme_name)
         for faults_per_burst, seed in ((1, 7), (3, 42)):
             reference = fault_sweep(scheme, population,
                                     faults_per_burst=faults_per_burst,
                                     seed=seed)
-            batch = fault_sweep_batch(scheme, population,
-                                      faults_per_burst=faults_per_burst,
-                                      seed=seed, word_impl=word_impl)
+            with packed_on(packer):
+                batch = fault_sweep_batch(scheme, population,
+                                          faults_per_burst=faults_per_burst,
+                                          seed=seed)
             assert batch == reference
 
     def test_reference_backend_delegates(self, population):
@@ -178,12 +190,6 @@ class TestFaultSweepBatch:
     def test_validation(self, population):
         with pytest.raises(ValueError):
             fault_sweep_batch(DbiDc(), population, faults_per_burst=0)
-
-    def test_word_impls_agree(self, population):
-        if not HAVE_NUMPY:
-            pytest.skip("uint64 word implementation needs NumPy")
-        assert (fault_sweep_batch(Raw(), population, word_impl="int")
-                == fault_sweep_batch(Raw(), population, word_impl="uint64"))
 
     def test_empty_population(self):
         stats = fault_sweep_batch(DbiDc(), [])
@@ -216,11 +222,12 @@ class TestFaultCoverageCurve:
         from repro.workloads.population import RandomPopulation
         return RandomPopulation(count=150, seed=21).bursts()
 
-    @pytest.mark.parametrize("word_impl", WORD_IMPLS)
-    def test_backends_bit_identical(self, population, word_impl):
+    @pytest.mark.parametrize("packer", PACKERS)
+    def test_backends_bit_identical(self, population, packer):
         scheme = get_scheme("dbi-opt")
-        vector = fault_coverage_curve(scheme, population, seed=13,
-                                      backend="vector", word_impl=word_impl)
+        with packed_on(packer):
+            vector = fault_coverage_curve(scheme, population, seed=13,
+                                          backend="vector")
         reference = fault_coverage_curve(scheme, population, seed=13,
                                          backend="reference")
         assert vector == reference
@@ -252,50 +259,51 @@ class TestFaultCoverageCurve:
         assert row.beat_error_rate == 0.0
 
 
-def _assert_same_planes(got, want):
-    assert len(got) == len(want) == WORD_WIDTH
-    for got_plane, want_plane in zip(got, want):
-        if isinstance(want_plane, int):
-            assert got_plane == want_plane
-        else:
-            assert got_plane.dtype == want_plane.dtype
-            assert got_plane.shape == want_plane.shape
-            assert (got_plane == want_plane).all()
-
-
 class TestFaultMaskPlanes:
     """The packed planes equal the reference per-lane stream, packed —
-    on ``uint64`` through the bulk ``getrandbits`` decode."""
+    with NumPy through the bulk ``getrandbits`` decode."""
 
-    @pytest.mark.parametrize("word_impl", WORD_IMPLS)
+    @pytest.mark.parametrize("packer", PACKERS)
     @settings(max_examples=80, deadline=None)
     @given(n_words=st.one_of(st.sampled_from([0, 1, 63, 64, 65, 300]),
                              st.integers(min_value=0, max_value=300)),
            rate=st.one_of(st.sampled_from([0, 1, 1e-9, 0.0, 1.0]),
                           st.floats(min_value=0.0, max_value=1.0)),
            seed=st.integers(min_value=0, max_value=2 ** 64))
-    def test_equal_packed_reference(self, word_impl, n_words, rate, seed):
-        reference = get_kernel(word_impl).pack_bus(
-            draw_fault_masks(n_words, rate, seed), WORD_WIDTH, n_words)
-        _assert_same_planes(fault_mask_planes(n_words, rate, seed,
-                                              word_impl), reference)
+    def test_equal_packed_reference(self, packer, n_words, rate, seed):
+        with packed_on(packer):
+            reference = bitsim.pack_planes(
+                draw_fault_masks(n_words, rate, seed), WORD_WIDTH)
+        assert fault_mask_planes(n_words, rate, seed) == reference
 
-    @pytest.mark.parametrize("word_impl", WORD_IMPLS)
+    @pytest.mark.parametrize("packer", PACKERS)
     @pytest.mark.parametrize("n_words", [MASK_DRAW_BLOCK_WORDS - 1,
                                          MASK_DRAW_BLOCK_WORDS,
                                          2 * MASK_DRAW_BLOCK_WORDS + 5])
-    def test_block_seams(self, word_impl, n_words):
+    def test_block_seams(self, packer, n_words):
         for rate, seed in ((0.003, 7), (0.5, 11)):
-            reference = get_kernel(word_impl).pack_bus(
-                draw_fault_masks(n_words, rate, seed), WORD_WIDTH, n_words)
-            _assert_same_planes(fault_mask_planes(n_words, rate, seed,
-                                                  word_impl), reference)
+            with packed_on(packer):
+                reference = bitsim.pack_planes(
+                    draw_fault_masks(n_words, rate, seed), WORD_WIDTH)
+            assert fault_mask_planes(n_words, rate, seed) == reference
 
-    @pytest.mark.parametrize("word_impl", WORD_IMPLS)
-    def test_rate_validation(self, word_impl):
+    @pytest.mark.parametrize("packer", PACKERS)
+    def test_rate_validation(self, packer):
         for rate in (-0.1, 1.5, float("nan")):
-            with pytest.raises(ValueError):
-                fault_mask_planes(10, rate, 1, word_impl)
+            with packed_on(packer), pytest.raises(ValueError):
+                fault_mask_planes(10, rate, 1)
+
+    def test_numpy_free_draw_equals_bulk_decode(self, monkeypatch):
+        """Without NumPy the planes are the per-lane draw packed, and
+        they are the ints the bulk decode gives."""
+        if not HAVE_NUMPY:
+            pytest.skip("the bulk decode needs NumPy")
+        sizes = (0, 1, 65, MASK_DRAW_BLOCK_WORDS + 3)
+        bulk = [fault_mask_planes(n_words, 0.05, 3) for n_words in sizes]
+        monkeypatch.setitem(sys.modules, "numpy", None)  # import fails
+        with packed_on("int"):
+            drawn = [fault_mask_planes(n_words, 0.05, 3) for n_words in sizes]
+        assert drawn == bulk
 
 
 class TestFaultCoverageRows:
@@ -304,19 +312,19 @@ class TestFaultCoverageRows:
         from repro.workloads.population import RandomPopulation
         return RandomPopulation(count=60, seed=5).bursts()
 
-    @pytest.mark.parametrize("backend, word_impl",
-                             [("reference", "auto")]
-                             + [("vector", impl) for impl in WORD_IMPLS])
+    @pytest.mark.parametrize("backend, packer",
+                             [("reference", None)]
+                             + [("vector", packer) for packer in PACKERS])
     def test_rows_equal_per_scheme_curves(self, population, backend,
-                                          word_impl):
+                                          packer):
         """Interleaved schemes and repeated rates, in task order: each
         row equals the scheme's own curve at that rate."""
         schemes = [Raw(), DbiDc(), get_scheme("dbi-opt")]
         tasks = [(schemes[0], 0.1), (schemes[0], 0.01), (schemes[1], 0.01),
                  (schemes[2], 0.1), (schemes[0], 0.3), (schemes[1], 0.1)]
-        rows = list(fault_coverage_rows(tasks, population, seed=4,
-                                        backend=backend,
-                                        word_impl=word_impl))
+        with packed_on(packer):
+            rows = list(fault_coverage_rows(tasks, population, seed=4,
+                                            backend=backend))
         expected = [fault_coverage_curve(scheme, population, rates=(rate,),
                                          seed=4, backend="reference")[0]
                     for scheme, rate in tasks]

@@ -3,26 +3,27 @@
 The scalar interpreter of :meth:`Netlist.simulate_activity` /
 :meth:`Netlist.evaluate` is the executable specification; the compiled
 engine of :mod:`repro.hw.bitsim` must be *bit-identical* to it — same
-per-gate toggle tallies, same outputs — for every word implementation
-(pure-Python ints, NumPy uint64) and any chunking.  This suite enforces
-that over hypothesis-generated random netlists, hand-built corner cases
-and every encoder design of :mod:`repro.hw.encoders`.
+per-gate toggle tallies, same outputs — whichever branch of
+:func:`~repro.hw.bitsim.pack_planes` packs its inputs and however they
+are chunked.  This suite enforces that over hypothesis-generated random
+netlists, hand-built corner cases and every encoder design of
+:mod:`repro.hw.encoders`.
 """
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.burst import Burst
+from repro.hw import bitsim
 from repro.hw.activity import iter_vectors, measure_activity, vectors_from_bursts
 from repro.hw.bitsim import (
     CompiledNetlist,
-    WORD_IMPLS,
     compile_netlist,
-    get_kernel,
+    pack_planes,
     resolve_sim_backend,
-    resolve_word_impl,
     word_function_from_truth_table,
 )
 from repro.hw.cells import LIBRARY, Cell
@@ -40,8 +41,16 @@ try:
 except ImportError:
     HAVE_NUMPY = False
 
-#: Word implementations testable in this environment.
-IMPLS = ("int", "uint64") if HAVE_NUMPY else ("int",)
+#: The :func:`~repro.hw.bitsim.pack_planes` branches testable here, by the
+#: ids these legs have always had: ``int`` hides NumPy from the packer (its
+#: ``bytes.translate`` branch), ``uint64`` packs through NumPy.
+PACKERS = ("int", "uint64") if HAVE_NUMPY else ("int",)
+
+
+def packed_on(packer):
+    """A context running the packed engines on one packer branch."""
+    hidden = None if packer == "int" else bitsim._np
+    return mock.patch.object(bitsim, "_np", hidden)
 
 CELL_NAMES = sorted(LIBRARY)
 
@@ -60,13 +69,14 @@ def assert_parity(netlist, vectors, chunk_vectors=None):
     reference = netlist.simulate_activity(iter(vectors), backend="reference")
     reference_outputs = [netlist.evaluate(vector) for vector in vectors]
     compiled = compile_netlist(netlist)
-    for impl in IMPLS:
-        report = compiled.simulate_activity(iter(vectors), word_impl=impl,
-                                            chunk_vectors=chunk_vectors)
+    for packer in PACKERS:
+        with packed_on(packer):
+            report = compiled.simulate_activity(iter(vectors),
+                                                chunk_vectors=chunk_vectors)
+            outputs = compiled.evaluate_batch(vectors,
+                                              chunk_vectors=chunk_vectors)
         assert report.gate_toggles == reference.gate_toggles
         assert report.n_cycles == reference.n_cycles
-        outputs = compiled.evaluate_batch(vectors, word_impl=impl,
-                                          chunk_vectors=chunk_vectors)
         assert outputs == reference_outputs
 
 
@@ -153,9 +163,9 @@ def test_measure_activity_backend_parity():
 
 # -- chunk boundaries --------------------------------------------------------
 
-@pytest.mark.parametrize("impl", IMPLS)
+@pytest.mark.parametrize("packer", PACKERS)
 @pytest.mark.parametrize("count", [2, 3, 63, 64, 65, 128, 129])
-def test_chunk_boundaries(impl, count):
+def test_chunk_boundaries(packer, count):
     """Vector counts straddling word and chunk boundaries; toggles that
     cross a chunk seam must still be counted exactly once."""
     netlist = build_dc_encoder(2)
@@ -163,8 +173,9 @@ def test_chunk_boundaries(impl, count):
     reference = netlist.simulate_activity(iter(vectors), backend="reference")
     compiled = compile_netlist(netlist)
     for chunk in (1, 2, 63, 64, 65, None):
-        report = compiled.simulate_activity(iter(vectors), word_impl=impl,
-                                            chunk_vectors=chunk)
+        with packed_on(packer):
+            report = compiled.simulate_activity(iter(vectors),
+                                                chunk_vectors=chunk)
         assert report.gate_toggles == reference.gate_toggles, (chunk, count)
         assert report.n_cycles == count - 1
 
@@ -174,10 +185,10 @@ def test_alternating_input_every_cycle_toggles():
     a, = nl.add_input("a", 1)
     nl.mark_output("y", [nl.gate("INV", a)])
     vectors = [{"a": i & 1} for i in range(130)]
-    for impl in IMPLS:
-        report = compile_netlist(nl).simulate_activity(vectors,
-                                                       word_impl=impl,
-                                                       chunk_vectors=32)
+    for packer in PACKERS:
+        with packed_on(packer):
+            report = compile_netlist(nl).simulate_activity(vectors,
+                                                           chunk_vectors=32)
         assert report.gate_toggles == [129]
 
 
@@ -187,12 +198,10 @@ class TestValidation:
     def test_needs_two_vectors(self):
         nl = build_dc_encoder(2)
         compiled = compile_netlist(nl)
-        for impl in IMPLS:
-            with pytest.raises(ValueError, match="at least 2"):
-                compiled.simulate_activity([], word_impl=impl)
-            with pytest.raises(ValueError, match="at least 2"):
-                compiled.simulate_activity(
-                    vectors_from_bursts([Burst([1, 2])]), word_impl=impl)
+        with pytest.raises(ValueError, match="at least 2"):
+            compiled.simulate_activity([])
+        with pytest.raises(ValueError, match="at least 2"):
+            compiled.simulate_activity(vectors_from_bursts([Burst([1, 2])]))
 
     def test_short_generator_fails_without_simulation(self):
         """The scalar path must fail fast on a 1-vector generator without
@@ -216,19 +225,15 @@ class TestValidation:
     def test_missing_input_raises_keyerror(self):
         nl = build_dc_encoder(2)
         compiled = compile_netlist(nl)
-        for impl in IMPLS:
-            with pytest.raises(KeyError, match="missing input"):
-                compiled.simulate_activity([{"byte0": 1}] * 3,
-                                           word_impl=impl)
+        with pytest.raises(KeyError, match="missing input"):
+            compiled.simulate_activity([{"byte0": 1}] * 3)
 
     def test_input_overflow_rejected(self):
         nl = Netlist("w")
         nl.add_input("a", 2)
         nl.mark_output("y", [nl.inputs["a"][0]])
-        for impl in IMPLS:
-            with pytest.raises(ValueError, match="does not fit"):
-                compile_netlist(nl).evaluate_batch([{"a": 4}],
-                                                   word_impl=impl)
+        with pytest.raises(ValueError, match="does not fit"):
+            compile_netlist(nl).evaluate_batch([{"a": 4}])
 
 
 class TestBackendDispatch:
@@ -260,13 +265,6 @@ class TestBackendDispatch:
             assert resolve_sim_backend() == "vector"
         finally:
             repro.set_default_backend(previous)
-
-    def test_resolve_word_impl(self):
-        assert resolve_word_impl("int") == "int"
-        expected = "uint64" if HAVE_NUMPY else "int"
-        assert resolve_word_impl("auto") == expected
-        with pytest.raises(ValueError):
-            resolve_word_impl("uint128")
 
 
 class TestCompilation:
@@ -324,18 +322,38 @@ class TestCompilation:
         assert_parity(nl, vectors)
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="uint64 kernel requires NumPy")
-def test_uint64_requires_numpy_error(monkeypatch):
-    import repro.hw.bitsim as bitsim
+# -- the packer --------------------------------------------------------------
 
-    monkeypatch.setattr(bitsim, "_np", None)
-    with pytest.raises(RuntimeError, match="NumPy"):
-        bitsim.resolve_word_impl("uint64")
-    assert bitsim.resolve_word_impl("auto") == "int"
+def _definition(values, width):
+    """Bit *i* of plane *p* is bit *p* of ``values[i]``, one bit at a time."""
+    return [sum(((value >> position) & 1) << index
+                for index, value in enumerate(values))
+            for position in range(width)]
 
 
-def test_kernels_exposed():
-    assert get_kernel("int").name == "int"
-    if HAVE_NUMPY:
-        assert get_kernel("auto").name == "uint64"
-    assert set(WORD_IMPLS) == {"auto", "int", "uint64"}
+PACKER_INPUTS = ("list", "bytes") + (("array",) if HAVE_NUMPY else ())
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), width=st.integers(min_value=1, max_value=16),
+       length=st.sampled_from([0, 1, 7, 8, 9, 63, 64, 65, 128, 300])
+       | st.integers(min_value=0, max_value=300),
+       form=st.sampled_from(PACKER_INPUTS))
+def test_pack_planes_is_the_per_bit_definition(data, width, length, form):
+    """Across byte and 64-bit seams, values wider than *width* included,
+    both branches give the per-bit planes for every input form."""
+    top = 0xFF if form == "bytes" else 0xFFFF
+    values = data.draw(st.lists(st.integers(min_value=0, max_value=top),
+                                min_size=length, max_size=length))
+    if form == "bytes":
+        packed = bytes(values)
+    elif form == "array":
+        import numpy
+
+        packed = numpy.asarray(values, dtype=numpy.int64)
+    else:
+        packed = values
+    expected = _definition(values, width)
+    for packer in PACKERS:
+        with packed_on(packer):
+            assert pack_planes(packed, width) == expected, packer

@@ -3,16 +3,18 @@
 :func:`repro.hw.activity.measure_activity` packs each byte lane of a
 rectangular population into Python-int bit planes, one per
 :data:`~repro.hw.activity.ACTIVITY_CHUNK_VECTORS`-vector chunk, and runs
-the compiled netlist on the ``int`` word kernel on every install.  Its
-toggles must equal the scalar interpreter (the specification) and the
-dict-vector engine, whatever the population size, design, population
-form, or whether NumPy is installed — and a population packed once for
-several designs must give each the toggles of drawing it alone.
+the compiled netlist straight on them.  Its toggles must equal the
+scalar interpreter (the specification) and the dict-vector engine,
+whatever the population size, design, population form, or whether NumPy
+is installed — and a population packed once for several designs must
+give each the toggles of drawing it alone.
 """
+
+from unittest import mock
 
 import pytest
 
-from repro.hw import activity
+from repro.hw import activity, bitsim
 from repro.hw.activity import (
     ACTIVITY_CHUNK_VECTORS,
     PackedPopulation,
@@ -29,10 +31,6 @@ try:
     HAVE_NUMPY = True
 except ImportError:
     HAVE_NUMPY = False
-
-#: The fastest dict-vector word implementation here: ``uint64`` with
-#: NumPy, else ``int``.
-DICT_IMPL = "uint64" if HAVE_NUMPY else "int"
 
 #: Table I's designs, built once per session.
 DESIGNS = {name: (spec, spec.build())
@@ -54,7 +52,7 @@ def _assert_matches_engines(netlist, population, coefficients):
     packed = measure_activity(netlist, population=population,
                               **coefficients)
     dict_vectors = compile_netlist(netlist).simulate_activity(
-        iter_vectors(population, **coefficients), word_impl=DICT_IMPL)
+        iter_vectors(population, **coefficients))
     assert packed.gate_toggles == dict_vectors.gate_toggles
     assert packed.n_cycles == len(population) - 1
     if len(population) <= SCALAR_LIMIT:
@@ -93,13 +91,15 @@ def test_small_chunks_against_the_scalar_interpreter(monkeypatch, count):
 
 
 def test_both_packers_agree():
-    """An array batch and the same bursts as a list give equal planes."""
+    """An array batch packed through NumPy and the same bursts as a list
+    packed without it give equal planes."""
     if not HAVE_NUMPY:
         pytest.skip("the array packer needs NumPy")
     population = RandomPopulation(count=1000, seed=3)
     batch = next(population.iter_packed(len(population)))
-    assert (activity._lane_planes(batch)
-            == activity._lane_planes(population.bursts()))
+    with mock.patch.object(bitsim, "_np", None):
+        planes = activity._lane_planes(population.bursts())
+    assert activity._lane_planes(batch) == planes
 
 
 @pytest.mark.parametrize("design", sorted(DESIGNS))

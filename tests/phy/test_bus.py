@@ -189,7 +189,7 @@ class TestBatchedBusParity:
                 for lane in bus.lanes]
 
     @staticmethod
-    def make_pair(scheme_name, energy_model=None, word_impl="auto"):
+    def make_pair(scheme_name, energy_model=None):
         from repro.core.schemes import get_scheme
         factory = lambda: get_scheme(scheme_name)
         if energy_model is None:
@@ -199,8 +199,7 @@ class TestBatchedBusParity:
                               energy_model=energy_model,
                               backend="reference")
         vector = MemoryBus(factory, byte_lanes=3, burst_length=4,
-                           energy_model=energy_model, backend="vector",
-                           word_impl=word_impl)
+                           energy_model=energy_model, backend="vector")
         return reference, vector
 
     @given(payload=payloads, scheme_name=schemes)
@@ -212,15 +211,6 @@ class TestBatchedBusParity:
             vec_stats = vector.write(chunk)
             assert vars(ref_stats) == vars(vec_stats)
             assert self.snapshot(reference) == self.snapshot(vector)
-
-    @pytest.mark.parametrize("word_impl", ("int", "uint64"))
-    def test_word_impls_identical(self, energy_model, word_impl):
-        reference, vector = self.make_pair("dbi-opt", energy_model,
-                                           word_impl=word_impl)
-        payload = bytes(range(256)) + bytes([0xFF, 0x00] * 10) + bytes(5)
-        assert (vars(reference.write(payload))
-                == vars(vector.write(payload)))
-        assert self.snapshot(reference) == self.snapshot(vector)
 
     @given(payload=payloads)
     @settings(max_examples=20, deadline=None)

@@ -1,11 +1,14 @@
 """Unit tests for per-lane state tracking."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.analysis.sso import sso_of_words
 from repro.core.bitops import total_transitions, total_zeros
+from repro.hw import bitsim
 from repro.phy.lane import Lane, LaneGroup
 
 word_lists = st.lists(st.integers(min_value=0, max_value=0x1FF),
@@ -124,7 +127,16 @@ try:
 except ImportError:
     HAVE_NUMPY = False
 
-IMPLS = ("int", "uint64") if HAVE_NUMPY else ("int",)
+#: The :func:`~repro.hw.bitsim.pack_planes` branches testable here, by the
+#: ids these legs have always had: ``int`` hides NumPy from the packer (its
+#: ``bytes.translate`` branch), ``uint64`` packs through NumPy.
+PACKERS = ("int", "uint64") if HAVE_NUMPY else ("int",)
+
+
+def packed_on(packer):
+    """A context running the packed engines on one packer branch."""
+    hidden = None if packer == "int" else bitsim._np
+    return mock.patch.object(bitsim, "_np", hidden)
 
 
 class TestDriveWordsBatch:
@@ -135,26 +147,28 @@ class TestDriveWordsBatch:
         return ([(lane.level, lane.zero_beats, lane.transitions, lane.beats)
                  for lane in group.lanes], group.state_word)
 
-    @pytest.mark.parametrize("impl", IMPLS)
+    @pytest.mark.parametrize("packer", PACKERS)
     @given(words=word_lists,
            start=st.integers(min_value=0, max_value=0x1FF))
-    def test_matches_scalar_path(self, words, start, impl):
+    def test_matches_scalar_path(self, words, start, packer):
         scalar = LaneGroup()
         batched = LaneGroup()
         scalar.reset(start)
         batched.reset(start)
         scalar.drive_words(words)
-        batched.drive_words_batch(words, word_impl=impl)
+        with packed_on(packer):
+            batched.drive_words_batch(words)
         assert self.snapshot(batched) == self.snapshot(scalar)
 
-    @pytest.mark.parametrize("impl", IMPLS)
+    @pytest.mark.parametrize("packer", PACKERS)
     @given(first=word_lists, second=word_lists)
-    def test_accumulates_across_calls(self, first, second, impl):
+    def test_accumulates_across_calls(self, first, second, packer):
         scalar = LaneGroup()
         batched = LaneGroup()
         scalar.drive_words(first + second)
-        batched.drive_words_batch(first, word_impl=impl)
-        batched.drive_words_batch(second, word_impl=impl)
+        with packed_on(packer):
+            batched.drive_words_batch(first)
+            batched.drive_words_batch(second)
         assert self.snapshot(batched) == self.snapshot(scalar)
 
     def test_empty_is_noop(self):

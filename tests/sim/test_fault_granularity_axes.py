@@ -142,11 +142,9 @@ class TestRunFaults:
 
 
 class TestSharedMaskDraws:
-    @pytest.mark.parametrize("backend, word_impl",
-                             [("vector", "auto"), ("vector", "int"),
-                              ("reference", "auto")])
+    @pytest.mark.parametrize("backend", ["vector", "reference"])
     def test_default_run_draws_each_rate_once(self, population, monkeypatch,
-                                              backend, word_impl):
+                                              backend):
         """Masks depend only on the seed, the rate and the beat count, so
         the four default slots share one draw per rate: 5, not 20."""
         streams = []
@@ -159,7 +157,7 @@ class TestSharedMaskDraws:
         monkeypatch.setattr(reliability, "random",
                             types.SimpleNamespace(Random=CountingRandom))
         spec = fault_experiment(population)
-        result = run_faults(spec, backend=backend, word_impl=word_impl)
+        result = run_faults(spec, backend=backend)
         assert len(spec.slots) == 4
         assert len(streams) == len(set(streams)) == len(DEFAULT_FAULT_RATES)
         monkeypatch.undo()

@@ -326,9 +326,9 @@ class TestFaultsCommand:
         assert code == 0
         assert "| dbi-dc |" in out
 
-    def test_word_impl_and_backend_parity(self, capsys):
+    def test_backend_parity(self, capsys):
         code_a, out_a, __ = run_cli(capsys, "faults", "--samples", "40",
-                                    "--rates", "0.05", "--word-impl", "int")
+                                    "--rates", "0.05")
         code_b, out_b, __ = run_cli(capsys, "faults", "--samples", "40",
                                     "--rates", "0.05", "--backend",
                                     "reference")
@@ -393,10 +393,10 @@ class TestSsoCommand:
         maxima = [int(line.split("|")[3]) for line in body]
         assert maxima == sorted(maxima, reverse=True)
 
-    def test_chained_and_word_impl_parity(self, capsys):
+    def test_chained_backend_parity(self, capsys):
         base = ("sso", "--samples", "40", "--schemes", "raw", "dbi-dc",
                 "--interfaces", "pod135", "--chained")
-        code_a, out_a, __ = run_cli(capsys, *base, "--word-impl", "int")
+        code_a, out_a, __ = run_cli(capsys, *base)
         code_b, out_b, __ = run_cli(capsys, *base, "--backend", "reference")
         assert code_a == code_b == 0
         table = lambda text: [line for line in text.splitlines()
