@@ -8,8 +8,8 @@ Runs the paper's alpha sweep over ``REPRO_BENCH_SERVICE_SAMPLES``
   population and publishes its totals to disk;
 * **warm** — a *fresh* cache instance over the same directory (the
   memory tier starts empty, exactly like a new process — say, a daemon
-  restart or another sweep shard): every cell must come back from disk
-  without a single encode.
+  restart or another machine's run on a shared directory): every cell
+  must come back from disk without a single encode.
 
 The gate requires the warm run to be **>= 5x faster** in wall-clock
 with bit-identical series and totals.  A third, ungated row reports the

@@ -2,10 +2,9 @@
 
 The :mod:`repro.sim.experiments` engine already deduplicates encodes
 through a content-addressed :class:`~repro.sim.experiments.ActivityCache`
-— but that cache dies with the process, sweeps cannot span machines, and
-every CLI invocation re-pays interpreter startup plus cold encodes.
-This package scales the engine to serving-infrastructure shape in three
-layers, each usable on its own:
+— but that cache dies with the process, and every CLI invocation
+re-pays interpreter startup plus cold encodes.  This package serves the
+engine in two layers, each usable on its own:
 
 * :mod:`repro.service.diskcache` — :class:`~repro.service.diskcache.
   DiskActivityCache`, an on-disk tier with the exact
@@ -16,17 +15,6 @@ layers, each usable on its own:
   the read path never blocks.  ``REPRO_CACHE_DIR`` / ``--cache-dir``
   select the directory and :func:`repro.sim.experiments.shared_cache`
   honours the variable, so warm runs skip every encode across processes.
-
-* :mod:`repro.service.shard` — :func:`~repro.service.shard.shard_spec`
-  splits an :class:`~repro.sim.experiments.ExperimentSpec` grid into N
-  deterministic contiguous shards, each an ordinary runnable spec;
-  :func:`~repro.service.shard.merge_shards` reassembles the shard
-  results into one :class:`~repro.sim.experiments.ExperimentResult`
-  **bit-identical** to the unsharded run (totals are exact integers and
-  cell pricing is per-point, so the split is exact by construction).
-  :func:`~repro.service.shard.run_shards` is the one-call local driver:
-  shard, fan out to independent processes against a shared disk cache,
-  merge.
 
 * :mod:`repro.service.daemon` / :mod:`repro.service.client` — a
   long-running JSON-lines TCP server (stdlib :mod:`socketserver`, no new
@@ -53,17 +41,15 @@ to the fault-free run or a loud typed error** — never silent corruption.
   (``ConnectionError``, ``TimeoutError``, ``EOFError``, and the
   :class:`~repro.service.retry.TransientServiceError` marker, which
   includes the daemon's *busy* answer
-  :class:`~repro.service.client.ServiceBusyError`).  Shard execution
-  adds ``OSError`` and ``BrokenProcessPool`` via
-  :data:`~repro.service.shard.SHARD_RETRYABLE`.  All are retried under
-  a deterministic seeded :class:`~repro.service.retry.RetryPolicy`.
+  :class:`~repro.service.client.ServiceBusyError`).  All are retried
+  under a deterministic seeded :class:`~repro.service.retry.RetryPolicy`;
+  a caller with a wider transient surface passes its own ``retryable``.
 * **Permanent** — :class:`~repro.service.client.ServiceError` (the
   daemon said no), validation ``ValueError``/``TypeError``; these
   propagate immediately.
 * **Exhaustion** — retries that run out raise
-  :class:`~repro.service.retry.RetryExhaustedError` (client/policy
-  level) or :class:`~repro.service.shard.ShardExecutionError` (sweep
-  driver, naming the shard), both chaining the last underlying cause.
+  :class:`~repro.service.retry.RetryExhaustedError`, chaining the last
+  underlying cause.
 * **Degradation** — :class:`~repro.service.diskcache.DiskActivityCache`
   never raises on a sick disk: write failures downgrade it to a
   memory-only tier and corrupt entries are quarantined to ``*.bad``,
@@ -72,8 +58,7 @@ to the fault-free run or a loud typed error** — never silent corruption.
 * **Chaos** — :mod:`repro.service.faults` injects all of the above
   deterministically (:class:`~repro.service.faults.FaultPlan` →
   :class:`~repro.service.faults.FaultyCache`,
-  :class:`~repro.service.faults.FlakyProxy`,
-  :func:`~repro.service.faults.crash_point`) so the chaos test suite
+  :class:`~repro.service.faults.FlakyProxy`) so the chaos test suite
   can prove the invariant byte-for-byte.
 """
 
@@ -81,9 +66,7 @@ from .._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "diskcache": ("DiskActivityCache", "open_cache", "resolve_cache_dir"),
-    "faults": ("FaultPlan", "FaultyCache", "FlakyProxy", "crash_point"),
+    "faults": ("FaultPlan", "FaultyCache", "FlakyProxy"),
     "retry": ("TRANSIENT_ERRORS", "RetryExhaustedError", "RetryPolicy",
               "TransientServiceError"),
-    "shard": ("SHARD_RETRYABLE", "ShardExecutionError", "merge_shards",
-              "run_shards", "shard_spec"),
 })

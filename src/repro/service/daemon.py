@@ -44,10 +44,10 @@ Serving limits: ``request_timeout`` bounds every socket read/write (a
 stalled or half-dead client cannot pin a handler thread forever; the
 compute itself is bounded by ``MAX_QUERY_SAMPLES`` and
 ``MAX_GRID_CELLS``), and ``max_connections`` bounds concurrent
-connections — excess connections get one ``busy`` line and are closed,
-rather than growing the thread count without limit.  A client that
-disconnects mid-response costs the daemon nothing but the dropped
-handler.
+connections — a connection that finds no slot free within
+``BUSY_GRACE_S`` gets one ``busy`` line and is closed, rather than
+growing the thread count without limit.  A client that disconnects
+mid-response costs the daemon nothing but the dropped handler.
 :func:`sweep_spec_from_params` and :func:`replay_spec_from_params` are
 module-level so tests and the smoke driver build *identical* specs for
 direct-versus-daemon comparisons.
@@ -88,6 +88,11 @@ MAX_QUERY_SAMPLES = 1_000_000
 #: Hard cap on a ``sweep`` grid's cells (loads × rates for Fig. 8), for
 #: the same reason: the default six loads at the 1000 Gbps rate cap fit.
 MAX_GRID_CELLS = 20_000
+
+#: Seconds a new connection waits for a free slot before it is refused
+#: as busy.  A client that has just closed frees its slot only when its
+#: handler thread reads EOF, which takes far less than this.
+BUSY_GRACE_S = 0.05
 
 
 def _int_param(params: Mapping[str, object], name: str, minimum: int = 1,
@@ -178,7 +183,11 @@ def replay_spec_from_params(params: Mapping[str, object]) -> ReplaySpec:
                              f"{type(payload_hex).__name__}")
         if len(payload_hex) > 2 * MAX_QUERY_SAMPLES:
             raise ValueError("payload_hex too large")
-        payload = bytes.fromhex(payload_hex)
+        try:
+            payload = bytes.fromhex(payload_hex)
+        except ValueError as error:
+            raise ValueError(f"payload_hex must be pairs of hex digits: "
+                             f"{error}") from None
         if not payload:
             raise ValueError("payload_hex decodes to an empty payload")
     else:
@@ -354,7 +363,7 @@ class _LineHandler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
         service: ExperimentService = self.server.service  # type: ignore
         slots = getattr(self.server, "connection_slots", None)
-        if slots is not None and not slots.acquire(blocking=False):
+        if slots is not None and not slots.acquire(timeout=BUSY_GRACE_S):
             service.note_busy_rejection()
             self._send({"ok": False, "retryable": True,
                         "error": "busy: connection limit reached, "

@@ -9,7 +9,7 @@ invariant that matters — under any planned fault schedule the final
 result is either **bit-identical** to the fault-free run or a loud,
 typed error, never silent corruption.
 
-Three injectors consume a plan:
+Two injectors consume a plan:
 
 * :class:`FaultyCache` wraps any
   :class:`~repro.sim.experiments.ActivityCache` and injects cache-layer
@@ -17,10 +17,7 @@ Three injectors consume a plan:
   ``corrupt`` on-disk garbage, ``stale`` spurious misses) at planned
   operation indices;
 * :class:`FlakyProxy` sits between a client and the daemon and injects
-  transport faults (``reset``, ``partial`` response lines, ``stall``);
-* :func:`crash_point` is an environment-armed process-kill point (the
-  shard workers call it) for simulating killed sweep workers — it
-  fires exactly once per named sentinel, so a retried worker survives.
+  transport faults (``reset``, ``partial`` response lines, ``stall``).
 """
 
 from __future__ import annotations
@@ -41,14 +38,6 @@ CACHE_FAULTS = ("oserror", "torn", "corrupt", "stale")
 
 #: Fault kinds :class:`FlakyProxy` can inject.
 PROXY_FAULTS = ("reset", "partial", "stall")
-
-#: Environment variable arming :func:`crash_point`:
-#: ``name@sentinel_path`` entries separated by ``;`` (names may contain
-#: ``:``, so ``os.pathsep`` would split them on POSIX).
-CRASH_POINTS_ENV = "REPRO_FAULT_POINTS"
-
-#: Exit code of a process killed by :func:`crash_point`.
-CRASH_EXIT_CODE = 17
 
 
 class FaultPlan:
@@ -114,7 +103,7 @@ class FaultyCache(ActivityCache):
 
     ``oserror``
         :meth:`store` raises :class:`OSError` (disk full) — nothing is
-        persisted; the caller (e.g. a retried shard) must recover.
+        persisted; the caller (e.g. a retried run) must recover.
     ``torn``
         the store is silently lost, as if the process died between the
         temp write and the atomic publish; over a disk inner tier a
@@ -201,32 +190,6 @@ class FaultyCache(ActivityCache):
         snapshot["injected_faults"] = dict(self.injected)
         snapshot["fault_plan"] = self.plan.label
         return snapshot
-
-
-def crash_point(name: str) -> None:
-    """Deterministic once-only process-kill point (chaos suite hook).
-
-    A no-op unless ``REPRO_FAULT_POINTS`` holds a ``name@sentinel_path``
-    entry for *name* (entries separated by ``;``).  The first
-    process to pass an armed point atomically claims the sentinel file
-    and dies with ``os._exit(CRASH_EXIT_CODE)`` — a later retry of the
-    same work finds the sentinel and survives, which is exactly the
-    "worker killed once mid-sweep" shape the shard driver must absorb.
-    """
-    spec = os.environ.get(CRASH_POINTS_ENV)
-    if not spec:
-        return
-    for entry in spec.split(";"):
-        point, sep, sentinel = entry.rpartition("@")
-        if not sep or point != name:
-            continue
-        try:
-            handle = os.open(sentinel, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except OSError:
-            continue  # already claimed — this point fired before
-        os.write(handle, f"crash_point({name})\n".encode("utf-8"))
-        os.close(handle)
-        os._exit(CRASH_EXIT_CODE)
 
 
 class FlakyProxy:

@@ -1,8 +1,7 @@
 """Shared retry policy for the service stack.
 
 One :class:`RetryPolicy` value describes how any caller — the
-:class:`~repro.service.client.ServiceClient`, the
-:func:`~repro.service.shard.run_shards` driver, or user code — survives
+:class:`~repro.service.client.ServiceClient` or user code — survives
 transient failures: how many attempts, how the backoff grows, and which
 errors count as *transient* in the first place.  Like everything else in
 this repro, retries are deterministic: the jittered backoff schedule is
@@ -24,9 +23,9 @@ Retryable (transient — the operation may succeed if repeated):
 
 Everything else is non-retryable by default and propagates unchanged:
 typed input errors (:class:`ValueError`), corrupt-data errors, and
-plain bugs must stay loud.  Callers with a wider transient surface (the
-shard driver treats :class:`OSError` and ``BrokenProcessPool`` as
-transient) pass their own ``retryable`` tuple.
+plain bugs must stay loud.  Callers with a wider transient surface (a
+run over a chaos-injected cache treats :class:`OSError` as transient)
+pass their own ``retryable`` tuple.
 
 When the attempts run out the caller gets a typed
 :class:`RetryExhaustedError` chaining the last underlying failure —

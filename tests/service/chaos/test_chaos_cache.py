@@ -1,9 +1,9 @@
 """Chaos: seeded cache-fault schedules never corrupt results.
 
 The differential invariant under test: for any planned fault schedule,
-the final merged artifact is either bit-identical (canonical JSON) to
-the fault-free run or a loud typed error — never silently wrong.  Runs
-on both CI legs (NumPy and no-NumPy); everything here is stdlib-only.
+the final artifact is either bit-identical (canonical JSON) to the
+fault-free run or a loud typed error — never silently wrong.  Runs on
+both CI legs (NumPy and no-NumPy); everything here is stdlib-only.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ import pytest
 from repro.analysis.artifacts import canonical_artifact_json
 from repro.service.diskcache import DiskActivityCache
 from repro.service.faults import FaultPlan, FaultyCache
-from repro.service.retry import RetryPolicy
-from repro.service.shard import SHARD_RETRYABLE, run_shards
+from repro.service.retry import TRANSIENT_ERRORS, RetryPolicy
 from repro.sim.experiments import (
     alpha_experiment,
     result_to_json,
@@ -22,10 +21,11 @@ from repro.sim.experiments import (
 )
 from repro.workloads.population import RandomPopulation
 
-#: Generous per-shard budget: every plan's horizon is finite, so the
-#: schedule always runs dry before the attempts do.
+#: Generous budget for the whole run: every plan's horizon is finite, so
+#: the schedule always runs dry before the attempts do.  An injected
+#: ``oserror`` fails the run; the retry re-runs it over the same cache.
 CHAOS_RETRY = RetryPolicy(max_attempts=8, base_delay_s=0.0,
-                          retryable=SHARD_RETRYABLE)
+                          retryable=TRANSIENT_ERRORS + (OSError,))
 
 
 def _spec(samples=120, points=5):
@@ -35,6 +35,10 @@ def _spec(samples=120, points=5):
 
 def _canonical(result):
     return canonical_artifact_json(result_to_json(result))
+
+
+def _run_under_chaos(cache):
+    return CHAOS_RETRY.call(lambda: run_experiment(_spec(), cache=cache))
 
 
 @pytest.fixture(scope="module")
@@ -48,18 +52,19 @@ class TestSeededSchedules:
     def test_sweep_survives_seeded_cache_chaos(self, seed, clean, tmp_path):
         plan = FaultPlan.seeded(seed, horizon=24, rate=0.4)
         cache = FaultyCache(DiskActivityCache(tmp_path / "cache"), plan)
-        merged = run_shards(_spec(), 3, cache=cache, retry=CHAOS_RETRY)
+        result = _run_under_chaos(cache)
         assert sum(cache.injected.values()) > 0, plan.describe()
-        assert _canonical(merged) == clean
+        assert _canonical(result) == clean
 
-    def test_same_seed_injects_identically(self, tmp_path):
+    def test_same_seed_injects_identically(self, clean, tmp_path):
         counts = []
         for attempt in ("a", "b"):
             plan = FaultPlan.seeded(5, horizon=24, rate=0.4)
             cache = FaultyCache(
                 DiskActivityCache(tmp_path / f"cache-{attempt}"), plan)
-            run_shards(_spec(), 3, cache=cache, retry=CHAOS_RETRY)
+            assert _canonical(_run_under_chaos(cache)) == clean
             counts.append(dict(cache.injected))
+        assert sum(counts[0].values()) > 0
         assert counts[0] == counts[1]
 
 

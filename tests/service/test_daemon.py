@@ -250,6 +250,27 @@ class TestServingLimits:
             daemon.shutdown()
             thread.join(timeout=10)
 
+    def test_closed_connection_frees_its_slot_for_the_next(self):
+        """A client that connects right after another has closed is
+        served, not refused: the closed connection's handler frees its
+        slot within the daemon's busy grace."""
+        daemon = ExperimentDaemon(port=0, max_connections=1)
+        thread = threading.Thread(target=daemon.serve_forever, daemon=True)
+        thread.start()
+        try:
+            host, port = daemon.address
+            answers = []
+            for __ in range(300):
+                with socket.create_connection((host, port),
+                                              timeout=30) as sock:
+                    sock.sendall(b'{"op": "ping"}\n')
+                    answers.append(json.loads(sock.makefile("rb").readline()))
+            assert [answer for answer in answers if not answer["ok"]] == []
+            assert daemon.service.busy_rejections == 0
+        finally:
+            daemon.shutdown()
+            thread.join(timeout=10)
+
 
 class TestConcurrentClients:
     def test_interleaved_sweep_and_stats(self, daemon):
@@ -403,6 +424,8 @@ class TestRequestTypes:
         ({"op": "sweep", "figure": "load", "loads_pf": [1, "x"]},
          "loads_pf"),
         ({"op": "sweep", "figure": "load", "loads_pf": [1, 0]}, "loads_pf"),
+        ({"op": "replay", "payload_hex": "zz"}, "payload_hex"),
+        ({"op": "replay", "payload_hex": "0"}, "payload_hex"),
     ])
     def test_bad_parameter_is_refused_by_name(self, request_, name):
         """Each of these used to run (booleans, fractions, numeric

@@ -1,23 +1,14 @@
-"""Chaos harness primitives: plans, the faulty cache, crash points."""
+"""Chaos harness primitives: plans and the faulty cache."""
 
 from __future__ import annotations
 
 import json
 import os
-import subprocess
-import sys
 
 import pytest
 
 from repro.service.diskcache import DiskActivityCache
-from repro.service.faults import (
-    CACHE_FAULTS,
-    CRASH_EXIT_CODE,
-    CRASH_POINTS_ENV,
-    FaultPlan,
-    FaultyCache,
-    crash_point,
-)
+from repro.service.faults import CACHE_FAULTS, FaultPlan, FaultyCache
 from repro.sim.experiments import ActivityCache, ActivityTotals
 
 TOTALS = ActivityTotals(transitions=10, zeros=20, bursts=4)
@@ -125,33 +116,3 @@ class TestFaultyCacheDisk:
         assert health["injected_faults"] == {"stale": 1}
         assert health["fault_plan"] == "unit"
 
-
-class TestCrashPoint:
-    def test_noop_when_unarmed(self, monkeypatch):
-        monkeypatch.delenv(CRASH_POINTS_ENV, raising=False)
-        crash_point("shard:0")  # must simply return
-
-    def test_noop_for_other_names(self, monkeypatch, tmp_path):
-        sentinel = tmp_path / "sentinel"
-        monkeypatch.setenv(CRASH_POINTS_ENV, f"shard:9@{sentinel}")
-        crash_point("shard:0")
-        assert not sentinel.exists()
-
-    def test_armed_point_kills_the_process_once(self, tmp_path):
-        sentinel = tmp_path / "sentinel"
-        code = ("from repro.service.faults import crash_point; "
-                "crash_point('shard:2'); print('survived')")
-        env = dict(os.environ,
-                   PYTHONPATH="src",
-                   **{CRASH_POINTS_ENV: f"shard:2@{sentinel}"})
-        first = subprocess.run([sys.executable, "-c", code], env=env,
-                               cwd="/root/repo", capture_output=True,
-                               text=True)
-        assert first.returncode == CRASH_EXIT_CODE
-        assert sentinel.exists()
-        # The sentinel is claimed: the retried process survives.
-        second = subprocess.run([sys.executable, "-c", code], env=env,
-                                cwd="/root/repo", capture_output=True,
-                                text=True)
-        assert second.returncode == 0
-        assert "survived" in second.stdout

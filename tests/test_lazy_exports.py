@@ -26,9 +26,9 @@ PACKAGES = ["repro"] + sorted(
 
 #: Engines no CLI axis needs at import: each is loaded by the command
 #: that runs it.
-ENGINES = ("repro.hw.synthesis", "repro.hw.encoders", "repro.service.shard",
-           "repro.service.daemon", "repro.analysis.sso",
-           "repro.ctrl.controller", "repro.core.streaming")
+ENGINES = ("repro.hw.synthesis", "repro.hw.encoders", "repro.service.daemon",
+           "repro.analysis.sso", "repro.ctrl.controller",
+           "repro.core.streaming")
 
 
 def _fresh(code: str) -> str:
