@@ -10,8 +10,9 @@ process gives a trustworthy peak for one trace size.
 Two gates:
 
 * **throughput** — the full-size replay must sustain at least
-  ``TXS_FLOOR`` transactions/second (the vector path measures ~30k tx/s
-  here; the floor is deliberately conservative for noisy CI hosts);
+  ``TXS_FLOOR`` transactions/second (``python -m repro.ctrl.smoke --mib
+  16`` measured 369k–396k tx/s in three runs on a 2-core Xeon host; the
+  floor is deliberately conservative for noisy CI hosts);
 * **bounded memory** — peak RSS of the full run may exceed the
   quarter-size run's by at most ``RSS_MARGIN_MIB``.  A replay that
   materialised the trace would grow by at least the 3/4-trace size

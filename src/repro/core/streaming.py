@@ -296,13 +296,13 @@ class BatchStreamingEncoder:
         window solved from the lane's bus word; lanes with equal tails
         share one solve.
         """
-        from .vectorized import _viterbi_planes
+        from .vectorized import _edge_planes, _viterbi_planes
 
         np = self._np
         for length in sorted(set(self._lengths.tolist()) - {0}):
             idx = np.flatnonzero(self._lengths == length)
             mat = self._buffer[idx, :length]
-            planes = self._planes(idx, mat)
+            planes = _edge_planes(mat, self._prev[idx])
             flags, _costs = _viterbi_planes(planes, self.model.alpha,
                                             self.model.beta, length)
             self._commit(idx, mat, planes, flags[:, 0, :, 0].T,
@@ -389,7 +389,7 @@ class BatchStreamingEncoder:
         :meth:`_chain` then follows each lane's actual states.  Lanes
         without a full window are left alone.
         """
-        from .vectorized import _viterbi_planes
+        from .vectorized import _edge_planes, _viterbi_planes
 
         np = self._np
         window, commit = self.window, self.commit
@@ -399,7 +399,7 @@ class BatchStreamingEncoder:
         if len(idx):
             full = mat if len(idx) == self.rows else mat[idx]
             windows = int(counts.max()) // commit
-            planes = self._planes(idx, full)
+            planes = _edge_planes(full, self._prev[idx])
             flags, _costs = _viterbi_planes(planes, self.model.alpha,
                                             self.model.beta, window, commit,
                                             windows, states=2)
@@ -411,13 +411,6 @@ class BatchStreamingEncoder:
         span = np.arange(int(self._lengths.max()))
         columns = np.minimum(counts[:, None] + span, max(mat.shape[1] - 1, 0))
         self._buffer = np.take_along_axis(mat, columns, axis=1)
-
-    def _planes(self, idx, mat):
-        """Edge planes of the ``(len(idx), n)`` byte matrix of lanes *idx*,
-        counted from each lane's current bus word."""
-        from .vectorized import _edge_planes, _word_planes
-
-        return _edge_planes(_word_planes(mat)[0], self._prev[idx])
 
     def _chain(self, flags):
         """Committed flags ``(rows, windows * commit)`` of solved windows.
@@ -451,22 +444,12 @@ class BatchStreamingEncoder:
     def _commit(self, idx, mat, planes, flags, counts) -> None:
         """Tally, record and advance lanes *idx* over their first
         ``counts`` bytes, sent with invert *flags* (``(len(idx), n)``)."""
+        from .vectorized import _sent_activity
+
         np = self._np
-        n = flags.shape[1]
-        same, cross, zeros_raw, zeros_inv = (plane[:, :n] for plane in planes)
-        # Column 0 of the planes counts from the bus word as if it were a
-        # raw word, so a flag that differs from the one before it (or a
-        # leading True) takes the cross-polarity transitions.
-        flips = flags.copy()
-        flips[:, 1:] ^= flags[:, :-1]
-        zeros = np.where(flags, zeros_inv, zeros_raw)
-        n_transitions = np.where(flips, cross, same)
-        if (counts != n).any():
-            valid = np.arange(n) < counts[:, None]
-            zeros *= valid
-            n_transitions *= valid
-        self._zeros[idx] += zeros.sum(axis=1, dtype=np.int64)
-        self._transitions[idx] += n_transitions.sum(axis=1, dtype=np.int64)
+        transitions, zeros = _sent_activity(planes, flags, counts=counts)
+        self._zeros[idx] += zeros
+        self._transitions[idx] += transitions
         self._beats[idx] += counts
         slots = np.arange(len(idx))
         last = mat[slots, counts - 1].astype(np.int64)

@@ -4,10 +4,10 @@ The reference implementation (:mod:`repro.core.trellis` and the scheme
 classes) solves one burst at a time in pure Python — ideal as an
 executable specification, but every figure sweep pays per-burst Python
 overhead.  This module provides the batched hot path: bursts are packed
-into a ``(batch, n)`` ``uint8`` array, all 9-bit wire words and popcounts
-come from precomputed tables, and the two-state Viterbi recursion of the
-paper's Fig. 5 runs across the whole batch at once — the only Python loop
-is over the ``n`` byte positions of a burst (8 for JEDEC bursts).
+into a ``(batch, n)`` ``uint8`` array, edges are priced from per-byte
+shift-and-mask popcounts (:func:`_edge_planes`), and the two-state
+Viterbi recursion of the paper's Fig. 5 runs across the whole batch at
+once — the only Python loop is over the ``n`` positions of a burst.
 
 Bit-identity with the reference is a hard guarantee, not an
 approximation: invert flags *and* path costs match
@@ -256,40 +256,66 @@ def _word_planes(data) -> Tuple:
 TILE_CELLS = 1 << 15
 
 
-def _edge_planes(words_raw, prev, width: int = WORD_WIDTH):
-    """Integer edge counts of a ``(rows, n)`` wire-word batch.
+def _popcount_uint8(bits):
+    """Shift-and-mask popcount of each element of a uint8 array, in place."""
+    np = _require_numpy()
+    tmp = np.empty_like(bits)
+    for shift, mask in ((1, 0x55), (2, 0x33), (4, 0x0F)):
+        np.right_shift(bits, shift, out=tmp)
+        tmp &= mask
+        bits &= mask
+        bits += tmp  # each (2 * shift)-bit field holds its own count
+    return bits
 
-    Column *j* prices the edges into byte *j*: from byte *j-1* for
-    ``j >= 1``, and from the per-row boundary word *prev* for ``j = 0``.
-    Returns four ``(rows, n)`` uint8 planes ``(same, cross, zeros_raw,
-    zeros_inv)``:
 
-    * ``same`` — transitions between words of equal polarity (raw→raw;
-      inv→inv is the same count);
-    * ``cross`` — transitions between polarities (inv→raw = raw→inv);
-    * ``zeros_raw`` / ``zeros_inv`` — zero lanes of the raw/inverted word.
+def _edge_planes(values, prev, width: int = WORD_WIDTH):
+    """Integer edge counts of a ``(rows, n)`` batch of data lanes.
 
-    Only ``same`` and ``zeros_raw`` are looked up.  The inverted word is
-    ``words_raw ^ (2**width - 1)``, which flips every lane, so ``cross =
-    width - same`` and ``zeros_inv = width - zeros_raw`` exactly.
-
-    In column 0 ``same`` counts from *prev* to the raw word and ``cross``
-    from *prev* to the inverted one, so the first window of a row starts
-    from *prev* as if it were a raw word.  ``width`` is the lane count of
-    one word (zeros = ``width - popcount``): 9 for the paper's byte+DBI
-    words, ``g + 1`` for the grouped-DBI trellises of
-    :class:`repro.extensions.granularity.GroupedDbiOptimal`; *words_raw*
-    and *prev* must fit in ``width`` bits.
-    """
+    *values* holds each word's ``width - 1`` data lanes as ``uint8``
+    (bytes, or grouped DBI's group values); the raw word adds the DBI
+    lane high, the inverted word flips every lane.  Column *j* prices the
+    edges into word *j* from word *j-1*, column 0 from the row's int64
+    boundary word *prev* as if it were raw.  Returns two uint8 planes:
+    ``same``, the transitions between words of equal polarity (for ``j
+    >= 1`` the popcount of ``values[:, j-1] ^ values[:, j]``: raw words
+    share their DBI lane), and ``zeros_raw = width - 1 - popcount(values)``.
+    Across polarities an edge takes ``width - same`` transitions, and an
+    inverted word has ``width - zeros_raw`` zeros."""
     np = _require_numpy()
     if not 0 < width <= WORD_WIDTH:
         raise ValueError(f"width must be in [1, {WORD_WIDTH}], got {width}")
-    pop = popcount_table().astype(np.uint8)
-    same = np.empty(words_raw.shape, dtype=np.uint8)
-    same[:, 0] = pop[prev ^ words_raw[:, 0]]
-    same[:, 1:] = pop[words_raw[:, :-1] ^ words_raw[:, 1:]]
-    zeros_raw = width - pop[words_raw]
-    return same, width - same, zeros_raw, width - zeros_raw
+    planes = np.empty((2,) + values.shape, dtype=np.uint8)
+    same, zeros_raw = planes
+    np.bitwise_xor(values[:, :-1], values[:, 1:], out=same[:, 1:])
+    first = prev ^ (values[:, 0].astype(np.int64) | 1 << (width - 1))
+    same[:, 0] = first & BYTE_MASK
+    zeros_raw[...] = values
+    _popcount_uint8(planes)
+    same[:, 0] += (first >> 8).astype(np.uint8)  # lane 8 of a 9-lane word
+    np.subtract(width - 1, zeros_raw, out=zeros_raw)
+    return same, zeros_raw
+
+
+def _sent_activity(planes, flags, width: int = WORD_WIDTH, counts=None):
+    """Per-row ``(transitions, zeros)`` int64 of the first ``counts[r]``
+    (default: all) words of row *r* sent with invert *flags*, from their
+    :func:`_edge_planes` *planes*.  Each adds ``count + flip * (width - 2
+    * count)``: a polarity flip (in column 0 a True flag) complements
+    ``same``, a True flag ``zeros_raw``."""
+    np = _require_numpy()
+    n = flags.shape[1]
+    flips = flags.copy()
+    flips[:, 1:] ^= flags[:, :-1]
+    tallies = []
+    for plane, flipped in zip(planes, (flips, flags)):
+        plane = plane[:, :n]
+        sent = np.subtract(width, 2 * plane, dtype=np.int8)
+        sent *= flipped
+        sent += plane.view(np.int8)
+        if counts is not None and (counts != n).any():
+            sent *= np.arange(n) < counts[:, None]
+        tallies.append(sent.sum(axis=1, dtype=np.int64))
+    return tuple(tallies)
 
 
 def solve_batch(data, model, prev_words: Union[int, Sequence[int]] = ALL_ONES_WORD):
@@ -317,7 +343,7 @@ def solve_batch(data, model, prev_words: Union[int, Sequence[int]] = ALL_ONES_WO
     np = _require_numpy()
     data = pack_bursts(data)
     prev = _as_prev_words(prev_words, data.shape[0])
-    planes = _edge_planes(_word_planes(data)[0], prev)
+    planes = _edge_planes(data, prev)
     flags, costs = _viterbi_planes(planes, model.alpha, model.beta,
                                    data.shape[1])
     return np.ascontiguousarray(flags[:, 0, :, 0].T), costs[0, :, 0]
@@ -363,16 +389,15 @@ def _viterbi_planes(planes, alpha: float, beta: float, span: int,
 
     The compute core of :func:`solve_batch`, of the windowed
     :class:`repro.core.streaming.BatchStreamingEncoder` and of the
-    grouped-DBI trellises.  *planes* are the ``(same, cross, zeros_raw,
-    zeros_inv)`` integer planes of :func:`_edge_planes` for words of
-    *width* lanes.  Each step reads its edge weights from one
-    :func:`_edge_table` of the model, built once per call, by one
-    ``take`` on the index plane ``same * (width + 1) + zeros_raw``.
-    Window *k* of a row covers columns ``[k*commit, k*commit + span)``:
-    its step-*i* weights are read through a strided view of that plane
-    at column ``k*commit + i``, so overlapping windows share one plane.
-    ``commit`` defaults to ``span`` (one window per row for
-    ``windows=1``).
+    grouped-DBI trellises.  *planes* are the ``(same, zeros_raw)`` of
+    :func:`_edge_planes` for words of *width* lanes.  Each step reads its
+    edge weights from one :func:`_edge_table` of the model, built once
+    per call, by one ``take`` on the index plane ``same * (width + 1) +
+    zeros_raw``.  Window *k* of a row covers columns ``[k*commit,
+    k*commit + span)``: its step-*i* weights are read through a strided
+    view of that plane at column ``k*commit + i``, so overlapping windows
+    share one plane.  ``commit`` defaults to ``span`` (one window per row
+    for ``windows=1``).
 
     With ``states=2`` every window ``k >= 1`` is solved twice: from the
     raw (state 0) and from the inverted (state 1) word of byte
@@ -396,7 +421,7 @@ def _viterbi_planes(planes, alpha: float, beta: float, span: int,
     float64, each window's optimal path cost.
     """
     np = _require_numpy()
-    same, _cross, zeros_raw, _zeros_inv = planes
+    same, zeros_raw = planes
     table, shift = _edge_table(float(alpha), float(beta), span, width)
     index = same * (width + 1) + zeros_raw
     commit = span if commit is None else commit
@@ -573,21 +598,18 @@ def flags_to_words(data, flags):
     return words.astype(np.int64)
 
 
-def batch_activity(words, prev_words: Union[int, Sequence[int]] = ALL_ONES_WORD,
-                   width: int = WORD_WIDTH):
+def batch_activity(words, prev_words: Union[int, Sequence[int]] = ALL_ONES_WORD):
     """Per-burst ``(transitions, zeros)`` tallies for a batch of word rows.
 
     Each row is measured from its own boundary word (independent mode).
-    ``width`` is the lane count per word (zeros = ``width - popcount``);
-    the default is the paper's 9-lane byte+DBI word, grouped-DBI callers
-    pass ``group_size + 1``.  Returns two ``(batch,)`` int64 arrays.
+    Returns two ``(batch,)`` int64 arrays.
     """
     np = _require_numpy()
     words = np.asarray(words, dtype=np.int64)
     batch, n = words.shape
     pop = popcount_table()
     prev = _as_prev_words(prev_words, batch)
-    zeros = (width - pop[words]).sum(axis=1)
+    zeros = (WORD_WIDTH - pop[words]).sum(axis=1)
     transitions = pop[prev ^ words[:, 0]]
     if n > 1:
         transitions = transitions + pop[words[:, :-1] ^ words[:, 1:]].sum(axis=1)

@@ -170,7 +170,7 @@ class GroupedDbiOptimal:
 
         The aggregate fast path behind :func:`granularity_table` and the
         granularity experiment axis: the vector backend tallies the
-        striped word planes without materialising per-burst
+        striped edge planes without materialising per-burst
         :class:`GroupedEncoding` objects, and a
         :class:`~repro.workloads.population.BurstPopulation` packs
         straight from its ``iter_packed`` chunks.  *bursts* may also be a
@@ -206,30 +206,25 @@ class GroupedDbiOptimal:
         """
         import numpy as np
 
-        from ..core.vectorized import (_edge_planes, _viterbi_planes,
-                                       batch_activity)
+        from ..core.vectorized import (_edge_planes, _sent_activity,
+                                       _viterbi_planes)
 
         g = self.group_size
         k = self.groups_per_byte
         batch, n = packed.shape
         mask = (1 << g) - 1
-        dbi_bit = 1 << g
         idle = (1 << (g + 1)) - 1
-        wide = packed.astype(np.uint16)
         # Stripe group lanes along the batch axis: row ``lane * batch + b``
         # carries group lane ``lane`` of burst ``b`` — every row is an
         # independent (g+1)-lane trellis with an idle-high boundary.
         values = np.concatenate(
-            [(wide >> (lane * g)) & mask for lane in range(k)], axis=0)
-        words_raw = values | dbi_bit
-        words_inv = values ^ mask
+            [(packed >> (lane * g)) & mask for lane in range(k)], axis=0)
         prev = np.full(k * batch, idle, dtype=np.int64)
-        planes = _edge_planes(words_raw, prev, width=g + 1)
+        planes = _edge_planes(values, prev, width=g + 1)
         flags, _costs = _viterbi_planes(planes, self.model.alpha,
                                         self.model.beta, n, width=g + 1)
         flags = np.ascontiguousarray(flags[:, 0, :, 0].T)
-        words = np.where(flags, words_inv, words_raw)
-        transitions, zeros = batch_activity(words, idle, width=g + 1)
+        transitions, zeros = _sent_activity(planes, flags, width=g + 1)
         return (flags.reshape(k, batch, n),
                 zeros.reshape(k, batch).sum(axis=0),
                 transitions.reshape(k, batch).sum(axis=0))

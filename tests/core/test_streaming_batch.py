@@ -13,7 +13,14 @@ from hypothesis import strategies as st
 
 pytest.importorskip("numpy")
 
-from repro.core.bitops import ALL_ONES_WORD, make_word, transitions, zeros_in_word
+from repro.core.bitops import (
+    ALL_ONES_WORD,
+    make_word,
+    total_transitions,
+    total_zeros,
+    transitions,
+    zeros_in_word,
+)
 from repro.core.costs import CostModel
 from repro.core.streaming import BatchStreamingEncoder, StreamingOptimalEncoder
 
@@ -136,6 +143,66 @@ class TestBatchParity:
         batch.flush()
         for row in range(2):
             assert all(flag for _byte, flag in batch.decisions(row))
+
+
+#: Coefficients that are no small multiples of one power of two, so every
+#: solve runs on the float64 edge table.
+inexact_models = st.sampled_from([
+    CostModel.from_ac_fraction(0.3),
+    CostModel.from_ac_fraction(0.77),
+    CostModel(0.1, 0.7),
+    CostModel(1 / 3, 2 / 3),
+])
+
+
+class TestTallyOracle:
+    """The committed tallies equal the activity of the wire words each
+    lane sent, rebuilt from its recorded decisions: no reference
+    encoder is involved."""
+
+    @given(data=st.data(), model=inexact_models,
+           window=st.integers(min_value=1, max_value=12),
+           prev_word=st.integers(min_value=0, max_value=511))
+    @settings(max_examples=60, deadline=None)
+    def test_tallies_match_rebuilt_wire_words(self, data, model, window,
+                                               prev_word):
+        """Ragged per-lane pushes commit different byte counts per lane
+        (the masked tally); matrix pushes commit equal ones.  The check
+        runs after every push and after the flush."""
+        import numpy as np
+        rows = data.draw(st.integers(min_value=1, max_value=5))
+        batch = BatchStreamingEncoder(model, rows=rows, window=window,
+                                      prev_word=prev_word, record=True)
+        streams = [b""] * rows
+        pushes = data.draw(st.integers(min_value=1, max_value=4))
+        for step in range(pushes + 1):
+            if step == pushes:
+                batch.flush()
+            elif data.draw(st.booleans()):
+                width = data.draw(st.integers(min_value=0, max_value=30))
+                flat = data.draw(st.binary(min_size=rows * width,
+                                           max_size=rows * width))
+                matrix = np.frombuffer(flat, dtype=np.uint8).reshape(
+                    rows, width)
+                batch.push(matrix)
+                streams = [old + bytes(new)
+                           for old, new in zip(streams, matrix)]
+            else:
+                lanes = data.draw(st.lists(st.binary(max_size=40),
+                                           min_size=rows, max_size=rows))
+                batch.push(lanes)
+                streams = [old + new for old, new in zip(streams, lanes)]
+            for row in range(rows):
+                decisions = batch.decisions(row)
+                words = [make_word(byte, flag) for byte, flag in decisions]
+                assert bytes(byte for byte, _flag in decisions) == (
+                    streams[row][:len(decisions)])
+                assert int(batch.zeros[row]) == total_zeros(words)
+                assert int(batch.transitions[row]) == total_transitions(
+                    words, prev_word)
+                assert int(batch.beats[row]) == len(words)
+        assert [len(batch.decisions(row)) for row in range(rows)] == [
+            len(stream) for stream in streams]
 
 
 class TestValidation:

@@ -25,6 +25,7 @@ from repro.core.bitops import WORD_WIDTH, popcount
 from repro.core.vectorized import (
     _edge_planes,
     _edge_table,
+    _popcount_uint8,
     available_backends,
     pack_bursts,
     resolve_backend,
@@ -112,30 +113,66 @@ class TestSolveBatchParity:
             assert realised == pytest.approx(oracle.total_cost, abs=1e-12)
 
 
+def expected_planes(values, prev, width):
+    """``(same, cross, zeros_raw, zeros_inv)`` of the data lanes *values*
+    from their popcount definitions, on the raw and inverted words."""
+    count = np.vectorize(popcount, otypes=[np.int64])
+    top = 1 << (width - 1)
+    raw = values.astype(np.int64) | top
+    inv = values.astype(np.int64) ^ (top - 1)
+    # Column 0 counts from prev as if it were a raw word.
+    before = np.column_stack((prev, raw[:, :-1]))
+    return (count(before ^ raw), count(before ^ inv),
+            width - count(raw), width - count(inv)), (raw, inv)
+
+
 class TestEdgePlanes:
     @pytest.mark.parametrize("width", range(2, 10))
     def test_planes_match_popcount_definitions(self, width):
-        """Two lookups give all four planes: each equals its popcount
-        definition at every lane count grouped DBI uses (and the ones in
-        between), column 0 counted from arbitrary boundary words."""
+        """The two planes equal their popcount definitions at every lane
+        count grouped DBI uses (and the ones in between), column 0
+        counted from arbitrary boundary words, and their complements are
+        the counts of the inverted words."""
         rng = np.random.default_rng(width)
-        mask = (1 << width) - 1
-        raw = rng.integers(0, 1 << width, size=(32, 11)).astype(np.uint16)
-        inv = raw ^ mask
+        values = rng.integers(0, 1 << (width - 1), size=(32, 11),
+                              dtype=np.uint8)
         prev = rng.integers(0, 1 << width, size=32)
-        same, cross, zeros_raw, zeros_inv = _edge_planes(raw, prev, width)
-        count = np.vectorize(popcount)
-        # Column 0 counts from prev as if it were a raw word.
-        before = np.column_stack((prev, raw[:, :-1]))
-        assert (same == count(before ^ raw)).all()
-        assert (cross == count(before ^ inv)).all()
+        same, zeros_raw = _edge_planes(values, prev, width)
+        (want_same, want_cross, want_zeros_raw, want_zeros_inv), (raw, inv) = (
+            expected_planes(values, prev, width))
+        count = np.vectorize(popcount, otypes=[np.int64])
+        assert (same == want_same).all()
+        assert (width - same == want_cross).all()
         # Later columns: inv->inv equals raw->raw, inv->raw equals raw->inv.
         assert (same[:, 1:] == count(inv[:, :-1] ^ inv[:, 1:])).all()
-        assert (cross[:, 1:] == count(inv[:, :-1] ^ raw[:, 1:])).all()
-        assert (zeros_raw == width - count(raw)).all()
-        assert (zeros_inv == width - count(inv)).all()
-        assert all(plane.dtype == np.uint8 for plane in
-                   (same, cross, zeros_raw, zeros_inv))
+        assert (width - same[:, 1:] == count(inv[:, :-1] ^ raw[:, 1:])).all()
+        assert (zeros_raw == want_zeros_raw).all()
+        assert (width - zeros_raw == want_zeros_inv).all()
+        assert same.dtype == zeros_raw.dtype == np.uint8
+
+    @pytest.mark.parametrize("view", [
+        lambda lanes: lanes[::3, 1::2],
+        lambda lanes: lanes.T[2:19, ::-1],
+    ], ids=["strided", "transposed"])
+    def test_strided_values(self, view):
+        """A non-contiguous view of the lanes gives its definitions'
+        planes and is left unchanged."""
+        rng = np.random.default_rng(0x57)
+        values = view(rng.integers(0, 256, size=(40, 30), dtype=np.uint8))
+        assert not values.flags.c_contiguous
+        before = values.copy()
+        prev = rng.integers(0, 512, size=values.shape[0])
+        same, zeros_raw = _edge_planes(values, prev)
+        (want_same, _cross, want_zeros_raw, _inv), _words = expected_planes(
+            values, prev, WORD_WIDTH)
+        assert (same == want_same).all()
+        assert (zeros_raw == want_zeros_raw).all()
+        assert (values == before).all()
+
+    def test_uint8_popcount_is_exhaustively_exact(self):
+        bits = np.arange(256, dtype=np.uint8)
+        assert (_popcount_uint8(bits).tolist()
+                == [popcount(value) for value in range(256)])
 
 
 class TestEdgeTable:

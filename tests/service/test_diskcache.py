@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+from pathlib import Path
 
 import pytest
 
@@ -93,9 +94,9 @@ class TestDiskActivityCache:
     def test_corrupt_entry_is_a_miss_and_recoverable(self, tmp_path):
         cache = DiskActivityCache(tmp_path)
         cache.store("k", SAMPLE_RECORDS[0])
-        path = cache._path("k")
-        path_content = open(path).read()
-        open(path, "w").write(path_content[: len(path_content) // 2])
+        path = Path(cache._path("k"))
+        path_content = path.read_text()
+        path.write_text(path_content[: len(path_content) // 2])
         fresh = DiskActivityCache(tmp_path)
         assert "k" not in fresh
         fresh.store("k", SAMPLE_RECORDS[0])
@@ -104,10 +105,11 @@ class TestDiskActivityCache:
     def test_key_mismatch_is_a_miss(self, tmp_path):
         cache = DiskActivityCache(tmp_path)
         cache.store("original", SAMPLE_RECORDS[0])
-        payload = json.load(open(cache._path("original")))
+        path = Path(cache._path("original"))
+        payload = json.loads(path.read_text())
         assert payload["format"] == CACHE_FORMAT
         payload["key"] = "someone-else"
-        json.dump(payload, open(cache._path("original"), "w"))
+        path.write_text(json.dumps(payload))
         assert "original" not in DiskActivityCache(tmp_path)
 
     def test_foreign_json_files_ignored(self, tmp_path):
