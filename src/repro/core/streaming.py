@@ -190,7 +190,10 @@ class BatchStreamingEncoder:
     :func:`~repro.core.vectorized._viterbi_planes` call over strided
     views of per-push integer edge planes.  A pointer-doubling scan over
     the per-window boundary maps then picks each lane's committed
-    decisions, and the activity is tallied once per push.
+    decisions, and the activity is tallied once per push.  A push works
+    in the encoder's :class:`~repro.core.vectorized._Workspace`: its
+    matrix, planes, flags and temporaries reuse buffers that grow only
+    when a push needs more room, so an encoder is not for concurrent use.
 
     Decisions and the integer activity tallies (zeros, transitions,
     beats per lane) are **bit-identical** to the per-lane reference;
@@ -224,7 +227,7 @@ class BatchStreamingEncoder:
     def __init__(self, model: CostModel, rows: int, window: int = 8,
                  commit: int = 0, prev_word: int = ALL_ONES_WORD,
                  record: bool = False):
-        from .vectorized import _require_numpy
+        from .vectorized import _require_numpy, _Workspace
 
         np = _require_numpy()
         if rows < 1:
@@ -242,6 +245,7 @@ class BatchStreamingEncoder:
         self.commit = commit
         self.record = record
         self._np = np
+        self._work = _Workspace()
         self._prev = np.full(rows, prev_word, dtype=np.int64)
         # Pending bytes: row r holds ``_buffer[r, :_lengths[r]]``.
         self._buffer = np.zeros((rows, 0), dtype=np.uint8)
@@ -269,8 +273,10 @@ class BatchStreamingEncoder:
         if isinstance(streams, np.ndarray) and streams.ndim == 2:
             streams = self._as_bytes(streams, "streams")
             if (self._lengths == self._lengths[0]).all():
+                shape = (self.rows, self._buffer.shape[1] + streams.shape[1])
                 self._commit_windows(
-                    np.concatenate((self._buffer, streams), axis=1),
+                    np.concatenate((self._buffer, streams), axis=1,
+                                   out=self._work("matrix", shape, np.uint8)),
                     self._lengths + streams.shape[1])
                 return
         # Validate every stream before mutating any pending buffer, so a
@@ -302,9 +308,9 @@ class BatchStreamingEncoder:
         for length in sorted(set(self._lengths.tolist()) - {0}):
             idx = np.flatnonzero(self._lengths == length)
             mat = self._buffer[idx, :length]
-            planes = _edge_planes(mat, self._prev[idx])
-            flags, _costs = _viterbi_planes(planes, self.model.alpha,
-                                            self.model.beta, length)
+            planes = _edge_planes(mat, self._prev[idx], work=self._work)
+            flags = _viterbi_planes(planes, self.model.alpha, self.model.beta,
+                                    length, work=self._work)[0]
             self._commit(idx, mat, planes, flags[:, 0, :, 0].T,
                          np.full(len(idx), length))
         self._buffer = np.zeros((self.rows, 0), dtype=np.uint8)
@@ -399,13 +405,13 @@ class BatchStreamingEncoder:
         if len(idx):
             full = mat if len(idx) == self.rows else mat[idx]
             windows = int(counts.max()) // commit
-            planes = _edge_planes(full, self._prev[idx])
-            flags, _costs = _viterbi_planes(planes, self.model.alpha,
-                                            self.model.beta, window, commit,
-                                            windows, states=2)
+            planes = _edge_planes(full, self._prev[idx], work=self._work)
+            flags = _viterbi_planes(planes, self.model.alpha, self.model.beta,
+                                    window, commit, windows, states=2,
+                                    work=self._work)[0]
             self._commit(idx, full, planes, self._chain(flags), counts[idx])
-        # Keep each lane's (< window) leftover in a fresh matrix, so the
-        # push matrix is not pinned in memory by a tiny view.  Columns
+        # Keep each lane's (< window) leftover in a fresh matrix: the next
+        # push overwrites the workspace's push matrix.  Columns
         # past a lane's length are padding that no commit reads.
         self._lengths = lengths - counts
         span = np.arange(int(self._lengths.max()))
@@ -419,27 +425,29 @@ class BatchStreamingEncoder:
         committed decisions of window *k* of row *r* when the byte before
         the window is sent in state *s* (0 raw, 1 inverted); the last one
         is the state window *k* hands to window *k+1*.  Those boundary
-        maps are composed by pointer doubling (O(log windows) array
-        operations) into the maps of windows ``0..k``, evaluated at state
-        0: window 0's state 0 is its solve from the lane's bus word.
+        maps, each kept as ``s -> state ^ (s & diff)``, are composed by
+        pointer doubling (O(log windows) array operations) into the maps
+        of windows ``0..k``, evaluated at state 0: window 0's state 0 is
+        its solve from the lane's bus word.  *flags* is spent.
         """
         from .vectorized import _pick
 
         np = self._np
-        rows, windows = flags.shape[2:]
-        from_raw, from_inv = flags[-1].copy()
+        commit, _states, rows, windows = flags.shape
+        state, diff = self._work("scratch", (2, rows, windows), bool)
+        np.copyto(state, flags[-1, 0])
+        np.bitwise_xor(flags[-1, 1], state, out=diff)
         step = 1
-        while step < windows:
-            earlier_raw, earlier_inv = from_raw[:, :-step], from_inv[:, :-step]
-            later_raw, later_inv = from_raw[:, step:], from_inv[:, step:]
-            from_raw[:, step:], from_inv[:, step:] = (
-                _pick(earlier_raw, later_inv, later_raw),
-                _pick(earlier_inv, later_inv, later_raw))
+        while step < windows:  # compose map k after map k - step
+            state[:, step:] ^= state[:, :-step] & diff[:, step:]
+            diff[:, step:] &= diff[:, :-step]
             step *= 2
-        entry = np.zeros((rows, windows), dtype=bool)
-        entry[:, 1:] = from_raw[:, :-1]
-        chosen = _pick(entry, flags[:, 1], flags[:, 0])
-        return chosen.transpose(1, 2, 0).reshape(rows, -1)
+        state[:, 1:] = state[:, :-1]  # now the state entering each window
+        state[:, 0] = False
+        chosen = self._work("chosen", (rows, windows, commit), bool)
+        np.copyto(chosen, _pick(state, flags[:, 1], flags[:, 0])
+                  .transpose(1, 2, 0))
+        return chosen.reshape(rows, -1)
 
     def _commit(self, idx, mat, planes, flags, counts) -> None:
         """Tally, record and advance lanes *idx* over their first
@@ -447,7 +455,8 @@ class BatchStreamingEncoder:
         from .vectorized import _sent_activity
 
         np = self._np
-        transitions, zeros = _sent_activity(planes, flags, counts=counts)
+        transitions, zeros = _sent_activity(planes, flags, counts=counts,
+                                            work=self._work)
         self._zeros[idx] += zeros
         self._transitions[idx] += transitions
         self._beats[idx] += counts

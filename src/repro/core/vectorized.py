@@ -8,6 +8,7 @@ into a ``(batch, n)`` ``uint8`` array, edges are priced from per-byte
 shift-and-mask popcounts (:func:`_edge_planes`), and the two-state
 Viterbi recursion of the paper's Fig. 5 runs across the whole batch at
 once — the only Python loop is over the ``n`` positions of a burst.
+A caller solving batch after batch passes one reused :class:`_Workspace`.
 
 Bit-identity with the reference is a hard guarantee, not an
 approximation: invert flags *and* path costs match
@@ -39,6 +40,7 @@ module never fails, only *using* a vector kernel without NumPy raises.
 
 from __future__ import annotations
 
+import math
 import os
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -251,15 +253,34 @@ def _word_planes(data) -> Tuple:
 
 #: Row × window × state cells one :func:`_viterbi_planes` tile solves at
 #: once.  It bounds the recursion's memory whatever the batch or push
-#: size: 64 KiB per cost temporary in int16 (256 KiB in float64), 1 MiB
-#: of choice planes at a 16-byte window.
+#: size: 64 KiB per path cost in int16 (256 KiB in float64), 1 MiB of
+#: choice planes at a 16-byte window, all in the workspace; each step
+#: allocates only its ``take`` of edge weights (128 KiB in int16).
 TILE_CELLS = 1 << 15
 
 
-def _popcount_uint8(bits):
+class _Workspace:
+    """Grow-only buffers, one per name: ``work(name, shape, dtype)`` views
+    the buffer kept under *name*, regrown only when too small, until the
+    next request under that name.  Steps that never hold each other's
+    views share the ``scratch`` buffer."""
+
+    def __init__(self):
+        self._buffers = {}
+
+    def __call__(self, name, shape, dtype):
+        np = _require_numpy()
+        size = math.prod(shape) * np.dtype(dtype).itemsize
+        buffer = self._buffers.get(name)
+        if buffer is None or buffer.size < size:
+            buffer = self._buffers[name] = np.empty(size, dtype=np.uint8)
+        return buffer[:size].view(dtype).reshape(shape)
+
+
+def _popcount_uint8(bits, work=None):
     """Shift-and-mask popcount of each element of a uint8 array, in place."""
     np = _require_numpy()
-    tmp = np.empty_like(bits)
+    tmp = (work or _Workspace())("scratch", bits.shape, np.uint8)
     for shift, mask in ((1, 0x55), (2, 0x33), (4, 0x0F)):
         np.right_shift(bits, shift, out=tmp)
         tmp &= mask
@@ -268,7 +289,7 @@ def _popcount_uint8(bits):
     return bits
 
 
-def _edge_planes(values, prev, width: int = WORD_WIDTH):
+def _edge_planes(values, prev, width: int = WORD_WIDTH, work=None):
     """Integer edge counts of a ``(rows, n)`` batch of data lanes.
 
     *values* holds each word's ``width - 1`` data lanes as ``uint8``
@@ -284,19 +305,21 @@ def _edge_planes(values, prev, width: int = WORD_WIDTH):
     np = _require_numpy()
     if not 0 < width <= WORD_WIDTH:
         raise ValueError(f"width must be in [1, {WORD_WIDTH}], got {width}")
-    planes = np.empty((2,) + values.shape, dtype=np.uint8)
+    work = work or _Workspace()
+    planes = work("planes", (2,) + values.shape, np.uint8)
     same, zeros_raw = planes
     np.bitwise_xor(values[:, :-1], values[:, 1:], out=same[:, 1:])
     first = prev ^ (values[:, 0].astype(np.int64) | 1 << (width - 1))
     same[:, 0] = first & BYTE_MASK
     zeros_raw[...] = values
-    _popcount_uint8(planes)
+    _popcount_uint8(planes, work)
     same[:, 0] += (first >> 8).astype(np.uint8)  # lane 8 of a 9-lane word
     np.subtract(width - 1, zeros_raw, out=zeros_raw)
     return same, zeros_raw
 
 
-def _sent_activity(planes, flags, width: int = WORD_WIDTH, counts=None):
+def _sent_activity(planes, flags, width: int = WORD_WIDTH, counts=None,
+                   work=None):
     """Per-row ``(transitions, zeros)`` int64 of the first ``counts[r]``
     (default: all) words of row *r* sent with invert *flags*, from their
     :func:`_edge_planes` *planes*.  Each adds ``count + flip * (width - 2
@@ -304,12 +327,15 @@ def _sent_activity(planes, flags, width: int = WORD_WIDTH, counts=None):
     ``same``, a True flag ``zeros_raw``."""
     np = _require_numpy()
     n = flags.shape[1]
-    flips = flags.copy()
+    scratch = (work or _Workspace())("scratch", (2,) + flags.shape, np.int8)
+    flips, sent = scratch[0].view(bool), scratch[1]
+    np.copyto(flips, flags)
     flips[:, 1:] ^= flags[:, :-1]
     tallies = []
     for plane, flipped in zip(planes, (flips, flags)):
         plane = plane[:, :n]
-        sent = np.subtract(width, 2 * plane, dtype=np.int8)
+        np.multiply(plane, -2, out=sent, dtype=np.int8)
+        sent += width
         sent *= flipped
         sent += plane.view(np.int8)
         if counts is not None and (counts != n).any():
@@ -344,8 +370,10 @@ def solve_batch(data, model, prev_words: Union[int, Sequence[int]] = ALL_ONES_WO
     data = pack_bursts(data)
     prev = _as_prev_words(prev_words, data.shape[0])
     planes = _edge_planes(data, prev)
-    flags, costs = _viterbi_planes(planes, model.alpha, model.beta,
-                                   data.shape[1])
+    flags, costs, shift = _viterbi_planes(planes, model.alpha, model.beta,
+                                          data.shape[1])
+    if shift is not None:
+        costs = np.ldexp(costs, -shift, dtype=np.float64)
     return np.ascontiguousarray(flags[:, 0, :, 0].T), costs[0, :, 0]
 
 
@@ -384,7 +412,7 @@ def _edge_table(alpha: float, beta: float, span: int, width: int):
 
 def _viterbi_planes(planes, alpha: float, beta: float, span: int,
                     commit: Optional[int] = None, windows: int = 1,
-                    states: int = 1, width: int = WORD_WIDTH):
+                    states: int = 1, width: int = WORD_WIDTH, work=None):
     """The two-state Viterbi recursion, over every window of a row at once.
 
     The compute core of :func:`solve_batch`, of the windowed
@@ -415,19 +443,24 @@ def _viterbi_planes(planes, alpha: float, beta: float, span: int,
     and the costs return exactly through ``ldexp``.  Windows are solved
     in tiles of at most :data:`TILE_CELLS` row × window × state cells.
 
-    Returns ``(flags, costs)``: ``flags`` is ``(commit, states, rows,
-    windows)`` bool, the first ``commit`` decisions of each window (True
-    = transmit inverted), and ``costs`` is ``(states, rows, windows)``
-    float64, each window's optimal path cost.
+    Returns ``(flags, costs, shift)``, views of *work*'s buffers.
+    ``flags`` is ``(commit, states, rows, windows)`` bool, the first
+    ``commit`` decisions of each window (True = transmit inverted), and
+    ``costs`` is ``(states, rows, windows)``, each window's optimal path
+    cost in the table's units: the cost itself when ``shift`` is
+    ``None``, else ``ldexp(costs, -shift)``.
     """
     np = _require_numpy()
+    work = work or _Workspace()
     same, zeros_raw = planes
     table, shift = _edge_table(float(alpha), float(beta), span, width)
-    index = same * (width + 1) + zeros_raw
+    index = np.multiply(same, width + 1,
+                        out=work("index", same.shape, np.uint8))
+    index += zeros_raw
     commit = span if commit is None else commit
     rows = same.shape[0]
-    flags = np.empty((commit, states, rows, windows), dtype=bool)
-    costs = np.empty((states, rows, windows), dtype=table.dtype)
+    flags = work("flags", (commit, states, rows, windows), bool)
+    costs = work("costs", (states, rows, windows), table.dtype)
     tile_rows = max(1, min(rows, TILE_CELLS // states))
     tile_windows = max(1, TILE_CELLS // (tile_rows * states))
     for first_row in range(0, rows, tile_rows):
@@ -435,24 +468,27 @@ def _viterbi_planes(planes, alpha: float, beta: float, span: int,
         for first in range(0, windows, tile_windows):
             tile = (row_slice, slice(first, first + tile_windows))
             _viterbi_tile(table, index, span, commit, row_slice, first,
-                          flags[(...,) + tile], costs[(...,) + tile])
-    if shift is not None:
-        costs = np.ldexp(costs, -shift, dtype=np.float64)
-    return flags, costs
+                          flags[(...,) + tile], costs[(...,) + tile], work)
+    return flags, costs, shift
 
 
 def _pick(cond, if_true, if_false):
     """``np.where(cond, if_true, if_false)`` for bool arrays, as bitwise
-    operations (several times faster than ``where`` on bools)."""
-    return if_false ^ (cond & (if_true ^ if_false))
+    operations in place (several times faster than ``where`` on bools):
+    both operands are spent, the result is written over *if_false*."""
+    if_true ^= if_false
+    if_true &= cond
+    if_false ^= if_true
+    return if_false
 
 
 def _viterbi_tile(table, index, span: int, commit: int, rows: slice,
-                  first: int, flags, costs) -> None:
+                  first: int, flags, costs, work) -> None:
     """Solve one tile of :func:`_viterbi_planes` into *flags*/*costs*.
 
     The tile is the row slice *rows* × the windows starting at *first*,
-    as many as the ``flags``/``costs`` views hold.
+    as many as the ``flags``/``costs`` views hold.  Path costs rotate
+    through four planes; unused choice plane 0 seeds the backtrack.
     """
     np = _require_numpy()
     states, tile_windows = costs.shape[0], costs.shape[2]
@@ -465,27 +501,28 @@ def _viterbi_tile(table, index, span: int, commit: int, rows: slice,
         return table.take(index[rows, start:start + stop:commit], axis=1)
 
     weights = edges(0)
-    cost_raw, cost_inv = weights[:states], weights[2:2 + states]
-    choice_raw = np.empty((span,) + cost_raw.shape, dtype=bool)
-    choice_inv = np.empty((span,) + cost_raw.shape, dtype=bool)
+    cost_raw, cost_inv, via_raw, via_inv = work(
+        "paths", (4,) + costs.shape, table.dtype)
+    cost_raw[...], cost_inv[...] = weights[:states], weights[2:2 + states]
+    choice_raw, choice_inv = work("scratch", (2, span) + costs.shape, bool)
 
     # Costs are finite and non-negative, so np.minimum picks what
     # np.where(via_inv < via_raw, via_inv, via_raw) would.
     for i in range(1, span):
         rr, ir, ri, ii = edges(i)
 
-        via_raw = cost_raw + rr
-        via_inv = cost_inv + ir
+        np.add(cost_raw, rr, out=via_raw)
+        np.add(cost_inv, ir, out=via_inv)
         np.less(via_inv, via_raw, out=choice_raw[i])
         next_raw = np.minimum(via_inv, via_raw, out=via_inv)
 
-        via_raw = cost_raw + ri
-        via_inv = cost_inv + ii
-        np.less(via_inv, via_raw, out=choice_inv[i])
-        cost_inv = np.minimum(via_inv, via_raw, out=via_inv)
-        cost_raw = next_raw
+        np.add(cost_raw, ri, out=via_raw)
+        np.add(cost_inv, ii, out=cost_raw)  # cost_raw is spent: via_inv
+        np.less(cost_raw, via_raw, out=choice_inv[i])
+        np.minimum(cost_raw, via_raw, out=cost_raw)
+        cost_raw, cost_inv, via_inv = next_raw, cost_raw, cost_inv
 
-    current = cost_inv < cost_raw
+    current = np.less(cost_inv, cost_raw, out=choice_raw[0])
     np.minimum(cost_inv, cost_raw, out=costs)
     for i in range(span - 1, -1, -1):
         if i < commit:

@@ -3,7 +3,7 @@
 Replays a chunk-stable :class:`~repro.workloads.source.SyntheticTraceSource`
 of the requested size through :meth:`MemoryController.submit_source` and
 reports one JSON line: bytes streamed, transactions, wall time, sustained
-transactions/second and the process's peak RSS.
+transactions/second, the replay's minor page faults and the peak RSS.
 
 The point of being a *module* rather than test code: peak RSS
 (``ru_maxrss``) is monotone over a process's lifetime, so a meaningful
@@ -53,10 +53,12 @@ def replay_stream(n_bytes: int, seed: int = 0x0DB1,
     controller = MemoryController(channels=channels, byte_lanes=byte_lanes,
                                   model=CostModel.fixed(), window=window,
                                   backend=backend)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.perf_counter()
     controller.submit_source(source)
     stats = controller.flush()
     elapsed = time.perf_counter() - start
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     return {
         "bytes_streamed": stats.bytes_written,
         "chunk_bytes": chunk_bytes,
@@ -68,6 +70,7 @@ def replay_stream(n_bytes: int, seed: int = 0x0DB1,
         "backend": controller.backend,
         "elapsed_s": round(elapsed, 3),
         "tx_per_s": round(stats.transactions / elapsed, 1),
+        "minor_faults": faults,
         "max_rss_mib": round(max_rss_mib(), 1),
     }
 

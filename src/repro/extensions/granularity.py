@@ -221,8 +221,8 @@ class GroupedDbiOptimal:
             [(packed >> (lane * g)) & mask for lane in range(k)], axis=0)
         prev = np.full(k * batch, idle, dtype=np.int64)
         planes = _edge_planes(values, prev, width=g + 1)
-        flags, _costs = _viterbi_planes(planes, self.model.alpha,
-                                        self.model.beta, n, width=g + 1)
+        flags = _viterbi_planes(planes, self.model.alpha, self.model.beta,
+                                n, width=g + 1)[0]
         flags = np.ascontiguousarray(flags[:, 0, :, 0].T)
         transitions, zeros = _sent_activity(planes, flags, width=g + 1)
         return (flags.reshape(k, batch, n),

@@ -253,3 +253,72 @@ class TestValidation:
         with pytest.raises(TypeError):
             batch.push([np.array([0.5, 1.0])])
         assert batch.pending_counts() == [0]
+
+
+class TestWorkspace:
+    """A push works in the encoder's reused buffers, and nothing the
+    encoder keeps is a view of them."""
+
+    def test_steady_state_push_allocates_little(self):
+        """Past three warm pushes, a 128 x 2048 push traces under 1 MiB;
+        allocating its planes, flags and temporaries takes 3.4 MiB."""
+        import tracemalloc
+
+        import numpy as np
+        rng = np.random.default_rng(0x0DB1)
+        matrices = rng.integers(0, 256, size=(4, 128, 2048), dtype=np.uint8)
+        batch = BatchStreamingEncoder(CostModel.fixed(), rows=128, window=16)
+        for matrix in matrices[:3]:
+            batch.push(matrix)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _peak = tracemalloc.get_traced_memory()
+            batch.push(matrices[3])
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak - before < 1 << 20
+
+    @pytest.mark.parametrize("tile_cells", [None, 7])
+    def test_buffers_regrow_across_push_shapes(self, monkeypatch,
+                                                tile_cells):
+        """Matrix pushes grow, shrink and regrow the buffers, a ragged
+        list push commits on only some lanes, and small tiles give the
+        tile buffers several shapes: every lane still encodes like the
+        reference, and decisions read early never change."""
+        import numpy as np
+
+        from repro.core import vectorized
+        if tile_cells is not None:
+            monkeypatch.setattr(vectorized, "TILE_CELLS", tile_cells)
+        model, rows, window = CostModel(0.1, 0.7), 5, 12
+        rng = np.random.default_rng(0x0DB1)
+        batch = BatchStreamingEncoder(model, rows=rows, window=window,
+                                      record=True)
+        streams = [b""] * rows
+        early = None
+        for width in (300, 17, 300, 1, None, 64):
+            if width is None:  # multiples of the commit keep lanes level
+                pushed = [bytes(rng.integers(0, 256, size=6 * row,
+                                             dtype=np.uint8))
+                          for row in range(rows)]
+            else:
+                pushed = rng.integers(0, 256, size=(rows, width),
+                                      dtype=np.uint8)
+            batch.push(pushed)
+            streams = [old + bytes(new) for old, new in zip(streams, pushed)]
+            if early is None:
+                early = [batch.decisions(row) for row in range(rows)]
+        assert len(set(batch.pending_counts())) == 1
+        batch.flush()
+        for row, stream in enumerate(streams):
+            decisions, zeros, trans, last = reference_lane(stream, model,
+                                                           window)
+            assert batch.decisions(row)[:len(early[row])] == early[row]
+            assert batch.decisions(row) == decisions, f"lane {row}"
+            assert (int(batch.zeros[row]), int(batch.transitions[row]),
+                    int(batch.beats[row]), int(batch.prev_words[row])) == (
+                        zeros, trans, len(stream), last)
