@@ -13,8 +13,9 @@ Tallies the per-beat switching statistics of ``REPRO_BENCH_SSO_BURSTS``
 The gate requires the word-parallel engine, with NumPy installed as on
 this CI job, to be **>= 10x faster**, with bit-identical statistics on
 the parity prefix.  A batched :class:`repro.phy.bus.MemoryBus` write row
-is reported for context (the same word-parallel layer driving per-wire
-counters).
+is reported for context: each lane's burst train is one chained vector
+encode (two DBI-OPT solves of every burst and one chain scan), tallied
+array-at-a-time into the per-wire counters.
 
 Every run persists its measurements to ``BENCH_phy_sso.json`` in the
 ``artifact_dir`` of ``conftest.py`` (``REPRO_BENCH_ARTIFACT_DIR``, which

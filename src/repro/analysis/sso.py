@@ -202,17 +202,12 @@ def _check_matrix(matrix) -> None:
 
 def _transition_values_array(matrix, prev_words, chained: bool):
     """Flat per-beat transition words for a ``(batch, n)`` word matrix."""
+    from ..core.vectorized import _as_prev_words, chain_boundaries
+
     matrix = _np.asarray(matrix, dtype=_np.int64)
     _check_matrix(matrix)
-    if chained:
-        flat = matrix.ravel()
-        shifted = _np.empty_like(flat)
-        shifted[0] = int(prev_words)
-        shifted[1:] = flat[:-1]
-        return flat ^ shifted
-    from ..core.vectorized import _as_prev_words
-
-    prev = _as_prev_words(prev_words, matrix.shape[0])
+    prev = (chain_boundaries(prev_words, matrix[:, -1]) if chained
+            else _as_prev_words(prev_words, matrix.shape[0]))
     shifted = _np.empty_like(matrix)
     shifted[:, 0] = prev
     if matrix.shape[1] > 1:
@@ -290,9 +285,8 @@ def sso_of_scheme_batch(scheme: DbiScheme, bursts: Sequence[Burst],
     Bit-identical to :func:`sso_of_scheme` on every scheme in both
     transmission modes.  With the ``vector`` backend the wire words come
     from :meth:`~repro.core.schemes.DbiScheme.wire_words` on NumPy's
-    batch kernel wherever it applies (chained transmission of a
-    state-dependent scheme runs its reference loop), and the tally
-    always runs word-parallel.  ``backend`` follows
+    batch kernel wherever it applies, and the tally always runs
+    word-parallel.  ``backend`` follows
     :func:`repro.hw.bitsim.resolve_sim_backend`: ``auto`` resolves to
     the batched tally even without NumPy.
     """

@@ -23,10 +23,6 @@ class DbiAcDc(DbiScheme):
     """First byte DBI DC, remaining bytes DBI AC (Hollis 2009)."""
 
     name = "dbi-acdc"
-    # The first byte's DC rule looks only at the byte and the AC chain
-    # threads from the scheme's own transmitted words, so the flags never
-    # read the incoming bus state — chained mode stays vectorizable.
-    stateful_flags = False
 
     def encode(self, burst: Burst, prev_word: int = ALL_ONES_WORD) -> EncodedBurst:
         flags = []

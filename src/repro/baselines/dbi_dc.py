@@ -36,7 +36,6 @@ class DbiDc(DbiScheme):
     """Zero-minimising DBI (the GDDR5/DDR4 standard write encoding)."""
 
     name = "dbi-dc"
-    stateful_flags = False
 
     def encode(self, burst: Burst, prev_word: int = ALL_ONES_WORD) -> EncodedBurst:
         flags = tuple(should_invert_dc(byte) for byte in burst)

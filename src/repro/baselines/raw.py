@@ -21,7 +21,6 @@ class Raw(DbiScheme):
     """
 
     name = "raw"
-    stateful_flags = False
 
     def encode(self, burst: Burst, prev_word: int = ALL_ONES_WORD) -> EncodedBurst:
         return EncodedBurst(burst=burst,

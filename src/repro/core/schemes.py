@@ -23,7 +23,7 @@ from .bitops import (
 )
 from .burst import Burst, as_bursts
 from .costs import CostModel
-from .vectorized import flags_to_words, try_vector_pack
+from .vectorized import chained_flags, flags_to_words, try_vector_pack
 
 
 @dataclass(frozen=True)
@@ -114,11 +114,6 @@ class DbiScheme(abc.ABC):
     #: Short identifier used in tables, plots and the registry.
     name: str = "abstract"
 
-    #: Whether the invert decisions depend on the incoming bus state.
-    #: State-free schemes (RAW, DBI DC) stay fully vectorizable even in
-    #: chained transmission mode.
-    stateful_flags: bool = True
-
     @abc.abstractmethod
     def encode(self, burst: Burst, prev_word: int = ALL_ONES_WORD) -> EncodedBurst:
         """Encode one burst given the previous bus state."""
@@ -173,17 +168,21 @@ class DbiScheme(abc.ABC):
 
         Where :func:`~repro.core.vectorized.try_vector_pack` admits the
         scheme on *backend*, a ``(batch, n)`` int64 array from
-        :meth:`batch_flags`; otherwise one word tuple per burst from the
-        reference loop (:meth:`encode`, or :meth:`encode_stream` when
-        ``chained``).  Both branches give the same words.
+        :meth:`batch_flags` (through
+        :func:`~repro.core.vectorized.chained_flags` when ``chained``);
+        otherwise one word tuple per burst from the reference loop
+        (:meth:`encode`, or :meth:`encode_stream` when ``chained``).
+        Both branches give the same words.
         """
         if iter(bursts) is bursts:
             bursts = list(bursts)
-        data = try_vector_pack(self, bursts, backend, chained=chained)
-        if data is not None:
-            return flags_to_words(data, self._flags(data, prev_word))
-        return [encoded.words
-                for encoded in self._encode_each(bursts, prev_word, chained)]
+        data = try_vector_pack(self, bursts, backend)
+        if data is None:
+            return [encoded.words for encoded
+                    in self._encode_each(bursts, prev_word, chained)]
+        flags = (chained_flags(self.batch_flags, data, prev_word) if chained
+                 else self._flags(data, prev_word))
+        return flags_to_words(data, flags)
 
     def encode_batch(self, bursts: Iterable[Burst],
                      prev_word: int = ALL_ONES_WORD,

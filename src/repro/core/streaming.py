@@ -189,11 +189,13 @@ class BatchStreamingEncoder:
     both states (window 0 from the lane's known bus word), in one
     :func:`~repro.core.vectorized._viterbi_planes` call over strided
     views of per-push integer edge planes.  A pointer-doubling scan over
-    the per-window boundary maps then picks each lane's committed
-    decisions, and the activity is tallied once per push.  A push works
-    in the encoder's :class:`~repro.core.vectorized._Workspace`: its
-    matrix, planes, flags and temporaries reuse buffers that grow only
-    when a push needs more room, so an encoder is not for concurrent use.
+    the per-window boundary maps, :func:`~repro.core.vectorized._chain_scan`
+    (the one chained :meth:`~repro.core.schemes.DbiScheme.wire_words`
+    runs too), then picks each lane's committed decisions, and the
+    activity is tallied once per push.  A push works in the encoder's
+    :class:`~repro.core.vectorized._Workspace`: its matrix, planes,
+    flags and temporaries reuse buffers that grow only when a push needs
+    more room, so an encoder is not for concurrent use.
 
     Decisions and the integer activity tallies (zeros, transitions,
     beats per lane) are **bit-identical** to the per-lane reference;
@@ -392,10 +394,10 @@ class BatchStreamingEncoder:
         inverted word.  So every window is solved up front from both of
         those states (window 0 from the lane's bus word) in one
         :func:`~repro.core.vectorized._viterbi_planes` call, and
-        :meth:`_chain` then follows each lane's actual states.  Lanes
-        without a full window are left alone.
+        :func:`~repro.core.vectorized._chain_scan` then follows each
+        lane's actual states.  Lanes without a full window are left alone.
         """
-        from .vectorized import _edge_planes, _viterbi_planes
+        from .vectorized import _chain_scan, _edge_planes, _viterbi_planes
 
         np = self._np
         window, commit = self.window, self.commit
@@ -409,7 +411,8 @@ class BatchStreamingEncoder:
             flags = _viterbi_planes(planes, self.model.alpha, self.model.beta,
                                     window, commit, windows, states=2,
                                     work=self._work)[0]
-            self._commit(idx, full, planes, self._chain(flags), counts[idx])
+            self._commit(idx, full, planes, _chain_scan(flags, self._work),
+                         counts[idx])
         # Keep each lane's (< window) leftover in a fresh matrix: the next
         # push overwrites the workspace's push matrix.  Columns
         # past a lane's length are padding that no commit reads.
@@ -417,37 +420,6 @@ class BatchStreamingEncoder:
         span = np.arange(int(self._lengths.max()))
         columns = np.minimum(counts[:, None] + span, max(mat.shape[1] - 1, 0))
         self._buffer = np.take_along_axis(mat, columns, axis=1)
-
-    def _chain(self, flags):
-        """Committed flags ``(rows, windows * commit)`` of solved windows.
-
-        ``flags[:, s, r, k]`` (the ``_viterbi_planes`` layout) are the
-        committed decisions of window *k* of row *r* when the byte before
-        the window is sent in state *s* (0 raw, 1 inverted); the last one
-        is the state window *k* hands to window *k+1*.  Those boundary
-        maps, each kept as ``s -> state ^ (s & diff)``, are composed by
-        pointer doubling (O(log windows) array operations) into the maps
-        of windows ``0..k``, evaluated at state 0: window 0's state 0 is
-        its solve from the lane's bus word.  *flags* is spent.
-        """
-        from .vectorized import _pick
-
-        np = self._np
-        commit, _states, rows, windows = flags.shape
-        state, diff = self._work("scratch", (2, rows, windows), bool)
-        np.copyto(state, flags[-1, 0])
-        np.bitwise_xor(flags[-1, 1], state, out=diff)
-        step = 1
-        while step < windows:  # compose map k after map k - step
-            state[:, step:] ^= state[:, :-step] & diff[:, step:]
-            diff[:, step:] &= diff[:, :-step]
-            step *= 2
-        state[:, 1:] = state[:, :-1]  # now the state entering each window
-        state[:, 0] = False
-        chosen = self._work("chosen", (rows, windows, commit), bool)
-        np.copyto(chosen, _pick(state, flags[:, 1], flags[:, 0])
-                  .transpose(1, 2, 0))
-        return chosen.reshape(rows, -1)
 
     def _commit(self, idx, mat, planes, flags, counts) -> None:
         """Tally, record and advance lanes *idx* over their first

@@ -30,7 +30,11 @@ The one encoder, :meth:`repro.core.schemes.DbiScheme.wire_words` (a
 vector kernel where :func:`try_vector_pack` admits it, else the per-burst
 reference loop), and everything built on it, such as
 :func:`repro.sim.experiments.population_activity`, accept
-``backend="reference" | "vector" | "auto"``.  ``auto`` (the
+``backend="reference" | "vector" | "auto"``.  The kernel runs in both
+transmission modes: bursts sent back to back (:func:`chained_flags`) are
+solved from both words their boundary byte can be sent as, and the
+pointer-doubling scan :func:`_chain_scan`, which the windowed streaming
+encoder shares, follows the words actually sent.  ``auto`` (the
 default) picks ``vector`` whenever NumPy is importable and falls back to
 the pure-Python reference otherwise.  The process-wide default can be
 overridden with :func:`set_default_backend` or the ``REPRO_BACKEND``
@@ -211,20 +215,16 @@ def try_pack_bursts(bursts: Sequence):
         return None
 
 
-def try_vector_pack(scheme, bursts, backend: Optional[str] = None,
-                    chained: bool = False):
+def try_vector_pack(scheme, bursts, backend: Optional[str] = None):
     """The single gate for every vector fast path in the library.
 
     Returns the packed ``(batch, n)`` array when *scheme* can be run
     vectorized over *bursts* under the resolved *backend* — i.e. the
-    backend is ``vector``, the scheme has a batch kernel, the mode is
-    vectorizable (chained transmission needs state-free flag decisions),
-    and the population packs rectangularly.  Returns ``None`` otherwise,
+    backend is ``vector``, the scheme has a batch kernel and the
+    population packs rectangularly.  Returns ``None`` otherwise,
     meaning: use the reference per-burst path.
     """
     if resolve_backend(backend) != "vector" or not scheme.supports_batch():
-        return None
-    if chained and scheme.stateful_flags:
         return None
     return try_pack_bursts(bursts)
 
@@ -531,6 +531,66 @@ def _viterbi_tile(table, index, span: int, commit: int, rows: slice,
             current = _pick(current, choice_inv[i], choice_raw[i])
 
 
+# -- back-to-back bursts -----------------------------------------------------
+
+def chain_boundaries(first: int, last_words):
+    """Boundary words of rows sent back to back: row 0 starts from
+    *first*, row *r* from ``last_words[r - 1]``, the last word of the row
+    before it.  Returns a ``(len(last_words),)`` int64 array."""
+    np = _require_numpy()
+    boundaries = np.empty(len(last_words), dtype=np.int64)
+    boundaries[0] = first
+    boundaries[1:] = last_words[:-1]
+    return boundaries
+
+
+def _chain_scan(flags, work=None):
+    """Committed flags ``(rows, windows * commit)`` of solved windows.
+
+    ``flags[:, s, r, k]`` (the :func:`_viterbi_planes` layout) are the
+    committed decisions of window *k* of row *r* when the byte before
+    the window is sent in state *s* (0 raw, 1 inverted); the last one
+    is the state window *k* hands to window *k+1*.  Those boundary
+    maps, each kept as ``s -> state ^ (s & diff)``, are composed by
+    pointer doubling (O(log windows) array operations) into the maps
+    of windows ``0..k``, evaluated at state 0: window 0's state 0 is
+    its solve from the row's bus word.  *flags* is spent.
+    """
+    np = _require_numpy()
+    work = work or _Workspace()
+    commit, _states, rows, windows = flags.shape
+    state, diff = work("scratch", (2, rows, windows), bool)
+    np.copyto(state, flags[-1, 0])
+    np.bitwise_xor(flags[-1, 1], state, out=diff)
+    step = 1
+    while step < windows:  # compose map k after map k - step
+        state[:, step:] ^= state[:, :-step] & diff[:, step:]
+        diff[:, step:] &= diff[:, :-step]
+        step *= 2
+    state[:, 1:] = state[:, :-1]  # now the state entering each window
+    state[:, 0] = False
+    chosen = work("chosen", (rows, windows, commit), bool)
+    np.copyto(chosen, _pick(state, flags[:, 1], flags[:, 0])
+              .transpose(1, 2, 0))
+    return chosen.reshape(rows, -1)
+
+
+def chained_flags(batch_flags, data, prev_word: int):
+    """Invert flags of the packed bursts *data* sent back to back from
+    *prev_word*, by the kernel *batch_flags(data, prev_words)*.
+
+    A scheme sees the burst before it only through that burst's last
+    wire word: its last byte sent raw or inverted.  So every row is
+    solved from both (row 0 twice from *prev_word*) and
+    :func:`_chain_scan` follows the states actually sent.
+    """
+    np = _require_numpy()
+    last = data[:, -1].astype(np.int64)
+    flags = np.stack([batch_flags(data, chain_boundaries(prev_word, word)).T
+                      for word in (last | DBI_BIT, last ^ BYTE_MASK)], axis=1)
+    return _chain_scan(flags[:, :, None]).reshape(data.shape)
+
+
 # -- baseline scheme kernels -------------------------------------------------
 
 def raw_flags(data, prev_words=ALL_ONES_WORD):
@@ -672,27 +732,8 @@ def scheme_batch_activity(scheme, bursts, prev_word: int = ALL_ONES_WORD,
         return (transitions, total_zeros(flat),
                 sum(1 for word in flat if word < DBI_BIT), len(flat),
                 flat[-1] if flat else prev_word)
-    if chained:
-        transitions, zeros = chain_activity(words, prev_word)
-    else:
-        per_transitions, per_zeros = batch_activity(words, prev_word)
-        transitions, zeros = int(per_transitions.sum()), int(per_zeros.sum())
-    return (transitions, zeros, int((words < DBI_BIT).sum()), words.size,
-            int(words[-1, -1]))
-
-
-def chain_activity(words, prev_word: int = ALL_ONES_WORD) -> Tuple[int, int]:
-    """Population totals when burst rows are transmitted back-to-back.
-
-    Row-major order: the last word of row *k* is the electrical boundary
-    of row *k+1* — the vectorized twin of the runner's chained mode.
-    Returns ``(total_transitions, total_zeros)`` as Python ints.
-    """
-    np = _require_numpy()
-    words = np.asarray(words, dtype=np.int64)
-    pop = popcount_table()
-    flat = words.ravel()
-    zeros = int((WORD_WIDTH - pop[flat]).sum())
-    transitions = int(pop[int(prev_word) ^ flat[0]])
-    transitions += int(pop[flat[:-1] ^ flat[1:]].sum())
-    return transitions, zeros
+    boundaries = (chain_boundaries(prev_word, words[:, -1]) if chained
+                  else prev_word)
+    transitions, zeros = batch_activity(words, boundaries)
+    return (int(transitions.sum()), int(zeros.sum()),
+            int((words < DBI_BIT).sum()), words.size, int(words[-1, -1]))

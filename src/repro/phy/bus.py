@@ -12,10 +12,9 @@ The write path is batched like the controller's: each lane's burst train
 is encoded in one :meth:`~repro.core.schemes.DbiScheme.wire_words` call
 (state threaded across bursts).  When its vector branch runs, activity
 is tallied array-at-a-time and the per-wire counters update through
-:meth:`~repro.phy.lane.LaneGroup.drive_words_batch`; chained transmission
-of a state-dependent scheme drives the per-burst reference words.  Both
-paths produce bit-identical statistics, energies and wire state
-(enforced by ``tests/phy/test_bus.py``).
+:meth:`~repro.phy.lane.LaneGroup.drive_words_batch`.  Both paths produce
+bit-identical statistics, energies and wire state (enforced by
+``tests/phy/test_bus.py``).
 
 This is the substrate for trace-driven evaluation: everything the
 figure-level benchmarks measure on synthetic bursts can also be measured on
@@ -30,14 +29,9 @@ from typing import List, Optional, Sequence
 from ..core.bitops import ALL_ONES_WORD, total_transitions, total_zeros
 from ..core.burst import Burst, chunk_bytes
 from ..core.schemes import DbiScheme, EncodedBurst
-from ..core.vectorized import batch_activity
+from ..core.vectorized import batch_activity, chain_boundaries
 from .lane import LaneGroup
 from .power import InterfaceEnergyModel
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on the no-NumPy CI leg
-    _np = None
 
 
 @dataclass
@@ -127,10 +121,8 @@ class ByteLane:
                 self._drive(row, energy_model)
             return
         batch, length = words.shape
-        boundaries = _np.empty(batch, dtype=_np.int64)
-        boundaries[0] = self.state_word
-        boundaries[1:] = words[:-1, -1]
-        per_transitions, per_zeros = batch_activity(words, boundaries)
+        per_transitions, per_zeros = batch_activity(
+            words, chain_boundaries(self.state_word, words[:, -1]))
         self.group.drive_words_batch(words.ravel().tolist())
         self.state_word = int(words[-1, -1])
         self.stats.bursts += batch

@@ -13,10 +13,8 @@ Sources
 -------
 * :class:`BytesTraceSource` — an in-memory payload, chunked (the adapter
   that makes every existing inline replay a streaming replay).
-* :class:`FileTraceSource` — a trace file on disk, read through
-  per-chunk ``mmap`` windows (each window is mapped, copied, and
-  unmapped, so resident pages never accumulate with trace size) with a
-  plain ``seek``/``read`` fallback.
+* :class:`FileTraceSource` — a trace file on disk, read with one
+  ``read`` per chunk, so memory never grows with trace size.
 * :class:`SyntheticTraceSource` — pseudo-random bytes generated
   block-by-block from :class:`random.Random`; **chunk-stable**: the bytes
   depend only on ``(seed, block index)``, never on the chunk size it is
@@ -46,7 +44,6 @@ reference backend without NumPy installed.
 from __future__ import annotations
 
 import hashlib
-import mmap
 import os
 import random
 from typing import Dict, Iterator, List, Optional, Union
@@ -137,14 +134,10 @@ class BytesTraceSource:
 class FileTraceSource:
     """A trace file streamed in bounded memory.
 
-    Each chunk is read through a dedicated ``mmap`` window: the window is
-    mapped at the chunk's (allocation-granularity-aligned) offset, the
-    chunk bytes are copied out, and the window is closed before the next
-    chunk is touched.  Mapping the *whole* file would defeat the point —
-    resident mapped pages count toward the process's peak RSS, so a
-    full-file map grows peak memory linearly with trace size.  Platforms
-    or files that refuse ``mmap`` fall back to ``seek``/``read`` with the
-    same chunk boundaries.
+    Each chunk is one ``read`` of ``chunk_bytes`` (the last one shorter)
+    from an open handle, so only the chunk in hand is resident.  A read
+    that returns fewer bytes than the file held when the source was made
+    raises ``OSError``.
 
     ``limit`` caps how much of the file is streamed (the CLI's
     ``--bytes``); ``digest()`` streams the (capped) file once through an
@@ -154,7 +147,7 @@ class FileTraceSource:
 
     def __init__(self, path: Union[str, os.PathLike],
                  chunk_bytes: int = DEFAULT_TRACE_CHUNK_BYTES,
-                 limit: Optional[int] = None, use_mmap: bool = True):
+                 limit: Optional[int] = None):
         if chunk_bytes < 1:
             raise ValueError(f"chunk_bytes must be >= 1, got {chunk_bytes}")
         if limit is not None and limit < 1:
@@ -162,7 +155,6 @@ class FileTraceSource:
         self.path = os.fspath(path)
         self.chunk_bytes = chunk_bytes
         self.limit = limit
-        self.use_mmap = use_mmap
         file_size = os.path.getsize(self.path)
         self._size = file_size if limit is None else min(limit, file_size)
         if self._size == 0:
@@ -178,31 +170,13 @@ class FileTraceSource:
     def size(self) -> int:
         return self._size
 
-    def _read_window(self, handle, offset: int, length: int) -> bytes:
-        """One chunk via a transient mmap window (or plain read)."""
-        if self.use_mmap:
-            granularity = mmap.ALLOCATIONGRANULARITY
-            aligned = (offset // granularity) * granularity
-            lead = offset - aligned
-            try:
-                with mmap.mmap(handle.fileno(), lead + length,
-                               access=mmap.ACCESS_READ,
-                               offset=aligned) as window:
-                    return window[lead:lead + length]
-            except (ValueError, OSError):
-                # Unmappable file (or platform quirk): fall through to
-                # plain reads for this and every later chunk.
-                self.use_mmap = False
-        handle.seek(offset)
-        return handle.read(length)
-
     def chunks(self) -> Iterator[bytes]:
         hasher = hashlib.sha256()
         with open(self.path, "rb") as handle:
             offset = 0
             while offset < self._size:
                 length = min(self.chunk_bytes, self._size - offset)
-                chunk = self._read_window(handle, offset, length)
+                chunk = handle.read(length)
                 if len(chunk) != length:
                     raise OSError(
                         f"{self.path}: short read at offset {offset} "
@@ -364,13 +338,26 @@ def source_from_json(record: Dict[str, object]):
 
     Returns ``None`` when the descriptor cannot be reconstructed in this
     environment (an in-memory ``bytes`` source, a file that no longer
-    exists, a registry trace without NumPy) — the caller then loads the
-    artifact render-only, exactly like a digest-only inline payload.
+    exists, a registry trace without NumPy, an unknown ``kind``) — the
+    caller then loads the artifact render-only, exactly like a
+    digest-only inline payload.  Raises ``ValueError`` naming the
+    problem when *record* is not a JSON object or lacks a field its
+    kind requires (``path``, ``n_bytes`` or ``name``).
     """
+    if not isinstance(record, dict):
+        raise ValueError(f"trace source descriptor must be a JSON object, "
+                         f"got {type(record).__name__}")
     kind = record.get("kind")
+
+    def required(name: str):
+        if name not in record:
+            raise ValueError(
+                f"{kind} trace source descriptor lacks {name!r}")
+        return record[name]
+
     chunk_bytes = int(record.get("chunk_bytes", DEFAULT_TRACE_CHUNK_BYTES))
     if kind == "file":
-        path = str(record["path"])
+        path = str(required("path"))
         limit = record.get("limit")
         if not os.path.exists(path):
             return None
@@ -381,13 +368,13 @@ def source_from_json(record: Dict[str, object]):
         except (OSError, ValueError):
             return None
     if kind == "synthetic":
-        return SyntheticTraceSource(int(record["n_bytes"]),
+        return SyntheticTraceSource(int(required("n_bytes")),
                                     seed=int(record.get("seed", 0x0DB1)),
                                     chunk_bytes=chunk_bytes)
     if kind == "registry":
+        name, n_bytes = str(required("name")), int(required("n_bytes"))
         try:
-            return RegistryTraceSource(str(record["name"]),
-                                       int(record["n_bytes"]),
+            return RegistryTraceSource(name, n_bytes,
                                        seed=int(record.get("seed", 0x0DB1)),
                                        chunk_bytes=chunk_bytes)
         except (ImportError, KeyError):

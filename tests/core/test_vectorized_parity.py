@@ -12,13 +12,16 @@ small bursts against the exhaustive brute-force oracle.
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 np = pytest.importorskip("numpy", exc_type=ImportError)
 
+from repro.baselines.chang import DbiGreedyWeighted
 from repro.core.burst import Burst
 from repro.core.costs import CostModel, QuantizedCostModel
 from repro.core.encoder import DbiOptimal
-from repro.core.schemes import get_scheme
+from repro.core.schemes import available_schemes, get_scheme
 from repro.core.streaming import BatchStreamingEncoder, solve_stream
 from repro.core.trellis import brute_force, solve
 from repro.core.bitops import WORD_WIDTH, popcount
@@ -250,6 +253,46 @@ class TestStreamingParity:
                    (r.zeros, r.transitions, r.inverted_bytes)
 
 
+#: Every registered scheme, plus inexact models: their float64 edge
+#: weights order ties differently from the registry's exact ones.
+CHAINED_SCHEMES = {name: get_scheme(name) for name in available_schemes()}
+CHAINED_SCHEMES.update(
+    {f"dbi-opt[{alpha},{beta}]": DbiOptimal(CostModel(alpha, beta))
+     for alpha, beta in ((0.1, 0.7), (1 / 3, 2 / 3), (0.37, 0.63))})
+CHAINED_SCHEMES["dbi-greedy[0.1,0.7]"] = DbiGreedyWeighted(CostModel(0.1, 0.7))
+
+
+class TestChainedParity:
+    """Bursts sent back to back: the vector branch solves each burst from
+    both words the byte before it can be sent as, and the chain scan
+    follows the words sent.  It must give :meth:`encode_stream`'s words."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(name=st.sampled_from(sorted(CHAINED_SCHEMES)),
+           length=st.integers(1, 16),
+           # Batches on both sides of the scan's power-of-two steps.
+           batch=st.integers(0, 8).flatmap(
+               lambda k: st.integers(max(1, 2 ** k - 1), 2 ** k + 1)),
+           prev_word=st.integers(0, 511),
+           # Few distinct bytes make ties between the two boundary words.
+           palette=st.sampled_from([None, (0x00, 0xFF),
+                                    (0x00, 0x0F, 0xF0, 0xFF)]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_chained_words_match_encode_stream(self, name, length, batch,
+                                               prev_word, palette, seed):
+        scheme = CHAINED_SCHEMES[name]
+        rng = np.random.default_rng(seed)
+        data = (random_batch(rng, batch, length) if palette is None else
+                rng.choice(np.array(palette, dtype=np.uint8),
+                           size=(batch, length)))
+        words = scheme.wire_words(data, prev_word, chained=True,
+                                  backend="vector")
+        expected = scheme.encode_stream(
+            [Burst(row.tolist()) for row in data], prev_word)
+        assert isinstance(words, np.ndarray)
+        assert words.tolist() == [list(encoded.words) for encoded in expected]
+
+
 class TestSchemeKernelParity:
     SCHEMES = ["raw", "dbi-dc", "dbi-ac", "dbi-acdc", "bus-invert",
                "dbi-greedy", "dbi-opt", "dbi-opt-fixed", "dbi-opt-q3"]
@@ -346,6 +389,13 @@ class TestBackendSelection:
             pack_bursts([bytes(2), bytes(3)])
         with pytest.raises(ValueError, match="at least one byte"):
             pack_bursts([b"", b""])
+
+    def test_chained_encodes_take_the_vector_branch(self):
+        data = random_batch(np.random.default_rng(23), 40, 8)
+        for name in available_schemes():
+            words = get_scheme(name).wire_words(data, chained=True,
+                                                backend="vector")
+            assert isinstance(words, np.ndarray), name
 
     def test_encode_batch_falls_back_on_ragged(self):
         scheme = get_scheme("dbi-opt")

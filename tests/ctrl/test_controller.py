@@ -118,7 +118,7 @@ class TestLineBytesSteering:
 
 class TestCompareControllers:
     def test_lookahead_never_hurts(self):
-        import numpy as np
+        np = pytest.importorskip("numpy", exc_type=ImportError)
         rng = np.random.default_rng(13)
         stream = [bytes(rng.integers(0, 256, size=64, dtype=np.uint8))
                   for _ in range(8)]

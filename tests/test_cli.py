@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -462,9 +464,23 @@ class TestCtrlArtifacts:
     def test_from_artifact_bad_file(self, capsys, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("{\"format\": \"nope\"}\n")
-        code, __, err = run_cli(capsys, "ctrl", "--from-artifact", str(path))
-        assert code == 2
-        assert "cannot load artifact" in err
+        # A saved replay whose trace-source descriptor is not an object.
+        broken = tmp_path / "broken_source.json"
+        code, __, ___ = run_cli(capsys, "ctrl", "--bursts", "50",
+                                "--out", str(broken))
+        assert code == 0
+        artifact = json.loads(broken.read_text())
+        payload = artifact["spec"]["payload"]
+        artifact["spec"]["payload"] = {"digest": payload["digest"],
+                                       "bytes": payload["bytes"],
+                                       "source": []}
+        broken.write_text(json.dumps(artifact))
+        for bad in (path, broken):
+            code, __, err = run_cli(capsys, "ctrl", "--from-artifact",
+                                    str(bad))
+            assert code == 2
+            assert "cannot load artifact" in err
+            assert "Traceback" not in err
 
     def test_from_artifact_rejects_sweep_kind(self, capsys, tmp_path):
         path = tmp_path / "sweep.json"

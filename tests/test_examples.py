@@ -61,3 +61,10 @@ def test_hardware_cost():
     out = run_example("hardware_cost.py")
     assert "optimal on" in out
     assert "DBI OPT (Fixed Coeff.)" in out
+
+
+def test_gpu_trace_savings():
+    out = run_example("gpu_trace_savings.py")
+    for workload in ("random", "text", "float", "image", "pointer",
+                     "zero-run", "gpu-frame"):
+        assert f"| {workload} " in out, workload

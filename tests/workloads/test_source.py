@@ -1,4 +1,4 @@
-"""Trace-source protocol: digests, chunk joins, mmap windows, round-trips.
+"""Trace-source protocol: digests, chunk joins, file reads, round-trips.
 
 The load-bearing invariant is digest identity: every source's
 ``digest()`` must equal the inline payload digest of its concatenated
@@ -82,12 +82,6 @@ class TestFileTraceSource:
     def test_chunks_join_to_file(self, trace_path, chunk_bytes):
         source = FileTraceSource(trace_path, chunk_bytes=chunk_bytes)
         assert drain(source) == PAYLOAD
-
-    def test_mmap_and_read_paths_agree(self, trace_path):
-        mapped = FileTraceSource(trace_path, chunk_bytes=777)
-        plain = FileTraceSource(trace_path, chunk_bytes=777, use_mmap=False)
-        assert list(mapped.chunks()) == list(plain.chunks())
-        assert mapped.digest() == plain.digest()
 
     def test_limit_caps_the_stream(self, trace_path):
         source = FileTraceSource(trace_path, chunk_bytes=512, limit=2500)
@@ -210,3 +204,16 @@ class TestSourceFromJson:
     def test_default_chunk_bytes(self):
         rebuilt = source_from_json({"kind": "synthetic", "n_bytes": 100})
         assert rebuilt.chunk_bytes == DEFAULT_TRACE_CHUNK_BYTES
+
+    @pytest.mark.parametrize("record, problem", [
+        ([], "must be a JSON object, got list"),
+        ("synthetic", "must be a JSON object, got str"),
+        ({"kind": "synthetic", "seed": "a"}, "lacks 'n_bytes'"),
+        ({"kind": "file", "bytes": 10}, "lacks 'path'"),
+        ({"kind": "registry", "n_bytes": 4096}, "lacks 'name'"),
+        ({"kind": "registry", "name": "text"}, "lacks 'n_bytes'"),
+    ], ids=["list", "string", "synthetic-no-n_bytes", "file-no-path",
+            "registry-no-name", "registry-no-n_bytes"])
+    def test_malformed_descriptor_is_named(self, record, problem):
+        with pytest.raises(ValueError, match=problem):
+            source_from_json(record)
