@@ -187,22 +187,25 @@ class BatchStreamingEncoder:
     before it, and that word is either the byte's raw or its inverted
     word.  So every full window of every lane is solved at once, from
     both states (window 0 from the lane's known bus word), in one
-    :func:`~repro.core.vectorized._viterbi_planes` call over strided
-    views of per-push integer edge planes.  A pointer-doubling scan over
+    :func:`~repro.core.vectorized._viterbi_planes` call on per-push
+    integer edge planes: each tile of windows prices its edges once,
+    window-major, so overlapping windows share those weights and a step
+    of every window reads one slice of them.  A pointer-doubling scan over
     the per-window boundary maps, :func:`~repro.core.vectorized._chain_scan`
     (the one chained :meth:`~repro.core.schemes.DbiScheme.wire_words`
     runs too), then picks each lane's committed decisions, and the
     activity is tallied once per push.  A push works in the encoder's
     :class:`~repro.core.vectorized._Workspace`: its matrix, planes,
-    flags and temporaries reuse buffers that grow only when a push needs
-    more room, so an encoder is not for concurrent use.
+    weights, flags and temporaries reuse buffers that grow, with room to
+    spare, only when a push needs more, so an encoder is not for
+    concurrent use.
 
     Decisions and the integer activity tallies (zeros, transitions,
     beats per lane) are **bit-identical** to the per-lane reference;
     that is a guarantee (enforced by the differential suites), not an
     approximation, because every window's solve makes the reference
-    trellis's comparisons on the reference's values (in int16 where the
-    model's coefficients allow it exactly, see
+    trellis's comparisons on the reference's edge weights (in int16
+    where the model's coefficients allow it exactly, see
     :func:`~repro.core.vectorized._viterbi_planes`).
 
     Requires NumPy (the vector backend); per-lane reference encoding is

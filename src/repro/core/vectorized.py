@@ -14,15 +14,17 @@ Bit-identity with the reference is a hard guarantee, not an
 approximation: invert flags *and* path costs match
 :func:`repro.core.trellis.solve` exactly (the differential suite in
 ``tests/core/test_vectorized_parity.py`` enforces this).  The recursion
-reads every edge weight from a small per-model table.  For most models
-the table holds the reference's own doubles, ``alpha * transitions +
-beta * zeros``, and the recursion adds and compares them in the
-reference's order.  When ``alpha = a / 2**k`` and ``beta = b / 2**k`` for
-small integers *a* and *b* (the paper's fixed ``alpha = beta = 1`` and
-its 3-bit coefficients among them), every double the reference forms is
-an exact multiple of ``2**-k``.  The recursion then runs on those
-multiples in int16: integer sums compare as the doubles do, and the
-costs come back exactly through ``ldexp``.
+prices its edges from their integer transition and zero counts, once
+per tile of windows, and a step then adds and compares whole planes.
+For most models a weight is the reference's own double, ``alpha *
+transitions + beta * zeros`` with each product formed on its own, and
+the recursion adds and compares them in the reference's order.  When
+``alpha = a / 2**k`` and ``beta = b / 2**k`` for small integers *a* and
+*b* (the paper's fixed ``alpha = beta = 1`` and its 3-bit coefficients
+among them), every double the reference forms is an exact multiple of
+``2**-k``.  The recursion then runs on those multiples in int16: integer
+sums compare as the doubles do, and the costs come back exactly through
+``ldexp``.
 
 Backend selection
 -----------------
@@ -253,17 +255,21 @@ def _word_planes(data) -> Tuple:
 
 #: Row × window × state cells one :func:`_viterbi_planes` tile solves at
 #: once.  It bounds the recursion's memory whatever the batch or push
-#: size: 64 KiB per path cost in int16 (256 KiB in float64), 1 MiB of
-#: choice planes at a 16-byte window, all in the workspace; each step
-#: allocates only its ``take`` of edge weights (128 KiB in int16).
+#: size, all of it in the workspace.  At a 16-byte window (commit 8) a
+#: tile prices ``4 * commit * cells / states`` edge weights (1 MiB in
+#: int16, 4 MiB in float64) from 512 KiB of uint8 counts, and keeps
+#: 384 KiB of path costs in int16 (1.5 MiB in float64) and 1 MiB of
+#: choice planes.  Steps allocate nothing.
 TILE_CELLS = 1 << 15
 
 
 class _Workspace:
     """Grow-only buffers, one per name: ``work(name, shape, dtype)`` views
     the buffer kept under *name*, regrown only when too small, until the
-    next request under that name.  Steps that never hold each other's
-    views share the ``scratch`` buffer."""
+    next request under that name.  A regrown buffer gets an eighth more
+    room than asked for, so a stream of slightly growing requests (a
+    push that carries the last one's leftover bytes) reuses it.  Steps
+    that never hold each other's views share the ``scratch`` buffer."""
 
     def __init__(self):
         self._buffers = {}
@@ -273,7 +279,8 @@ class _Workspace:
         size = math.prod(shape) * np.dtype(dtype).itemsize
         buffer = self._buffers.get(name)
         if buffer is None or buffer.size < size:
-            buffer = self._buffers[name] = np.empty(size, dtype=np.uint8)
+            buffer = self._buffers[name] = np.empty(size + size // 8,
+                                                    dtype=np.uint8)
         return buffer[:size].view(dtype).reshape(shape)
 
 
@@ -377,37 +384,27 @@ def solve_batch(data, model, prev_words: Union[int, Sequence[int]] = ALL_ONES_WO
     return np.ascontiguousarray(flags[:, 0, :, 0].T), costs[0, :, 0]
 
 
-def _edge_table(alpha: float, beta: float, span: int, width: int):
-    """The ``(rr, ir, ri, ii)`` weights of every ``(same, zeros_raw)`` pair.
-
-    Returns ``(table, shift)``.  ``table`` is ``(4, (width + 1)**2)``:
-    column ``same * (width + 1) + zeros_raw`` holds the weights of the
-    four edges whose :func:`_edge_planes` counts are ``same`` and
-    ``zeros_raw``.
+def _coefficients(alpha: float, beta: float, span: int, width: int):
+    """``(a, b, shift, dtype)``: an edge weighs ``a * transitions + b *
+    zeros`` in *dtype*.
 
     Every float is an integer over a power of two (its
     ``as_integer_ratio``), so ``alpha = a / 2**shift`` and ``beta = b /
     2**shift`` for integers *a*, *b* over the larger denominator.  When
     no *span*-step path can cost more than int16 holds, ``span * width *
-    (a + b) <= 32767``, the table holds ``a * same + b * zeros`` in int16
-    and a weight is ``ldexp(entry, -shift)``.  Otherwise it holds
-    ``alpha * same + beta * zeros`` in float64, the operations of
+    (a + b) <= 32767``, the weights are those integer sums in int16 and
+    a weight is ``ldexp(w, -shift)``.  Otherwise *a* and *b* are *alpha*
+    and *beta*, the weights are float64, the operations of
     :meth:`repro.core.costs.CostModel.word_cost`, and ``shift`` is
     ``None``.
     """
     np = _require_numpy()
-    same, zeros = np.divmod(np.arange((width + 1) ** 2), width + 1)
-    cross, zeros_inv = width - same, width - zeros
     (a, den_a), (b, den_b) = alpha.as_integer_ratio(), beta.as_integer_ratio()
     den = max(den_a, den_b)
     a, b = a * (den // den_a), b * (den // den_b)
     if span * width * (a + b) <= np.iinfo(np.int16).max:
-        shift, dtype = den.bit_length() - 1, np.int16
-    else:
-        a, b, shift, dtype = alpha, beta, None, np.float64
-    table = np.stack((a * same + b * zeros, a * cross + b * zeros,
-                      a * cross + b * zeros_inv, a * same + b * zeros_inv))
-    return table.astype(dtype), shift
+        return a, b, den.bit_length() - 1, np.int16
+    return alpha, beta, None, np.float64
 
 
 def _viterbi_planes(planes, alpha: float, beta: float, span: int,
@@ -418,14 +415,13 @@ def _viterbi_planes(planes, alpha: float, beta: float, span: int,
     The compute core of :func:`solve_batch`, of the windowed
     :class:`repro.core.streaming.BatchStreamingEncoder` and of the
     grouped-DBI trellises.  *planes* are the ``(same, zeros_raw)`` of
-    :func:`_edge_planes` for words of *width* lanes.  Each step reads its
-    edge weights from one :func:`_edge_table` of the model, built once
-    per call, by one ``take`` on the index plane ``same * (width + 1) +
-    zeros_raw``.  Window *k* of a row covers columns ``[k*commit,
-    k*commit + span)``: its step-*i* weights are read through a strided
-    view of that plane at column ``k*commit + i``, so overlapping windows
-    share one plane.  ``commit`` defaults to ``span`` (one window per row
-    for ``windows=1``).
+    :func:`_edge_planes` for words of *width* lanes.  Window *k* of a row
+    covers columns ``[k*commit, k*commit + span)``; ``commit`` defaults
+    to ``span`` (one window per row for ``windows=1``).  Windows are
+    solved in tiles of at most :data:`TILE_CELLS` row × window × state
+    cells, and each tile prices its edges once (:func:`_tile_weights`),
+    window-major, so that step *i* of every window of the tile reads one
+    slice of the weights, and overlapping windows share them.
 
     With ``states=2`` every window ``k >= 1`` is solved twice: from the
     raw (state 0) and from the inverted (state 1) word of byte
@@ -434,42 +430,104 @@ def _viterbi_planes(planes, alpha: float, beta: float, span: int,
     is meaningful.
 
     Flags and costs equal :func:`repro.core.trellis.solve`'s bit for bit;
-    all guarantees of :func:`solve_batch` flow from this function.  A
-    float64 table holds the reference's edge weights, and the recursion
-    then adds and compares them as the reference does.  An int16 table
-    holds the weights scaled by ``2**shift`` to exact integers; every
-    float the reference forms is then an exact multiple of
-    ``2**-shift``, so integer sums compare as the reference's doubles do
-    and the costs return exactly through ``ldexp``.  Windows are solved
-    in tiles of at most :data:`TILE_CELLS` row × window × state cells.
+    all guarantees of :func:`solve_batch` flow from this function.
+    Float64 weights are the reference's edge weights, and the recursion
+    adds and compares them as the reference does.  Int16 weights are
+    those weights scaled by ``2**shift`` to exact integers
+    (:func:`_coefficients`); every float the reference forms is then an
+    exact multiple of ``2**-shift``, so integer sums compare as the
+    reference's doubles do and the costs return exactly through
+    ``ldexp``.
 
     Returns ``(flags, costs, shift)``, views of *work*'s buffers.
     ``flags`` is ``(commit, states, rows, windows)`` bool, the first
     ``commit`` decisions of each window (True = transmit inverted), and
     ``costs`` is ``(states, rows, windows)``, each window's optimal path
-    cost in the table's units: the cost itself when ``shift`` is
+    cost in the weights' units: the cost itself when ``shift`` is
     ``None``, else ``ldexp(costs, -shift)``.
     """
-    np = _require_numpy()
     work = work or _Workspace()
-    same, zeros_raw = planes
-    table, shift = _edge_table(float(alpha), float(beta), span, width)
-    index = np.multiply(same, width + 1,
-                        out=work("index", same.shape, np.uint8))
-    index += zeros_raw
+    a, b, shift, dtype = _coefficients(float(alpha), float(beta), span,
+                                       width)
     commit = span if commit is None else commit
-    rows = same.shape[0]
+    rows = planes[0].shape[0]
     flags = work("flags", (commit, states, rows, windows), bool)
-    costs = work("costs", (states, rows, windows), table.dtype)
+    costs = work("costs", (states, rows, windows), dtype)
     tile_rows = max(1, min(rows, TILE_CELLS // states))
     tile_windows = max(1, TILE_CELLS // (tile_rows * states))
     for first_row in range(0, rows, tile_rows):
         row_slice = slice(first_row, first_row + tile_rows)
         for first in range(0, windows, tile_windows):
             tile = (row_slice, slice(first, first + tile_windows))
-            _viterbi_tile(table, index, span, commit, row_slice, first,
-                          flags[(...,) + tile], costs[(...,) + tile], work)
+            tile_costs = costs[(...,) + tile]
+            weights = _tile_weights(planes, a, b, dtype, span, commit,
+                                    row_slice, first, tile_costs.shape[2],
+                                    width, work)
+            _viterbi_tile(weights, span, commit, flags[(...,) + tile],
+                          tile_costs, work)
     return flags, costs, shift
+
+
+def _tile_weights(planes, a, b, dtype, span: int, commit: int, rows: slice,
+                  first: int, count: int, width: int, work):
+    """Edge weights of rows *rows* in the *count* windows from *first* on.
+
+    Returns ``weights[f, t, c]``, ``(2, 2, commit, size + extra)``, with
+    ``extra = ceil((span - commit) / commit)``, ``blocks = count +
+    extra`` and ``size = len(rows) * blocks``: ``weights[f, t, c, :size]``
+    is the ``(rows, blocks)`` plane whose entry ``(r, j)`` weighs the
+    edge from polarity *f* into polarity *t* (0 raw, 1 inverted) of
+    column ``(first + j) * commit + c`` of row *r*.  So step *i* of every
+    window reads the one contiguous slice ``weights[:, :, i % commit, i
+    // commit:][..., :size]`` as ``(rows, blocks)``: its first *count*
+    columns are the tile's windows, and the rest, read across the end of
+    a row, belong to no window.  Columns past the planes and entries
+    past ``size`` are priced from zero counts.
+
+    The tile's columns of *planes* are copied to this window-major
+    layout in uint8 first.  A weight is ``a * transitions + b * zeros``
+    in *dtype*, each product formed on its own from the integer counts
+    and the two added once.  The weights live in *work*, their one
+    temporary in its ``scratch``.
+    """
+    np = _require_numpy()
+    extra = (span - 1) // commit
+    blocks = count + extra
+    start = first * commit
+    tile = [plane[rows, start:start + blocks * commit] for plane in planes]
+    tile_rows = tile[0].shape[0]
+    size = tile_rows * blocks
+    full, tail = divmod(tile[0].shape[1], commit)
+    # counts[k] = (plane k, width - plane k): transitions between equal
+    # polarities and across them, zeros of the raw and of the inverted word.
+    counts = work("counts", (2, 2, commit, size + extra), np.uint8)
+    counts[:, 0, :, size:] = 0
+    for columns, out in zip(tile, counts[:, 0]):
+        # (rows, blocks, commit), the shape of the columns in blocks
+        window_major = out[:, :size].reshape(
+            commit, tile_rows, blocks).transpose(1, 2, 0)
+        window_major[:, :full] = columns[:, :full * commit].reshape(
+            tile_rows, full, commit)
+        window_major[:, full:] = 0
+        if tail:
+            window_major[:, full, :tail] = columns[:, full * commit:]
+    np.subtract(width, counts[:, 0], out=counts[:, 1])
+    transitions, zeros = counts
+    # The four products, each used by two edges: weights[0] holds a *
+    # (same, cross) and weights[1] b * (zeros_raw, zeros_inv).  Summing
+    # them in place into weights[from, to] takes one spare a * same.
+    weights = work("weights", (2,) + transitions.shape, dtype)
+    np.copyto(weights[0], transitions)
+    weights[0] *= a
+    np.copyto(weights[1], zeros)
+    weights[1] *= b
+    stay = work("scratch", weights.shape[2:], dtype)
+    np.copyto(stay, weights[0, 0])
+    weights[0, 0] += weights[1, 0]
+    weights[1, 0] += weights[0, 1]
+    weights[0, 1] += weights[1, 1]
+    weights[1, 1] += stay
+    return weights
 
 
 def _pick(cond, if_true, if_false):
@@ -482,53 +540,49 @@ def _pick(cond, if_true, if_false):
     return if_false
 
 
-def _viterbi_tile(table, index, span: int, commit: int, rows: slice,
-                  first: int, flags, costs, work) -> None:
+def _viterbi_tile(weights, span: int, commit: int, flags, costs,
+                  work) -> None:
     """Solve one tile of :func:`_viterbi_planes` into *flags*/*costs*.
 
-    The tile is the row slice *rows* × the windows starting at *first*,
-    as many as the ``flags``/``costs`` views hold.  Path costs rotate
-    through four planes; unused choice plane 0 seeds the backtrack.
+    *weights* are the tile's :func:`_tile_weights`.  ``paths[p, s, r,
+    k]`` is the cost of the best path of window *k* of row *r*, started
+    in state *s*, that sends the current word with polarity *p*.  A step
+    prices every edge at once, ``via[f, t] = paths[f] + weights[f, t]``,
+    and keeps the cheaper way into each polarity, a raw predecessor
+    winning a tie.  The arrays hold every column of the weights' planes;
+    only the first of each row, as many as *costs* holds, are windows.
+    Unused choice plane 0 seeds the backtrack.
     """
     np = _require_numpy()
-    states, tile_windows = costs.shape[0], costs.shape[2]
-    stop = (tile_windows - 1) * commit + 1
+    states, rows, count = costs.shape
+    blocks = count + (span - 1) // commit
+    size = rows * blocks
 
-    def edges(i):
-        """``(rr, ir, ri, ii)`` edge weights into column ``k*commit + i``
-        of every window *k* of the tile, ``(4, rows, windows)``."""
-        start = first * commit + i
-        return table.take(index[rows, start:start + stop:commit], axis=1)
+    def step(i):
+        """The ``(2, 2, rows, blocks)`` weights of step *i*."""
+        start = i // commit
+        return weights[:, :, i % commit, start:start + size].reshape(
+            2, 2, rows, blocks)
 
-    weights = edges(0)
-    cost_raw, cost_inv, via_raw, via_inv = work(
-        "paths", (4,) + costs.shape, table.dtype)
-    cost_raw[...], cost_inv[...] = weights[:states], weights[2:2 + states]
-    choice_raw, choice_inv = work("scratch", (2, span) + costs.shape, bool)
+    buffer = work("paths", (3, 2, states, rows, blocks), weights.dtype)
+    paths, via = buffer[0], buffer[1:]
+    np.copyto(paths, step(0)[:states].swapaxes(0, 1))
+    choices = work("scratch", (span, 2, states, rows, blocks), bool)
 
     # Costs are finite and non-negative, so np.minimum picks what
-    # np.where(via_inv < via_raw, via_inv, via_raw) would.
+    # np.where(via[1] < via[0], via[1], via[0]) would.
     for i in range(1, span):
-        rr, ir, ri, ii = edges(i)
+        np.add(paths[:, None], step(i)[:, :, None], out=via)
+        np.less(via[1], via[0], out=choices[i])
+        np.minimum(via[0], via[1], out=paths)
 
-        np.add(cost_raw, rr, out=via_raw)
-        np.add(cost_inv, ir, out=via_inv)
-        np.less(via_inv, via_raw, out=choice_raw[i])
-        next_raw = np.minimum(via_inv, via_raw, out=via_inv)
-
-        np.add(cost_raw, ri, out=via_raw)
-        np.add(cost_inv, ii, out=cost_raw)  # cost_raw is spent: via_inv
-        np.less(cost_raw, via_raw, out=choice_inv[i])
-        np.minimum(cost_raw, via_raw, out=cost_raw)
-        cost_raw, cost_inv, via_inv = next_raw, cost_raw, cost_inv
-
-    current = np.less(cost_inv, cost_raw, out=choice_raw[0])
-    np.minimum(cost_inv, cost_raw, out=costs)
+    current = np.less(paths[1], paths[0], out=choices[0, 0])
+    np.minimum(paths[1, ..., :count], paths[0, ..., :count], out=costs)
     for i in range(span - 1, -1, -1):
         if i < commit:
-            flags[i] = current
+            flags[i] = current[..., :count]
         if i:
-            current = _pick(current, choice_inv[i], choice_raw[i])
+            current = _pick(current, choices[i, 1], choices[i, 0])
 
 
 # -- back-to-back bursts -----------------------------------------------------

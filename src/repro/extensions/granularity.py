@@ -23,8 +23,8 @@ the vector path stripes the ``8 // g`` group lanes of every burst along
 the batch axis — an 8-byte burst at ``group_size=4`` becomes two
 independent 5-lane trellis columns — and solves them as one window per
 row in a single :func:`repro.core.vectorized._viterbi_planes` call, over
-edge planes and an edge-weight table of ``width = group_size + 1``
-lanes.  Invert flags, zeros and transitions are bit-identical to the
+edge planes and edge weights of ``width = group_size + 1`` lanes.
+Invert flags, zeros and transitions are bit-identical to the
 scalar :meth:`GroupedDbiOptimal._solve_group` reference (the same
 comparisons on the same values; the differential suite in
 ``tests/extensions/test_granularity.py`` enforces this).

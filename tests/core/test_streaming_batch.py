@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-pytest.importorskip("numpy")
+pytest.importorskip("numpy", exc_type=ImportError)
 
 from repro.core.bitops import (
     ALL_ONES_WORD,
@@ -281,6 +281,23 @@ class TestWorkspace:
             if not tracing:
                 tracemalloc.stop()
         assert peak - before < 1 << 20
+
+    def test_second_push_reuses_every_buffer(self):
+        """A fresh encoder's second 8 x 4096 push solves 8 x 4104 bytes,
+        its first push's 8 leftover bytes ahead of the new ones.  The
+        room each buffer got beyond the first push's request covers
+        that, so no named buffer is allocated again."""
+        import numpy as np
+        rng = np.random.default_rng(0x0DB2)
+        first, second = rng.integers(0, 256, size=(2, 8, 4096),
+                                     dtype=np.uint8)
+        batch = BatchStreamingEncoder(CostModel(0.1, 0.7), rows=8, window=16)
+        batch.push(first)
+        buffers = dict(batch._work._buffers)
+        batch.push(second)
+        assert batch._work._buffers.keys() == buffers.keys()
+        for name, buffer in buffers.items():
+            assert batch._work._buffers[name] is buffer, name
 
     @pytest.mark.parametrize("tile_cells", [None, 7])
     def test_buffers_regrow_across_push_shapes(self, monkeypatch,

@@ -12,14 +12,21 @@ streams reach equal path costs somewhere in their trellis under the
 fixed model, so the tie-breaking must match the reference too.
 
 The tile-seam tests shrink :data:`repro.core.vectorized.TILE_CELLS` so a
-push's windows (and rows) span many tiles.
+push's windows (and rows) span many tiles.  A hypothesis differential
+does the same for commits that do not divide the window, whose tiles end
+in a partly filled block of window-major columns, under exact, inexact
+and physical cost models: once through the encoder, and once per window
+of :func:`repro.core.vectorized._viterbi_planes`, whose path costs read
+every column of a window, the last one included.
 """
 
 import itertools
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-np = pytest.importorskip("numpy")
+np = pytest.importorskip("numpy", exc_type=ImportError)
 
 from repro.core import vectorized
 from repro.core.bitops import ALL_ONES_WORD, make_word, transitions, zeros_in_word
@@ -27,6 +34,8 @@ from repro.core.burst import Burst
 from repro.core.costs import CostModel
 from repro.core.streaming import BatchStreamingEncoder, StreamingOptimalEncoder
 from repro.core.trellis import solve
+from repro.phy.pod import pod135
+from repro.phy.power import GBPS, PICOFARAD, InterfaceEnergyModel
 
 #: Byte alphabet of the exhaustive streams.
 ALPHABET = (0x00, 0x0F, 0xFF)
@@ -112,3 +121,99 @@ def test_solve_batch_across_row_tiles(monkeypatch, tile_cells):
                          prev_word=int(prev_words[row]))
         assert tuple(map(bool, flags[row])) == solution.invert_flags
         assert costs[row] == solution.total_cost
+
+
+#: Models of the window-major differential: int16 (fixed, 7:3) and
+#: float64 weights, among them a physical operating point's energies.
+TILE_MODELS = {
+    "fixed": CostModel.fixed(),
+    "7-3": CostModel(7.0, 3.0),
+    "0.1-0.7": CostModel(0.1, 0.7),
+    "thirds": CostModel(1 / 3, 2 / 3),
+    "pod135": InterfaceEnergyModel(pod135(), 12 * GBPS,
+                                   3 * PICOFARAD).cost_model(),
+}
+
+#: (window, commit): commits that do not divide the window, one window
+#: per commit and the one-byte window.
+UNEVEN_CADENCES = [(16, 5), (10, 3), (7, 3), (16, 16), (1, 1)]
+
+#: Lane bytes: random, or few-valued so that path costs tie.
+lane_bytes = st.one_of(
+    st.binary(max_size=70),
+    st.lists(st.sampled_from(ALPHABET + (0x5A,)), max_size=70).map(bytes))
+
+
+@pytest.mark.parametrize("tile_cells", [1, 7, None])
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cadence=st.sampled_from(UNEVEN_CADENCES),
+       model_name=st.sampled_from(sorted(TILE_MODELS)),
+       streams=st.lists(lane_bytes, min_size=1, max_size=5),
+       step=st.integers(1, 40), level=st.booleans())
+def test_window_major_tiles_match_reference(monkeypatch, tile_cells, cadence,
+                                            model_name, streams, step, level):
+    """Every cadence, model and tile size encodes like the reference.
+    Pushes of *step* bytes per lane leave lanes ragged, or, with *level*,
+    every lane as long as the first and pushed as one matrix."""
+    if tile_cells is not None:
+        monkeypatch.setattr(vectorized, "TILE_CELLS", tile_cells)
+    window, commit = cadence
+    model = TILE_MODELS[model_name]
+    if level:
+        streams = [((stream + streams[0]) * 70)[:len(streams[0])]
+                   for stream in streams]
+    batch = BatchStreamingEncoder(model, rows=len(streams), window=window,
+                                  commit=commit, record=True)
+    for start in range(0, max(map(len, streams)), step):
+        pushed = [stream[start:start + step] for stream in streams]
+        if level:
+            pushed = np.frombuffer(b"".join(pushed), dtype=np.uint8).reshape(
+                len(streams), -1)
+        batch.push(pushed)
+    batch.flush()
+    assert_matches_reference(batch, streams, model, window, commit)
+
+
+@pytest.mark.parametrize("tile_cells", [1, 7, None])
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cadence=st.sampled_from(UNEVEN_CADENCES),
+       model_name=st.sampled_from(sorted(TILE_MODELS)),
+       rows=st.integers(1, 4), windows=st.integers(1, 9),
+       spare=st.integers(0, 5), data=st.data())
+def test_every_window_solves_like_the_trellis(monkeypatch, tile_cells,
+                                              cadence, model_name, rows,
+                                              windows, spare, data):
+    """Each window's path cost and committed flags, from either state of
+    the byte before it (window 0: from the row's bus word), are
+    :func:`repro.core.trellis.solve`'s; *spare* columns past the last
+    window end the planes at every offset of a block."""
+    if tile_cells is not None:
+        monkeypatch.setattr(vectorized, "TILE_CELLS", tile_cells)
+    window, commit = cadence
+    model = TILE_MODELS[model_name]
+    n = (windows - 1) * commit + window + spare
+    payload = data.draw(st.one_of(
+        st.binary(min_size=rows * n, max_size=rows * n),
+        st.lists(st.sampled_from(ALPHABET + (0x5A,)), min_size=rows * n,
+                 max_size=rows * n).map(bytes)))
+    matrix = np.frombuffer(payload, dtype=np.uint8).reshape(rows, n)
+    prev = np.array(data.draw(st.lists(st.integers(0, 511), min_size=rows,
+                                       max_size=rows)), dtype=np.int64)
+    flags, costs, shift = vectorized._viterbi_planes(
+        vectorized._edge_planes(matrix, prev), model.alpha, model.beta,
+        window, commit, windows, states=2)
+    if shift is not None:
+        costs = np.ldexp(costs, -shift, dtype=np.float64)
+    for row in range(rows):
+        for k in range(windows):
+            for state in (0, 1) if k else (0,):
+                boundary = (int(prev[row]) if k == 0 else
+                            make_word(int(matrix[row, k * commit - 1]),
+                                      bool(state)))
+                burst = Burst(matrix[row, k * commit:][:window].tolist())
+                solution = solve(burst, model, prev_word=boundary)
+                assert costs[state, row, k] == solution.total_cost
+                assert (tuple(map(bool, flags[:, state, row, k]))
+                        == solution.invert_flags[:commit])

@@ -27,8 +27,8 @@ from repro.core.trellis import brute_force, solve
 from repro.core.bitops import WORD_WIDTH, popcount
 from repro.core.vectorized import (
     _edge_planes,
-    _edge_table,
     _popcount_uint8,
+    _viterbi_planes,
     available_backends,
     pack_bursts,
     resolve_backend,
@@ -193,12 +193,13 @@ class TestEdgeTable:
         (CostModel(5e-324, 1e-323), np.int16),
     ])
     def test_bound_scales_and_subnormals(self, model, dtype):
-        table, _shift = _edge_table(float(model.alpha), float(model.beta),
-                                    8, WORD_WIDTH)
-        assert table.dtype == dtype
         rng = np.random.default_rng(0x7AB1E)
         data = random_batch(rng, 600, 8)
         prev_words = rng.integers(0, 512, size=600)
+        _flags, path_costs, shift = _viterbi_planes(
+            _edge_planes(data, prev_words), model.alpha, model.beta, 8)
+        assert path_costs.dtype == dtype
+        assert (shift is None) == (dtype == np.float64)
         flags, costs = solve_batch(data, model, prev_words=prev_words)
         ref_flags, ref_costs = reference_rows(data, model, prev_words)
         assert (flags == ref_flags).all()

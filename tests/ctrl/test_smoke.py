@@ -3,7 +3,7 @@
 
 import pytest
 
-pytest.importorskip("numpy")
+pytest.importorskip("numpy", exc_type=ImportError)
 
 from repro.ctrl.smoke import replay_stream
 

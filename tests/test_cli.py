@@ -121,7 +121,7 @@ class TestCtrl:
         assert "pJ/byte" in out
 
     def test_named_trace(self, capsys):
-        pytest.importorskip("numpy")
+        pytest.importorskip("numpy", exc_type=ImportError)
         code, out, __ = run_cli(capsys, "ctrl", "--trace", "text",
                                 "--bytes", "4096", "--interface", "pod12")
         assert code == 0
