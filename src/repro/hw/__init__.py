@@ -28,7 +28,26 @@ the differential suite in ``tests/hw/test_bitsim.py`` enforces over
 hypothesis-generated netlists and every encoder design.
 """
 
+from types import MappingProxyType
+
 from .._lazy import lazy_exports
+
+#: Encoding energy per burst in joules, per scheme: Table I's
+#: ``energy_per_burst_j`` exactly as :func:`~repro.hw.synthesis.table_one`
+#: computes it at its defaults (100k bursts of the default seed, the same
+#: bytes on every install), plus RAW, which needs no encoder.  Fig. 8
+#: adds these to each scheme's interface energy, so its specs read them
+#: here without loading the synthesis engine;
+#: ``tests/hw/test_synthesis.py`` recomputes the table and requires these
+#: values, so a change to a netlist, a cell or a synthesis constant
+#: re-pins them.
+ENCODER_ENERGY_PER_BURST_J = MappingProxyType({
+    "dbi-dc": float.fromhex("0x1.16bab2e8399dcp-42"),
+    "dbi-ac": float.fromhex("0x1.b2969908a0396p-41"),
+    "dbi-opt-fixed": float.fromhex("0x1.4101cacb6d5d6p-39"),
+    "dbi-opt-q3": float.fromhex("0x1.01ee10179745fp-36"),
+    "raw": 0.0,
+})
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "activity": ("DEFAULT_ACTIVITY_BURSTS", "PackedPopulation",
@@ -50,3 +69,4 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
                   "encoder_energy_per_burst", "synthesize", "table_one",
                   "table_one_markdown"),
 })
+__all__.append("ENCODER_ENERGY_PER_BURST_J")

@@ -245,9 +245,9 @@ def measure_activity(netlist: Netlist, n_bursts: Optional[int] = None,
     if bursts is not None:
         population = as_population(bursts)
     if population is None:
-        # RandomPopulation matches random_bursts byte-for-byte with NumPy
-        # installed and falls back to a deterministic pure-Python stream
-        # without it, keeping Table I estimates available in any
+        # RandomPopulation matches random_bursts byte-for-byte with or
+        # without NumPy (a standard-library copy of NumPy's stream
+        # without it), so Table I is available, and the same, in any
         # environment.
         population = RandomPopulation(
             count=DEFAULT_ACTIVITY_BURSTS if n_bursts is None else n_bursts,

@@ -30,6 +30,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional
 
 from ..workloads.population import RandomPopulation
+from . import ENCODER_ENERGY_PER_BURST_J
 from .activity import (
     DEFAULT_ACTIVITY_BURSTS,
     DEFAULT_ACTIVITY_SEED,
@@ -221,7 +222,10 @@ def table_one(activity_bursts: int = DEFAULT_ACTIVITY_BURSTS,
     Dynamic power is measured over 100k random bursts by default — the
     same population scale as the software figures — via the bit-parallel
     activity engine.  The four designs share one population, drawn and
-    packed once (:class:`~repro.hw.activity.PackedPopulation`).
+    packed once (:class:`~repro.hw.activity.PackedPopulation`); it is the
+    same population with or without NumPy, so is the table.  ``repro
+    table1`` prints this; Fig. 8 reads the energies it computes at these
+    defaults from :data:`repro.hw.ENCODER_ENERGY_PER_BURST_J` instead.
     """
     population = PackedPopulation(RandomPopulation(
         count=activity_bursts, seed=DEFAULT_ACTIVITY_SEED))
@@ -261,10 +265,8 @@ def table_one_markdown(results: Optional[Dict[str, SynthesisResult]] = None) -> 
 def encoder_energy_per_burst() -> Dict[str, float]:
     """Encoding energy per burst in joules, per scheme (for Fig. 8).
 
-    RAW needs no encoder, so it appears with zero energy.
+    :func:`table_one`'s ``energy_per_burst_j`` at its defaults, read from
+    the pinned :data:`repro.hw.ENCODER_ENERGY_PER_BURST_J` instead of
+    recomputed.  RAW needs no encoder, so it appears with zero energy.
     """
-    results = table_one()
-    energies = {name: result.energy_per_burst_j
-                for name, result in results.items()}
-    energies["raw"] = 0.0
-    return energies
+    return dict(ENCODER_ENERGY_PER_BURST_J)

@@ -543,7 +543,9 @@ def load_experiment(population, interface: Optional[PodInterface] = None,
     The per-cell (E_transition, E_zero) coefficients are evaluated once
     here, so pricing the three schemes never re-derives the interface
     energy model — the totals come from the cache, the coefficients from
-    the grid.
+    the grid.  ``encoder_energy_j`` defaults to Table I's pinned energies
+    (:data:`repro.hw.ENCODER_ENERGY_PER_BURST_J`), so building the spec
+    runs no gate-level simulation.
     """
     pod = interface if interface is not None else pod135()
     rates = _default_rates(data_rates_hz)
@@ -553,8 +555,8 @@ def load_experiment(population, interface: Optional[PodInterface] = None,
     if not loads:
         raise ValueError("no load capacitances given")
     if encoder_energy_j is None:
-        from ..hw.synthesis import encoder_energy_per_burst
-        encoder_energy_j = encoder_energy_per_burst()
+        from ..hw import ENCODER_ENERGY_PER_BURST_J
+        encoder_energy_j = ENCODER_ENERGY_PER_BURST_J
     for required in ("dbi-dc", "dbi-ac", "dbi-opt-fixed"):
         if required not in encoder_energy_j:
             raise KeyError(f"encoder_energy_j missing entry for {required!r}")
@@ -1405,17 +1407,18 @@ def _population_from_json(record: Mapping[str, object]) -> BurstPopulation:
     digest = record["digest"]
     count = int(record["count"])
     burst_length = record.get("burst_length")
-    if record.get("kind") == "random":
+    if record.get("kind") == "random" and int(record["seed"]) >= 0:
         population = RandomPopulation(count=count,
                                       burst_length=int(burst_length),
                                       seed=int(record["seed"]))
         if population.digest() == digest:
             return population
-        # Generated by the other generator family — re-render only.
+    # Anything else re-renders only: an explicit population, or one drawn
+    # by another generator (older NumPy-free runs tagged theirs ``py``
+    # and took negative seeds too).
     opaque = OpaquePopulation(digest=str(digest), count=count,
                               burst_length=burst_length)
-    # Saved back as loaded, so a random population stays re-runnable
-    # wherever the generator family that drew it is installed.
+    # Saved back as loaded, so a re-save keeps the record as written.
     opaque._artifact_record = dict(record)
     return opaque
 

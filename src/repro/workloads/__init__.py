@@ -5,7 +5,7 @@ directed patterns, and the streaming trace sources
 (:mod:`repro.workloads.source`) are dependency-free; the random/trace
 generators require NumPy and are skipped from the package namespace when
 it is missing (the experiment engine and CLI then fall back to the
-pure-Python population sources).
+pure-Python population sources, whose random stream is NumPy's).
 """
 
 from .._lazy import lazy_exports

@@ -10,27 +10,30 @@ key (:class:`repro.sim.experiments.ActivityCache`).
 Two concrete sources cover the paper's experiments:
 
 * :class:`RandomPopulation` — the declarative form of
-  :func:`repro.workloads.random_data.random_bursts`: with NumPy installed
-  it regenerates byte-for-byte the same bursts from ``(count,
-  burst_length, seed)`` without ever being serialised, so a process-pool
-  worker can rebuild it from a tiny pickle.  Without NumPy a pure-Python
-  stream (``random.Random``) is used — deterministic too, but a different
-  byte sequence, which the digest records.
+  :func:`repro.workloads.random_data.random_bursts`: it regenerates
+  byte-for-byte the same bursts from ``(count, burst_length, seed)`` on
+  every install, without ever being serialised, so a process-pool
+  worker can rebuild it from a tiny pickle.  With NumPy the bytes come
+  from ``default_rng``; without it, from :class:`_Pcg64Bytes`, a
+  standard-library copy of the same generator, so one seed gives one
+  population and one set of printed numbers on both installs.
 * :class:`ExplicitPopulation` — wraps an in-memory ``Sequence[Burst]``
   (the legacy sweep-function inputs); its digest hashes the burst bytes.
 
 Chunked iteration is exact: for every source, the concatenation of
 ``iter_chunks()`` equals ``bursts()`` equals the monolithic generation
 (for :class:`RandomPopulation` this relies on NumPy's bit-stream
-generators filling bounded-integer draws sequentially, which the test
-suite pins).
+generators filling bounded-integer draws sequentially, and on the
+standard-library stream carrying its state from chunk to chunk, which
+the test suite pins).
 """
 
 from __future__ import annotations
 
 import abc
 import hashlib
-import random
+import numbers
+import struct
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence
 
@@ -55,8 +58,87 @@ DEFAULT_CHUNK_SIZE = 65536
 #: bit-identically to a single monolithic draw.
 GENERATION_BLOCK = 65536
 
-#: Tag recording which generator family produced a random population.
-GENERATOR_TAG = "np" if _np is not None else "py"
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+
+#: PCG64's 128-bit LCG multiplier.
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_sequence_words(seed: int) -> List[int]:
+    """NumPy's ``SeedSequence(seed).generate_state(8)``: the seed's
+    little-endian 32-bit words hashed into a four-word pool, every pool
+    word mixed into every other, then eight words hashed out of it."""
+    entropy = [seed >> shift & _MASK32
+               for shift in range(0, max(seed.bit_length(), 1), 32)]
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0)
+            for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = 0x8B51F9DD
+    words = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _MASK32
+        value = value * hash_const & _MASK32
+        words.append(value ^ value >> 16)
+    return words
+
+
+class _Pcg64Bytes:
+    """``np.random.default_rng(seed).integers(0, 256, dtype=np.uint8)``
+    as one byte stream, in the standard library.
+
+    ``default_rng`` seeds PCG64, a 128-bit LCG with XSL-RR output, from
+    :func:`_seed_sequence_words`, and a uint8 draw hands out the
+    little-endian bytes of each 64-bit output in turn.  :meth:`read`
+    continues the stream: an output's unread bytes open the next read.
+    """
+
+    def __init__(self, seed: int):
+        # ``generate_state(4, np.uint64)`` pairs the words little-endian;
+        # PCG64 reads the first pair as its state and the second as its
+        # stream, high word first.
+        words = _seed_sequence_words(seed)
+        seeded = [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
+        self._inc = ((seeded[2] << 64 | seeded[3]) << 1 | 1) & _MASK128
+        # Step from zero, add the seeded state, step again.
+        self._state = ((self._inc + (seeded[0] << 64 | seeded[1]))
+                       * _PCG64_MULTIPLIER + self._inc) & _MASK128
+        self._spill = b""
+
+    def read(self, size: int) -> bytes:
+        """The next *size* bytes of the stream."""
+        count = max(0, -((len(self._spill) - size) // 8))
+        state, inc = self._state, self._inc
+        outputs = [0] * count
+        for k in range(count):
+            state = (state * _PCG64_MULTIPLIER + inc) & _MASK128
+            folded = (state >> 64 ^ state) & _MASK64
+            outputs[k] = (folded << 64 | folded) >> (state >> 122) & _MASK64
+        self._state = state
+        data = self._spill + struct.pack(f"<{count}Q", *outputs)
+        self._spill = data[size:]
+        return data[:size]
 
 
 class BurstPopulation(abc.ABC):
@@ -127,11 +209,12 @@ class BurstPopulation(abc.ABC):
 class RandomPopulation(BurstPopulation):
     """Declarative iid uniform-random population (Fig. 3/4 workload).
 
-    With NumPy installed this reproduces
-    :func:`repro.workloads.random_data.random_bursts` byte-for-byte;
-    without it a deterministic pure-Python stream is substituted (and
-    :meth:`digest` distinguishes the two, so activity caches and
-    artifacts never conflate them).
+    Reproduces :func:`repro.workloads.random_data.random_bursts`
+    byte-for-byte on every install: NumPy's ``default_rng`` draws the
+    bytes when it is installed, :class:`_Pcg64Bytes` draws the same
+    bytes when it is not.  The digest's ``np`` tag names that generator;
+    artifacts from older NumPy-free runs, whose ``random.Random`` stream
+    was tagged ``py``, load render-only.
     """
 
     count: int
@@ -144,13 +227,18 @@ class RandomPopulation(BurstPopulation):
         if self.burst_length < 1:
             raise ValueError(
                 f"burst_length must be >= 1, got {self.burst_length}")
+        if (isinstance(self.seed, bool)
+                or not isinstance(self.seed, numbers.Integral)
+                or self.seed < 0):
+            raise ValueError(
+                f"seed must be a non-negative integer, got {self.seed!r}")
 
     def __len__(self) -> int:
         return self.count
 
     def digest(self) -> str:
         return (f"random:{self.count}x{self.burst_length}"
-                f":seed={self.seed}:{GENERATOR_TAG}")
+                f":seed={self.seed}:np")
 
     def _chunk_sizes(self, chunk_size: int) -> Iterator[int]:
         if chunk_size < 1:
@@ -201,11 +289,12 @@ class RandomPopulation(BurstPopulation):
             for data in self.iter_packed(chunk_size):
                 yield [Burst(row.tolist()) for row in data]
             return
-        rng = random.Random(self.seed)
+        stream = _Pcg64Bytes(self.seed)
+        width = self.burst_length
         for step in self._chunk_sizes(chunk_size):
-            yield [Burst([rng.getrandbits(8)
-                          for _ in range(self.burst_length)])
-                   for _ in range(step)]
+            data = stream.read(step * width)
+            yield [Burst(data[start:start + width])
+                   for start in range(0, len(data), width)]
 
 
 class ExplicitPopulation(BurstPopulation):
@@ -252,9 +341,10 @@ class OpaquePopulation(BurstPopulation):
     """Placeholder for a population that cannot be regenerated.
 
     Produced when loading an artifact whose population was explicit (or
-    was generated by a different generator family): the digest, size and
-    shape are known — enough to re-render and to match cache entries —
-    but the bursts themselves are gone, so iteration raises.
+    was drawn by another generator, such as the ``random.Random`` stream
+    of older NumPy-free runs): the digest, size and shape are known —
+    enough to re-render and to match cache entries — but the bursts
+    themselves are gone, so iteration raises.
     """
 
     def __init__(self, digest: str, count: int,

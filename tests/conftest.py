@@ -22,9 +22,9 @@ def fixed_model() -> CostModel:
 
 def _random_bursts(count: int, seed: int):
     # RandomPopulation reproduces workloads.random_data.random_bursts
-    # byte-for-byte when NumPy is installed and substitutes a
-    # deterministic pure-Python stream when it is not, so every suite
-    # using these fixtures stays runnable on the CI NumPy-free leg.
+    # byte-for-byte with or without NumPy (a standard-library copy of
+    # NumPy's stream without it), so every suite using these fixtures
+    # stays runnable on the CI NumPy-free leg.
     from repro.workloads.population import RandomPopulation
 
     return RandomPopulation(count=count, seed=seed).bursts()

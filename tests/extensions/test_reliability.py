@@ -106,8 +106,7 @@ class TestFaultSweep:
     @pytest.fixture(scope="class")
     def population(self):
         # NumPy-optional on purpose: this suite runs on the CI
-        # NumPy-free leg (the pure-Python stream differs byte-wise, but
-        # every assertion here is distribution-level or differential).
+        # NumPy-free leg, where the population draws the same bytes.
         from repro.workloads.population import RandomPopulation
         return RandomPopulation(count=300, seed=55).bursts()
 

@@ -1,11 +1,13 @@
 """Unit tests for the synthesis estimator and the Table I reproduction.
 
 Absolute numbers are calibration-dependent; these tests pin down the
-*orderings and ratios* the paper's Table I establishes.
+*orderings and ratios* the paper's Table I establishes, and hold the
+pinned encoder energies Fig. 8 reads to the table's exact values.
 """
 
 import pytest
 
+from repro.hw import ENCODER_ENERGY_PER_BURST_J
 from repro.hw.synthesis import (
     SynthesisResult,
     TARGET_BURST_RATE_HZ,
@@ -122,6 +124,8 @@ class TestHelpers:
         assert energies["dbi-dc"] > 0
         assert set(energies) >= {"raw", "dbi-dc", "dbi-ac",
                                  "dbi-opt-fixed", "dbi-opt-q3"}
+        energies["dbi-dc"] = 0.0
+        assert encoder_energy_per_burst() == dict(ENCODER_ENERGY_PER_BURST_J)
 
     def test_synthesize_relaxed_target(self):
         """At a relaxed 0.2 GHz target every design closes timing."""
@@ -129,3 +133,18 @@ class TestHelpers:
             result = synthesize(spec, target_burst_rate_hz=0.2e9,
                                 activity_bursts=20)
             assert result.meets_target
+
+
+class TestPinnedEnergies:
+    """Fig. 8 reads Table I's energies from constants; they must be what
+    the table computes, bit for bit, with or without NumPy."""
+
+    def test_pinned_energies_are_the_tables(self, results):
+        assert set(ENCODER_ENERGY_PER_BURST_J) == set(results) | {"raw"}
+        drifted = {name: f"computed {result.energy_per_burst_j.hex()}, "
+                         f"pinned {ENCODER_ENERGY_PER_BURST_J[name].hex()}"
+                   for name, result in results.items()
+                   if result.energy_per_burst_j
+                   != ENCODER_ENERGY_PER_BURST_J[name]}
+        assert not drifted, (
+            f"re-pin repro.hw.ENCODER_ENERGY_PER_BURST_J: {drifted}")

@@ -27,9 +27,9 @@ LOADS_FARADS = (1e-12, 3e-12, 8e-12)
 
 
 def _population():
-    from repro.workloads.random_data import random_bursts
+    from repro.workloads.population import RandomPopulation
 
-    return random_bursts(count=POPULATION_COUNT, seed=POPULATION_SEED)
+    return RandomPopulation(count=POPULATION_COUNT, seed=POPULATION_SEED)
 
 
 def fig3_snapshot(backend=None):

@@ -2,9 +2,11 @@
 
 The snapshots under ``golden/`` pin the exact summary numbers of a
 small, seeded Fig. 3 alpha sweep and Fig. 8 load sweep.  Both execution
-backends must keep reproducing them — this catches silent numerical
-drift in the encoders, the sweep harness, or the physical energy model,
-and doubles as an end-to-end backend-equivalence check.
+backends must keep reproducing them, with or without NumPy (a seed draws
+the same population on every install, and Fig. 8 reads Table I's pinned
+encoder energies) — this catches silent numerical drift in the encoders,
+the sweep harness, or the physical energy model, and doubles as an
+end-to-end backend-equivalence check.
 
 After an *intentional* pipeline change, regenerate with::
 
@@ -16,10 +18,6 @@ import json
 import pathlib
 
 import pytest
-
-# The snapshots are generated from NumPy-backed workload populations, so
-# there is nothing to regress against in a NumPy-free environment.
-pytest.importorskip("numpy", exc_type=ImportError)
 
 from repro.core.vectorized import available_backends
 

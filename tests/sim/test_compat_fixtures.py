@@ -7,9 +7,10 @@ artifact must load and re-save to the same canonical JSON, every spec
 whose inputs rebuild must re-run to the same output, and every cache
 file must decode and re-store to byte-identical content.
 
-The population-backed fixtures were drawn with NumPy, so without it
-their populations load as render-only placeholders and re-running them
-must refuse instead.
+The population-backed fixtures were drawn with NumPy.  A seed draws the
+same bytes with or without it, so they re-run and match on every
+install.  Older NumPy-free runs drew from another stream and tagged
+their populations' digests ``py``; such artifacts load render-only.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import shutil
 
 import pytest
 
-from repro import HAVE_NUMPY
 from repro.analysis.artifacts import canonical_artifact_json
 from repro.service.diskcache import DiskActivityCache
 from repro.sim.experiments import (
@@ -98,7 +98,7 @@ def test_artifact_resaves_canonically(name, tmp_path):
 def test_artifact_reruns_or_refuses(name):
     kind, loaded = _load(name)
     __, run, output = KINDS[kind]
-    expected = name != RENDER_ONLY and (HAVE_NUMPY or kind == "replay")
+    expected = name != RENDER_ONLY
     assert _has_inputs(loaded.spec) == expected
     if not expected:
         with pytest.raises(RuntimeError):
@@ -107,6 +107,37 @@ def test_artifact_reruns_or_refuses(name):
     rerun = run(loaded.spec)
     assert getattr(rerun, output) == getattr(loaded, output)
     assert rerun.totals == loaded.totals
+
+
+#: The fixtures drawn from a random population, by their seed.
+RANDOM_POPULATION = {"alpha.json": 11, "faults.json": 17,
+                     "granularity.json": 17, "sso.json": 17}
+
+
+@pytest.mark.parametrize("negative_seed", (False, True))
+@pytest.mark.parametrize("name", sorted(RANDOM_POPULATION))
+def test_py_tagged_artifact_loads_render_only(name, negative_seed, tmp_path):
+    """An artifact whose random population an older NumPy-free run drew
+    (digest tag ``py``, and possibly a negative seed) keeps loading and
+    re-saving, but refuses to re-run, on every install."""
+    seed = -1 if negative_seed else RANDOM_POPULATION[name]
+    text = (COMPAT / "artifacts" / name).read_text()
+    old = f"seed={RANDOM_POPULATION[name]}:np"
+    assert old in text
+    raw = json.loads(text.replace(old, f"seed={seed}:py"))
+    raw["spec"]["population"]["seed"] = seed
+    source = tmp_path / "py" / name
+    source.parent.mkdir()
+    source.write_text(json.dumps(raw))
+    kind = raw.get("kind", "experiment")
+    loader, run, __ = KINDS[kind]
+    loaded = loader(source)
+    assert not _has_inputs(loaded.spec)
+    with pytest.raises(RuntimeError):
+        run(loaded.spec)
+    _save(loaded, tmp_path / name)
+    assert (canonical_artifact_json(json.loads((tmp_path / name).read_text()))
+            == canonical_artifact_json(raw))
 
 
 @pytest.mark.parametrize("family", sorted(MANIFEST["cache_files"]))

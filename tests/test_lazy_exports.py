@@ -4,8 +4,8 @@ small.
 Every ``repro`` package ``__init__`` re-exports its ``__all__`` through
 :func:`repro._lazy.lazy_exports`, so importing one module no longer runs
 its siblings; these tests keep every export, ``dir()`` listing and
-submodule attribute working, and keep the engines out of ``import
-repro.cli``.
+submodule attribute working, keep the engines out of ``import
+repro.cli``, and keep Table I's synthesis out of a cold ``sweep-load``.
 """
 
 import importlib
@@ -94,3 +94,16 @@ def test_cold_cli_import_loads_no_engine():
                         "print('\\n'.join(sys.modules))").split())
     assert "repro.cli" in loaded
     assert not loaded & set(ENGINES), sorted(loaded & set(ENGINES))
+
+
+def test_cold_load_sweep_runs_no_gate_level_engine():
+    """Fig. 8 reads Table I's pinned encoder energies, so a cold
+    ``sweep-load`` never synthesises the table."""
+    out = _fresh("import sys\n"
+                 "from repro.cli import main\n"
+                 "status = main(['sweep-load', '--samples', '200'])\n"
+                 "print(status, *sys.modules)")
+    status, *loaded = out.splitlines()[-1].split()
+    assert status == "0"
+    assert not {"repro.hw.synthesis", "repro.hw.activity",
+                "repro.hw.netlist"} & set(loaded)

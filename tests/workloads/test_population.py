@@ -1,13 +1,19 @@
 """Unit tests for the burst population protocol."""
 
+import hashlib
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.burst import Burst
 from repro.workloads.population import (
+    GENERATION_BLOCK,
     BurstPopulation,
     ExplicitPopulation,
     OpaquePopulation,
     RandomPopulation,
+    _Pcg64Bytes,
     as_population,
 )
 
@@ -18,6 +24,17 @@ class TestRandomPopulation:
             RandomPopulation(0)
         with pytest.raises(ValueError):
             RandomPopulation(4, burst_length=0)
+
+    @pytest.mark.parametrize("seed", (-1, -2**70, 1.0, 2.5, "1", None,
+                                      True))
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        """Refused when built, on every install, not when first drawn."""
+        with pytest.raises(ValueError, match="seed"):
+            RandomPopulation(4, seed=seed)
+
+    def test_digest_names_numpys_generator_on_every_install(self):
+        assert RandomPopulation(10, seed=1).digest() == (
+            "random:10x8:seed=1:np")
 
     def test_len_and_shape(self):
         population = RandomPopulation(17, burst_length=4, seed=7)
@@ -82,6 +99,64 @@ class TestRandomPopulation:
         assert packed.shape == (40, 8)
         assert [tuple(row) for row in packed.tolist()] == [
             burst.data for burst in population.bursts()]
+
+
+#: sha256 of ``np.random.default_rng(seed).integers(0, 256, size=(count,
+#: burst_length), dtype=np.uint8).tobytes()``, computed with NumPy.
+NUMPY_STREAM_SHA256 = {
+    (3, 8, 0x0DB1):
+        "9f09e0f5c7cd27c386d3cf2638c92ea136f478c251a6e4e69033ffeb26dbc17b",
+    (7, 3, 12345678901234567890):
+        "c8ef999acf7f822b9643e2981e0d3bd378030da4d1b770fb32b46c3088b97cd2",
+    (1000, 16, 2**64):
+        "49930220dcc3faee6a5c4d241f16b275abc317cb0352d36ff67fcb835e9a2094",
+    (70000, 1, 2**32 + 1):
+        "c3f831ed676ce55e63d72129f3eb0d68413c04c5497f21ab566dde3355189cc1",
+}
+
+
+class TestOneStreamOnEveryInstall:
+    """One seed, one population: the standard-library stream is NumPy's
+    ``default_rng`` byte stream."""
+
+    @pytest.mark.parametrize("shape", sorted(NUMPY_STREAM_SHA256))
+    def test_population_bytes_are_numpys(self, shape):
+        count, burst_length, seed = shape
+        population = RandomPopulation(count, burst_length, seed)
+        assert (hashlib.sha256(population.to_bytes()).hexdigest()
+                == NUMPY_STREAM_SHA256[shape])
+
+    @pytest.mark.parametrize("shape", sorted(NUMPY_STREAM_SHA256))
+    def test_stdlib_stream_is_numpys(self, shape):
+        count, burst_length, seed = shape
+        data = _Pcg64Bytes(seed).read(count * burst_length)
+        assert (hashlib.sha256(data).hexdigest()
+                == NUMPY_STREAM_SHA256[shape])
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.sampled_from((0, 2**32 - 1, 2**32, 2**32 + 1, 2**64))
+           | st.integers(0, 2**128),
+           count=st.sampled_from((GENERATION_BLOCK - 1, GENERATION_BLOCK,
+                                  GENERATION_BLOCK + 1,
+                                  2 * GENERATION_BLOCK + 1))
+           | st.integers(1, 300),
+           burst_length=st.integers(1, 16),
+           chunk_size=st.integers(1, 3 * GENERATION_BLOCK))
+    @example(seed=0, count=GENERATION_BLOCK + 1, burst_length=3,
+             chunk_size=GENERATION_BLOCK)
+    @example(seed=2**128, count=2 * GENERATION_BLOCK + 1, burst_length=16,
+             chunk_size=7)
+    def test_stream_matches_default_rng(self, seed, count, burst_length,
+                                        chunk_size):
+        """Read in the NumPy-free population's chunks, the stream equals
+        one monolithic ``default_rng`` draw."""
+        np = pytest.importorskip("numpy", exc_type=ImportError)
+        expected = np.random.default_rng(seed).integers(
+            0, 256, size=(count, burst_length), dtype=np.uint8).tobytes()
+        stream = _Pcg64Bytes(seed)
+        population = RandomPopulation(count, burst_length, seed)
+        assert b"".join(stream.read(step * burst_length) for step in
+                        population._chunk_sizes(chunk_size)) == expected
 
 
 class TestExplicitPopulation:
