@@ -1,10 +1,11 @@
 #!/usr/bin/env python
 """DDR4 write-path controller study.
 
-Streams cache-line write transactions through the
-:class:`~repro.ctrl.controller.WriteController` on a DDR4 (POD12) channel
-and compares encoder policies at the controller level: window-1 greedy,
-the paper's per-burst optimum, and deep cross-burst lookahead.
+Streams cache-line write transactions through the per-byte reference
+write path (:class:`~repro.ctrl.controller.MemoryController` with
+``backend="reference"``) on a DDR4 (POD12) channel and compares encoder
+policies at the controller level: window-1 greedy, the paper's per-burst
+optimum, and deep cross-burst lookahead.
 
 Run with::
 
@@ -14,7 +15,7 @@ Run with::
 import numpy as np
 
 from repro.core.costs import CostModel
-from repro.ctrl import CACHE_LINE_BYTES, WriteController, WriteTransaction
+from repro.ctrl import CACHE_LINE_BYTES, MemoryController, WriteTransaction
 from repro.phy import GBPS, PICOFARAD, ddr4
 from repro.sim.report import markdown_table
 from repro.workloads.traces import zero_run_trace
@@ -53,10 +54,11 @@ def main() -> None:
     rows = []
     baseline_energy = None
     for window in WINDOWS:
-        controller = WriteController(channels=1,
-                                     byte_lanes=profile.byte_lanes,
-                                     model=cost_model, window=window,
-                                     energy_model=energy_model)
+        controller = MemoryController(channels=1,
+                                      byte_lanes=profile.byte_lanes,
+                                      model=cost_model, window=window,
+                                      energy_model=energy_model,
+                                      backend="reference")
         for transaction in transactions:
             controller.write(transaction)
         stats = controller.flush()

@@ -57,6 +57,7 @@ from .extensions import DEFAULT_FAULT_RATES, VALID_GROUP_SIZES
 from .sim.experiments import (
     FIGURE_DEFAULTS,
     FIGURE_INTERFACES,
+    PAPER_SCHEMES,
     REPLAY_DEFAULTS,
     ExperimentResult,
     ReplayPoint,
@@ -219,7 +220,7 @@ def _cmd_sweep_alpha(args: argparse.Namespace) -> int:
     if args.plot:
         print(quick_plot(sweep.ac_costs,
                          {name: sweep.series[name]
-                          for name in ("raw", "dbi-dc", "dbi-ac", "dbi-opt")},
+                          for name in PAPER_SCHEMES},
                          title="energy per burst vs AC cost",
                          x_label="AC cost"))
     return _print_provenance(args, result)
@@ -769,7 +770,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_axis_arguments(faults)
     faults.add_argument("--schemes", nargs="+", metavar="SCHEME",
                         choices=available_schemes(),
-                        default=["raw", "dbi-dc", "dbi-ac", "dbi-opt"],
+                        default=list(PAPER_SCHEMES),
                         help="schemes to inject into (default: the paper's "
                              "four)")
     faults.add_argument("--rates", type=_probability, nargs="+", metavar="P",
@@ -797,7 +798,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_axis_arguments(sso)
     sso.add_argument("--schemes", nargs="+", metavar="SCHEME",
                      choices=available_schemes(),
-                     default=["raw", "dbi-dc", "dbi-ac", "dbi-opt"],
+                     default=list(PAPER_SCHEMES),
                      help="schemes to rank (default: the paper's four)")
     sso.add_argument("--interfaces", nargs="+", metavar="NAME",
                      choices=available_interfaces(),

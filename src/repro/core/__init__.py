@@ -20,8 +20,9 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "encoder": ("DbiOptimal", "DbiOptimalFixed", "DbiOptimalQuantized"),
     "pareto": ("EncodingPoint", "convex_hull_lower", "enumerate_encodings",
                "pareto_front", "supported_points"),
-    "streaming": ("BatchStreamingEncoder", "StreamingOptimalEncoder",
-                  "solve_stream", "stream_cost", "windowed_stream_cost"),
+    "streaming": ("BatchStreamingEncoder", "PerLaneStreamingEncoder",
+                  "StreamingOptimalEncoder", "solve_stream", "stream_cost",
+                  "windowed_stream_cost"),
     "schemes": ("DbiScheme", "EncodedBurst", "available_schemes",
                 "get_scheme", "register_scheme"),
     "trellis": ("TrellisGraph", "TrellisSolution", "brute_force", "solve"),

@@ -114,12 +114,12 @@ PAPER_FIG2_BURST = Burst.from_bit_strings(
 )
 
 
-def as_bursts(batch) -> Sequence[Burst]:
-    """*batch* as a burst sequence for a per-burst loop: a packed
-    ``(batch, n)`` array row by row, anything else as it is."""
-    if hasattr(batch, "tolist"):
-        return [Burst(row) for row in batch.tolist()]
-    return batch
+def as_bursts(batch) -> Iterator[Burst]:
+    """*batch* as bursts for a per-burst loop: each row of a packed
+    ``(batch, n)`` array, and each item that is not a :class:`Burst`
+    (a ``bytes`` row, say), becomes one."""
+    rows = batch.tolist() if hasattr(batch, "tolist") else batch
+    return (row if isinstance(row, Burst) else Burst(row) for row in rows)
 
 
 def chunk_bytes(payload: Sequence[int], burst_length: int = DEFAULT_BURST_LENGTH,

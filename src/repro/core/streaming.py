@@ -25,6 +25,9 @@ This module extends the paper's formulation to streams:
   one :class:`StreamingOptimalEncoder` per lane, which the differential
   suites (``tests/core/test_streaming_batch.py`` and the exhaustive
   ``tests/core/test_streaming_oracle.py``) enforce.
+* :class:`PerLaneStreamingEncoder` — its twin: one
+  :class:`StreamingOptimalEncoder` per lane behind the same calls, the
+  reference a controller runs without the vector backend.
 
 This is the natural "integrate into future memories" extension the
 paper's conclusion sketches: a controller that optimises over the write
@@ -43,6 +46,8 @@ from .bitops import (
     check_byte,
     check_word,
     make_word,
+    total_transitions,
+    total_zeros,
 )
 from .burst import Burst
 from .costs import CostModel
@@ -208,8 +213,9 @@ class BatchStreamingEncoder:
     where the model's coefficients allow it exactly, see
     :func:`~repro.core.vectorized._viterbi_planes`).
 
-    Requires NumPy (the vector backend); per-lane reference encoding is
-    the fallback for NumPy-free environments.
+    Requires NumPy (the vector backend); its twin
+    :class:`PerLaneStreamingEncoder` is the per-lane reference and the
+    fallback for NumPy-free environments.
 
     Parameters
     ----------
@@ -444,6 +450,86 @@ class BatchStreamingEncoder:
                 count = counts[slot]
                 self._decisions[int(row)].append(
                     (mat[slot, :count].copy(), flags[slot, :count].copy()))
+
+
+class PerLaneStreamingEncoder:
+    """The NumPy-free twin of :class:`BatchStreamingEncoder`: one
+    :class:`StreamingOptimalEncoder` per lane, each committed word
+    tallied as it commits — the batched engine's executable
+    specification.  It takes the batch engine's ``(model, rows, window,
+    record)`` and answers a controller's calls as the batch engine does,
+    its per-lane tallies as lists of ints.
+    """
+
+    def __init__(self, model: CostModel, rows: int, window: int = 8,
+                 record: bool = False):
+        if rows < 1:
+            raise ValueError(f"rows must be >= 1, got {rows}")
+        self.record = record
+        self._lanes = [StreamingOptimalEncoder(model, window=window)
+                       for _ in range(rows)]
+        self._zeros = [0] * rows
+        self._transitions = [0] * rows
+        self._beats = [0] * rows
+        self._decisions: List[List[Tuple[int, bool]]] = [
+            [] for _ in range(rows)]
+
+    def push(self, streams: Sequence) -> None:
+        """Append one byte stream per lane and commit every full window."""
+        if len(streams) != len(self._lanes):
+            raise ValueError(
+                f"{len(streams)} streams for {len(self._lanes)} lanes")
+        for row, (lane, stream) in enumerate(zip(self._lanes, streams)):
+            # The bus word is read before the push commits past it.
+            self._tally(row, lane.bus_state, lane.push(stream))
+
+    def flush(self) -> None:
+        """Commit every pending byte on every lane (end of stream)."""
+        for row, lane in enumerate(self._lanes):
+            self._tally(row, lane.bus_state, lane.flush())
+
+    @property
+    def zeros(self) -> List[int]:
+        """Committed zero-beat tallies per lane."""
+        return list(self._zeros)
+
+    @property
+    def transitions(self) -> List[int]:
+        """Committed transition tallies per lane."""
+        return list(self._transitions)
+
+    @property
+    def beats(self) -> List[int]:
+        """Committed byte-beats per lane."""
+        return list(self._beats)
+
+    def pending_counts(self) -> List[int]:
+        """Bytes buffered per lane, not yet committed."""
+        return [len(lane._pending) for lane in self._lanes]
+
+    def set_model(self, model: CostModel) -> None:
+        """Re-price every lane's future solves
+        (:meth:`StreamingOptimalEncoder.set_model`)."""
+        for lane in self._lanes:
+            lane.set_model(model)
+
+    def decisions(self, row: int) -> List[Tuple[int, bool]]:
+        """Committed (byte, invert-flag) pairs of one lane
+        (``record=True``)."""
+        if not self.record:
+            raise RuntimeError("decisions are only kept when record=True")
+        return list(self._decisions[row])
+
+    def _tally(self, row: int, last: int,
+               decisions: List[Tuple[int, bool]]) -> None:
+        """Count lane *row*'s *decisions*, sent after wire word *last*."""
+        words = [make_word(byte, inverted) for byte, inverted in decisions]
+        self._zeros[row] += total_zeros(words)
+        self._transitions[row] += total_transitions(words, last)
+        self._beats[row] += len(words)
+        if self.record:
+            self._decisions[row].extend(
+                (byte, bool(flag)) for byte, flag in decisions)
 
 
 def windowed_stream_cost(data: Sequence[int], model: CostModel,

@@ -6,17 +6,16 @@ Backend selection
 (``"auto"`` / ``"reference"`` / ``"vector"``; process default via
 ``REPRO_BACKEND`` or :func:`repro.set_default_backend`):
 
-* ``reference`` — one pure-Python
-  :class:`~repro.core.streaming.StreamingOptimalEncoder` per
-  (channel, lane), fed byte by byte.  The executable specification, also
-  frozen as :class:`WriteController` (the pre-batch single-transaction
-  API).
+* ``reference`` — :class:`~repro.core.streaming.PerLaneStreamingEncoder`:
+  one pure-Python :class:`~repro.core.streaming.StreamingOptimalEncoder`
+  per (channel, lane), fed byte by byte.  The executable specification;
+  build it with ``MemoryController(..., backend="reference")``.
 * ``vector`` (what ``auto`` resolves to with NumPy installed) — the
   batched write path: :meth:`MemoryController.submit` steers whole
   transaction batches and stripes them across channels × lanes, while
   :meth:`MemoryController.submit_source` turns each trace chunk into the
   channels × lanes byte matrix by address arithmetic, building no
-  transaction.  Either way every lane goes to one
+  transaction.  Either way every lane goes to its twin
   :class:`~repro.core.streaming.BatchStreamingEncoder`, which solves all
   full lookahead windows of a batch at once; statistics are tallied per
   lane as integer arrays, never per byte.
@@ -63,8 +62,8 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "adaptive": ("DEFAULT_HALF_LIFE_BYTES", "AdaptiveCostTracker",
                  "OperatingPoint", "OperatingPointSchedule",
                  "TrackingConfig"),
-    "controller": ("ControllerStatistics", "LaneState", "MemoryController",
-                   "SegmentActivity", "WriteController", "WriteTransaction",
+    "controller": ("ControllerStatistics", "MemoryController",
+                   "SegmentActivity", "WriteTransaction",
                    "compare_controllers", "transactions_from_bytes",
                    "transactions_from_source"),
 })

@@ -8,25 +8,26 @@ optimiser so the DBI decisions exploit lookahead across the write queue —
 the deployment context the paper's conclusion sketches for
 controller-side encoding.
 
-Two execution backends share one semantics (see
-:class:`MemoryController`):
+The ``channels × byte_lanes`` lane streams go to one lane engine, which
+the backend picks once (see :class:`MemoryController`):
 
-* ``reference`` — one :class:`~repro.core.streaming.StreamingOptimalEncoder`
-  per (channel, lane), fed byte by byte: the executable specification.
-* ``vector`` — all ``channels × byte_lanes`` lane streams share one
-  :class:`~repro.core.streaming.BatchStreamingEncoder`, which solves
-  every full lookahead window of a submitted batch at once (the batched
-  Viterbi kernel of :mod:`repro.core.vectorized`), with statistics
-  tallied per lane without any per-byte bookkeeping.  A trace source
-  (:meth:`MemoryController.submit_source`) is striped without building a
-  transaction: line *i* goes to channel ``(first_line + i) % channels``
-  and byte *j* of a line to lane ``j % byte_lanes``, so each chunk's
-  lines become the ``(channels × byte_lanes, n)`` lane matrix by one
-  reshape and transpose.
+* ``reference`` — :class:`~repro.core.streaming.PerLaneStreamingEncoder`,
+  one :class:`~repro.core.streaming.StreamingOptimalEncoder` per
+  (channel, lane), fed byte by byte: the executable specification.
+* ``vector`` — its twin :class:`~repro.core.streaming.BatchStreamingEncoder`,
+  which solves every full lookahead window of a submitted batch at once
+  (the batched Viterbi kernel of :mod:`repro.core.vectorized`), with
+  statistics tallied per lane without any per-byte bookkeeping.  A trace
+  source (:meth:`MemoryController.submit_source`) is striped without
+  building a transaction: line *i* goes to channel ``(first_line + i) %
+  channels`` and byte *j* of a line to lane ``j % byte_lanes``, so each
+  chunk's lines become the ``(channels × byte_lanes, n)`` lane matrix by
+  one reshape and transpose.
 
-The two are **bit-identical** — same per-lane invert decisions, same
-integer activity tallies — which ``tests/ctrl/test_batch_parity.py``
-enforces across POD/SSTL/LVSTL operating points.
+The controller makes the same calls on either engine, and the two are
+**bit-identical** — same per-lane invert decisions, same integer
+activity tallies — which ``tests/ctrl/test_batch_parity.py`` enforces
+across POD/SSTL/LVSTL operating points.
 
 Energy accounting reuses :class:`repro.phy.power.InterfaceEnergyModel`
 (including the one-level term for non-POD interfaces), so
@@ -39,9 +40,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..core.bitops import WORD_WIDTH, make_word, transitions, zeros_in_word
+from ..core.bitops import WORD_WIDTH
 from ..core.costs import CostModel
-from ..core.streaming import BatchStreamingEncoder, StreamingOptimalEncoder
+from ..core.streaming import BatchStreamingEncoder, PerLaneStreamingEncoder
 from ..core.vectorized import resolve_backend
 from ..phy.bus import BusStatistics
 from ..phy.power import InterfaceEnergyModel
@@ -150,29 +151,6 @@ class SegmentActivity:
 
 
 @dataclass
-class LaneState:
-    """Streaming encoder plus activity tallies for one byte lane
-    (reference backend only)."""
-
-    encoder: StreamingOptimalEncoder
-    zeros: int = 0
-    transitions: int = 0
-    beats: int = 0
-    log: Optional[List[Tuple[int, bool]]] = None
-    _last_word: int = 0x1FF
-
-    def commit(self, decisions: Sequence[Tuple[int, bool]]) -> None:
-        for byte, inverted in decisions:
-            word = make_word(byte, inverted)
-            self.zeros += zeros_in_word(word)
-            self.transitions += transitions(self._last_word, word)
-            self.beats += 1
-            self._last_word = word
-        if self.log is not None:
-            self.log.extend((byte, bool(flag)) for byte, flag in decisions)
-
-
-@dataclass
 class ControllerStatistics:
     """Aggregate write-path statistics."""
 
@@ -215,8 +193,8 @@ class MemoryController:
     backend:
         ``"reference"`` / ``"vector"`` / ``"auto"`` / ``None`` (process
         default) — resolved once at construction, like every batch
-        entry point: ``auto`` is ``vector`` whenever NumPy is installed,
-        at any link geometry.
+        entry point, to pick the lane engine: ``auto`` is ``vector``
+        whenever NumPy is installed, at any link geometry.
     record:
         Keep every committed (byte, invert-flag) decision per lane, for
         differential and round-trip checks (costs memory; off by
@@ -290,20 +268,10 @@ class MemoryController:
         self._transactions = 0
         self._bytes_written = 0
         self._channel_transactions = [0] * channels
-        if self.backend == "vector":
-            self._batch: Optional[BatchStreamingEncoder] = BatchStreamingEncoder(
-                self.model, rows=channels * byte_lanes, window=window,
-                record=record)
-            self._ref_lanes: Optional[Dict[Tuple[int, int], LaneState]] = None
-        else:
-            self._batch = None
-            self._ref_lanes = {
-                (channel, lane): LaneState(
-                    encoder=StreamingOptimalEncoder(self.model, window=window),
-                    log=[] if record else None)
-                for channel in range(channels)
-                for lane in range(byte_lanes)
-            }
+        engine = (BatchStreamingEncoder if self.backend == "vector"
+                  else PerLaneStreamingEncoder)
+        self._engine = engine(self.model, rows=channels * byte_lanes,
+                              window=window, record=record)
 
     # -- steering and striping ----------------------------------------------
     def channel_of(self, address: int) -> int:
@@ -364,7 +332,7 @@ class MemoryController:
         builds a transaction: each chunk's lines become the lane matrix
         by address arithmetic (:meth:`_lane_streams`).
         """
-        if self._batch is None:
+        if self.backend == "reference":
             for batch in transactions_from_source(
                     source, self.line_bytes, base_address=base_address):
                 self.submit(batch)
@@ -392,7 +360,7 @@ class MemoryController:
                 self._schedule_segment = segment
             streams, per_channel = self._lane_streams(
                 data[start * line:stop * line], address + start * line, line)
-            self._batch.push(streams)
+            self._engine.push(streams)
             for channel, count in enumerate(per_channel):
                 self._channel_transactions[channel] += count
             self._transactions += stop - start
@@ -459,13 +427,7 @@ class MemoryController:
             self._channel_transactions[channel] += 1
             self._transactions += 1
             self._bytes_written += len(transaction.data)
-        streams = self._stripe(per_channel)
-        if self._batch is not None:
-            self._batch.push(streams)
-        else:
-            for row, stream in enumerate(streams):
-                lane = self._ref_lanes[divmod(row, self.byte_lanes)]
-                lane.commit(lane.encoder.push(stream))
+        self._engine.push(self._stripe(per_channel))
 
     def write(self, transaction: WriteTransaction) -> None:
         """Queue one transaction (single-item :meth:`submit`)."""
@@ -473,11 +435,7 @@ class MemoryController:
 
     def flush(self) -> ControllerStatistics:
         """Drain every lane's pending window and return total statistics."""
-        if self._batch is not None:
-            self._batch.flush()
-        else:
-            for lane in self._ref_lanes.values():
-                lane.commit(lane.encoder.flush())
+        self._engine.flush()
         return self.statistics()
 
     # -- adaptive operating points -------------------------------------------
@@ -493,11 +451,7 @@ class MemoryController:
                                     self._committed_totals()))
         self._active_label = point.label
         self.model = point.cost_model()
-        if self._batch is not None:
-            self._batch.set_model(self.model)
-        else:
-            for lane in self._ref_lanes.values():
-                lane.encoder.set_model(self.model)
+        self._engine.set_model(self.model)
 
     def _observe_and_track(self) -> None:
         zeros, n_transitions, beats = self._committed_totals()
@@ -513,16 +467,9 @@ class MemoryController:
 
     def _committed_totals(self) -> Tuple[int, int, int]:
         """Committed (zeros, transitions, beats) summed over all lanes."""
-        if self._batch is not None:
-            return (int(self._batch._zeros.sum()),
-                    int(self._batch._transitions.sum()),
-                    int(self._batch._beats.sum()))
-        zeros = n_transitions = beats = 0
-        for lane in self._ref_lanes.values():
-            zeros += lane.zeros
-            n_transitions += lane.transitions
-            beats += lane.beats
-        return zeros, n_transitions, beats
+        engine = self._engine
+        return (int(sum(engine.zeros)), int(sum(engine.transitions)),
+                int(sum(engine.beats)))
 
     def segments(self) -> List[SegmentActivity]:
         """Per-operating-point committed activity (adaptive runs only).
@@ -563,13 +510,10 @@ class MemoryController:
     def lane_activity(self, channel: int, lane: int) -> Tuple[int, int, int]:
         """Committed ``(zeros, transitions, beats)`` of one byte lane."""
         self._check_lane(channel, lane)
-        if self._batch is not None:
-            row = self._row_of(channel, lane)
-            return (int(self._batch.zeros[row]),
-                    int(self._batch.transitions[row]),
-                    int(self._batch.beats[row]))
-        state = self._ref_lanes[(channel, lane)]
-        return state.zeros, state.transitions, state.beats
+        row = self._row_of(channel, lane)
+        return (int(self._engine.zeros[row]),
+                int(self._engine.transitions[row]),
+                int(self._engine.beats[row]))
 
     def lane_statistics(self, channel: int, lane: int) -> BusStatistics:
         """One lane's tallies as a :class:`~repro.phy.bus.BusStatistics` view.
@@ -596,14 +540,7 @@ class MemoryController:
 
     def statistics(self) -> ControllerStatistics:
         """Current totals (pending, un-committed bytes are not counted)."""
-        zeros = n_transitions = beats = 0
-        for channel in range(self.channels):
-            for lane in range(self.byte_lanes):
-                lane_zeros, lane_transitions, lane_beats = \
-                    self.lane_activity(channel, lane)
-                zeros += lane_zeros
-                n_transitions += lane_transitions
-                beats += lane_beats
+        zeros, n_transitions, beats = self._committed_totals()
         energy = 0.0
         if self.energy_model is not None:
             energy = self.energy_model.burst_energy(
@@ -619,49 +556,18 @@ class MemoryController:
 
     def pending_bytes(self) -> int:
         """Bytes buffered in encoder windows, not yet committed."""
-        if self._batch is not None:
-            return sum(self._batch.pending_counts())
-        return sum(len(lane.encoder._pending)
-                   for lane in self._ref_lanes.values())
+        return sum(self._engine.pending_counts())
 
     def lane_decisions(self, channel: int, lane: int) -> List[Tuple[int, bool]]:
         """Committed (byte, invert-flag) pairs of one lane (``record=True``)."""
         self._check_lane(channel, lane)
-        if not self.record:
-            raise RuntimeError("decisions are only kept when record=True")
-        if self._batch is not None:
-            return self._batch.decisions(self._row_of(channel, lane))
-        return list(self._ref_lanes[(channel, lane)].log)
+        return self._engine.decisions(self._row_of(channel, lane))
 
     def _check_lane(self, channel: int, lane: int) -> None:
         if not 0 <= channel < self.channels:
             raise IndexError(f"channel {channel} out of range [0, {self.channels})")
         if not 0 <= lane < self.byte_lanes:
             raise IndexError(f"lane {lane} out of range [0, {self.byte_lanes})")
-
-
-class WriteController(MemoryController):
-    """The per-byte reference write path (pre-PR-5 API, kept as the spec).
-
-    Pins ``backend="reference"`` and exposes the per-lane
-    :class:`LaneState` map that the original single-transaction API
-    offered; :class:`MemoryController` with ``backend="vector"`` is the
-    batched production path.
-    """
-
-    def __init__(self, channels: int = 1, byte_lanes: int = 4,
-                 model: Optional[CostModel] = None, window: int = 16,
-                 energy_model: Optional[InterfaceEnergyModel] = None,
-                 record: bool = False):
-        super().__init__(channels=channels, byte_lanes=byte_lanes,
-                         model=model, window=window,
-                         energy_model=energy_model, backend="reference",
-                         record=record)
-
-    @property
-    def lanes(self) -> Dict[Tuple[int, int], LaneState]:
-        """Per-(channel, lane) streaming-encoder states."""
-        return self._ref_lanes
 
 
 def compare_controllers(payloads: Sequence[bytes], model: CostModel,
@@ -674,8 +580,9 @@ def compare_controllers(payloads: Sequence[bytes], model: CostModel,
     """
     rows: List[Tuple[int, float]] = []
     for window in windows:
-        controller = WriteController(channels=1, byte_lanes=byte_lanes,
-                                     model=model, window=window)
+        controller = MemoryController(channels=1, byte_lanes=byte_lanes,
+                                      model=model, window=window,
+                                      backend="reference")
         for index, payload in enumerate(payloads):
             controller.write(WriteTransaction(index * CACHE_LINE_BYTES,
                                               payload))

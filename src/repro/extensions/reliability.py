@@ -212,6 +212,19 @@ def fault_sweep(scheme: DbiScheme, bursts: Sequence[Burst],
 
 # -- the mask-parallel fault engine -----------------------------------------
 
+def _error_planes(planes: List[int], mask_planes: List[int],
+                  n: int) -> List[int]:
+    """Per data lane, the decoded bits of *n* packed wire words that the
+    fault *mask_planes* corrupt.  Plane-wise DBI decode: a DBI bit of 0
+    means "sent inverted", so the flip plane is the DBI plane's
+    complement."""
+    flip_clean = planes[BYTE_WIDTH] ^ ((1 << n) - 1)
+    flip_faulty = flip_clean ^ mask_planes[BYTE_WIDTH]
+    return [(planes[lane] ^ flip_clean)
+            ^ ((planes[lane] ^ mask_planes[lane]) ^ flip_faulty)
+            for lane in range(BYTE_WIDTH)]
+
+
 def _tally_masked_faults(values, masks: Sequence[int]) -> FaultStatistics:
     """Decode-and-tally for one fault per vector, mask-parallel.
 
@@ -222,20 +235,12 @@ def _tally_masked_faults(values, masks: Sequence[int]) -> FaultStatistics:
     decode and the error popcounts each touch all faults at once.
     """
     n = len(masks)
-    planes = bitsim.pack_planes(values, WORD_WIDTH)
     mask_planes = bitsim.pack_planes(masks, WORD_WIDTH)
-    valid = (1 << n) - 1
-    # Plane-wise DBI decode: a DBI bit of 0 means "transmitted inverted",
-    # so the invert-back flip plane is the complement of the DBI plane.
-    flip_clean = planes[BYTE_WIDTH] ^ valid
-    flip_faulty = (planes[BYTE_WIDTH] ^ mask_planes[BYTE_WIDTH]) ^ valid
     dbi_fault_plane = mask_planes[BYTE_WIDTH]
     total_errors = 0
     dbi_errors = 0
-    for lane in range(BYTE_WIDTH):
-        decoded_clean = planes[lane] ^ flip_clean
-        decoded_faulty = (planes[lane] ^ mask_planes[lane]) ^ flip_faulty
-        diff = decoded_clean ^ decoded_faulty
+    for diff in _error_planes(bitsim.pack_planes(values, WORD_WIDTH),
+                              mask_planes, n):
         total_errors += bitsim.popcount(diff)
         dbi_errors += bitsim.popcount(diff & dbi_fault_plane)
     return FaultStatistics(injected_faults=n,
@@ -455,16 +460,11 @@ def fault_coverage_rows(tasks: Iterable[Tuple[DbiScheme, float]],
 def _masked_coverage_row(planes: List[int], mask_planes: List[int],
                          rate: float, total: int) -> FaultCoverageRow:
     """One coverage row, mask-parallel over packed word planes."""
-    valid = (1 << total) - 1
-    flip_clean = planes[BYTE_WIDTH] ^ valid
-    flip_faulty = (planes[BYTE_WIDTH] ^ mask_planes[BYTE_WIDTH]) ^ valid
     bit_errors = 0
-    union = None
-    for lane in range(BYTE_WIDTH):
-        diff = ((planes[lane] ^ flip_clean)
-                ^ ((planes[lane] ^ mask_planes[lane]) ^ flip_faulty))
+    union = 0
+    for diff in _error_planes(planes, mask_planes, total):
         bit_errors += bitsim.popcount(diff)
-        union = diff if union is None else union | diff
+        union |= diff
     return FaultCoverageRow(
         rate=float(rate),
         injected_faults=sum(bitsim.popcount(plane) for plane in mask_planes),

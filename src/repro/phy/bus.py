@@ -8,10 +8,11 @@ j+2·lanes, ...``), encoded per lane with bus state threaded across bursts,
 and accounted with the per-wire counters of :mod:`repro.phy.lane` and the
 energy model of :mod:`repro.phy.power`.
 
-The write path is batched like the controller's: each lane's burst train
-is encoded in one :meth:`~repro.core.schemes.DbiScheme.wire_words` call
-(state threaded across bursts).  When its vector branch runs, activity
-is tallied array-at-a-time and the per-wire counters update through
+The write path is batched like the controller's: each lane's burst train,
+``bytes`` rows with no :class:`~repro.core.burst.Burst` built, is encoded
+in one :meth:`~repro.core.schemes.DbiScheme.wire_words` call (state
+threaded across bursts).  When its vector branch runs, activity is
+tallied array-at-a-time and the per-wire counters update through
 :meth:`~repro.phy.lane.LaneGroup.drive_words_batch`.  Both paths produce
 bit-identical statistics, energies and wire state (enforced by
 ``tests/phy/test_bus.py``).
@@ -26,8 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from ..core.bitops import ALL_ONES_WORD, total_transitions, total_zeros
-from ..core.burst import Burst, chunk_bytes
+from ..core.bitops import (ALL_ONES_WORD, check_byte, total_transitions,
+                           total_zeros)
+from ..core.burst import Burst
 from ..core.schemes import DbiScheme, EncodedBurst
 from ..core.vectorized import batch_activity, chain_boundaries
 from .lane import LaneGroup
@@ -101,10 +103,11 @@ class ByteLane:
             self.stats.energy_joules += energy_model.burst_energy(
                 n_transitions, n_zeros)
 
-    def send_bursts(self, bursts: Sequence[Burst],
+    def send_bursts(self, bursts: Sequence,
                     energy_model: Optional[InterfaceEnergyModel],
                     backend: Optional[str] = None) -> None:
-        """Encode and transmit a burst train, state threaded across bursts.
+        """Encode and transmit a burst train (:class:`Burst` objects or
+        equal-length ``bytes`` rows), state threaded across bursts.
 
         The batched twin of calling :meth:`send_burst` in a loop, on the
         words of :meth:`~repro.core.schemes.DbiScheme.wire_words` chained
@@ -182,18 +185,25 @@ class MemoryBus:
     def write(self, payload: Sequence[int]) -> BusStatistics:
         """Stripe *payload* across lanes, encode and transmit everything.
 
-        Each lane's burst train goes through the batched
-        :meth:`ByteLane.send_bursts` path (tail bursts are padded
-        idle-high by :func:`~repro.core.burst.chunk_bytes`, so the train
-        is always rectangular).  Returns the statistics of **this call**
-        (the per-lane cumulative counters keep running across calls).
+        Each lane's bytes go through the batched
+        :meth:`ByteLane.send_bursts` path as ``burst_length`` rows, the
+        tail row padded idle-high with 0xFF (so the train is rectangular
+        and the padding costs nothing).  A payload that is not ``bytes``
+        is checked byte by byte first (:func:`~repro.core.bitops.check_byte`).
+        Returns the statistics of **this call** (the per-lane cumulative
+        counters keep running across calls).
         """
+        if not isinstance(payload, (bytes, bytearray)):
+            payload = bytes(map(check_byte, payload))
+        length = self.burst_length
         before = self.statistics()
         for index, lane in enumerate(self.lanes):
-            lane_bytes = list(payload[index::self.byte_lanes])
+            lane_bytes = payload[index::self.byte_lanes]
             if not lane_bytes:
                 continue
-            lane.send_bursts(chunk_bytes(lane_bytes, self.burst_length),
+            lane_bytes += b"\xff" * (-len(lane_bytes) % length)
+            lane.send_bursts([lane_bytes[start:start + length]
+                              for start in range(0, len(lane_bytes), length)],
                              self.energy_model, backend=self.backend)
         after = self.statistics()
         return BusStatistics(

@@ -12,9 +12,9 @@ engine in two layers, each usable on its own:
   per-key JSON files named by the SHA-256 of the content-addressed cache
   key, written via atomic rename, so any number of concurrent writers
   (processes or machines sharing a filesystem) are safe without locks;
-  the read path never blocks.  ``REPRO_CACHE_DIR`` / ``--cache-dir``
-  select the directory and :func:`repro.sim.experiments.shared_cache`
-  honours the variable, so warm runs skip every encode across processes.
+  the read path never blocks.  ``--cache-dir`` or ``REPRO_CACHE_DIR``
+  selects the directory (:func:`~repro.service.diskcache.open_cache`),
+  so warm runs skip every encode across processes.
 
 * :mod:`repro.service.daemon` / :mod:`repro.service.client` — a
   long-running JSON-lines TCP server (stdlib :mod:`socketserver`, no new

@@ -14,7 +14,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
                     "load_granularity_artifact", "load_sso_artifact",
                     "population_activity", "rate_experiment",
                     "run_experiment", "run_faults", "run_granularity",
-                    "run_replay", "run_sso", "save_artifact", "shared_cache",
+                    "run_replay", "run_sso", "save_artifact",
                     "sso_experiment"),
     "metrics": ("EvaluationResult", "SchemeMetrics"),
     "runner": ("evaluate", "evaluate_named"),

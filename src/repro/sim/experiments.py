@@ -58,7 +58,6 @@ import copy
 import functools
 import hashlib
 import json
-import os
 import platform
 import threading
 import time
@@ -253,38 +252,6 @@ class ActivityCache:
         }
 
 
-_SHARED_CACHE: Optional[ActivityCache] = None
-
-
-def shared_cache() -> ActivityCache:
-    """The process-wide cache for sessions running several experiments.
-
-    :func:`run_experiment` deliberately defaults to a *fresh* cache per
-    run (so the legacy sweep wrappers stay pure and backend-equivalence
-    tests cannot be satisfied by stale entries); pass this explicitly to
-    share encodes across experiments.
-
-    When ``REPRO_CACHE_DIR`` is set, the shared cache is a
-    :class:`repro.service.diskcache.DiskActivityCache` rooted there
-    instead of a plain in-memory store, so encodes persist across
-    *processes*: a warm CLI run (or a daemon restart) skips every encode
-    a previous run already paid for.
-    """
-    global _SHARED_CACHE
-    cache_dir = os.environ.get("REPRO_CACHE_DIR")
-    if cache_dir:
-        from ..service.diskcache import DiskActivityCache
-
-        wanted = os.path.abspath(cache_dir)
-        if (not isinstance(_SHARED_CACHE, DiskActivityCache)
-                or _SHARED_CACHE.directory != wanted):
-            _SHARED_CACHE = DiskActivityCache(wanted)
-        return _SHARED_CACHE
-    if _SHARED_CACHE is None or type(_SHARED_CACHE) is not ActivityCache:
-        _SHARED_CACHE = ActivityCache()
-    return _SHARED_CACHE
-
-
 # -- the spec ----------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -458,6 +425,10 @@ FIGURE_DEFAULTS: Dict[str, object] = {
     "samples": 2000, "seed": 0x0DB1, "points": 26, "interface": "pod135",
     "c_load_pf": 3.0, "max_gbps": 20,
     "loads_pf": (1.0, 2.0, 3.0, 4.0, 6.0, 8.0)}
+
+#: The paper's four schemes by registry name, the default of the axes
+#: that rank registry schemes.
+PAPER_SCHEMES = ("raw", "dbi-dc", "dbi-ac", "dbi-opt")
 
 #: A figure sweep's interfaces: its grid prices zeros and transitions
 #: only, exact only for POD (see :meth:`ActivityTotals.mean_energy`).
@@ -1058,8 +1029,7 @@ def _describe_faults(spec: FaultSpec) -> Dict[str, object]:
 
 
 def fault_experiment(population,
-                     schemes: Sequence[str] = ("raw", "dbi-dc", "dbi-ac",
-                                               "dbi-opt"),
+                     schemes: Sequence[str] = PAPER_SCHEMES,
                      rates: Sequence[float] = DEFAULT_FAULT_RATES,
                      seed: int = 7,
                      name: str = "fault-coverage") -> FaultSpec:
@@ -1286,8 +1256,7 @@ def _describe_sso(spec: SsoSpec) -> Dict[str, object]:
 
 
 def sso_experiment(population,
-                   schemes: Sequence[str] = ("raw", "dbi-dc", "dbi-ac",
-                                             "dbi-opt"),
+                   schemes: Sequence[str] = PAPER_SCHEMES,
                    interfaces: Optional[Sequence[str]] = None,
                    chained: bool = False,
                    threshold: int = WORD_WIDTH // 2,
@@ -1770,8 +1739,9 @@ def run_experiment(spec: ExperimentSpec, backend: Optional[str] = None,
     results are merged back in deterministic declaration order, and the
     totals are exact integers, so the output is bit-identical to a
     serial run.  ``cache`` defaults to a fresh per-run
-    :class:`ActivityCache`; pass :func:`shared_cache` (or your own) to
-    reuse encodes across experiments.
+    :class:`ActivityCache`; pass one cache to several runs (or a
+    :class:`~repro.service.diskcache.DiskActivityCache`) to reuse
+    encodes across experiments.
     """
     return _run(_AXES["experiment"], spec, backend, cache, jobs=jobs,
                 chunk_size=chunk_size)

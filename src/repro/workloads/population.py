@@ -283,6 +283,12 @@ class RandomPopulation(BurstPopulation):
             return self.iter_chunks(chunk_size)
         return self.iter_packed(chunk_size)
 
+    def to_bytes(self) -> bytes:
+        """Without NumPy, the bytes read straight from the stream."""
+        if _np is None:
+            return _Pcg64Bytes(self.seed).read(self.count * self.burst_length)
+        return super().to_bytes()
+
     def iter_chunks(self, chunk_size: int = DEFAULT_CHUNK_SIZE
                     ) -> Iterator[List[Burst]]:
         if _np is not None:

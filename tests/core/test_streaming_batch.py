@@ -22,7 +22,11 @@ from repro.core.bitops import (
     zeros_in_word,
 )
 from repro.core.costs import CostModel
-from repro.core.streaming import BatchStreamingEncoder, StreamingOptimalEncoder
+from repro.core.streaming import (
+    BatchStreamingEncoder,
+    PerLaneStreamingEncoder,
+    StreamingOptimalEncoder,
+)
 
 
 def reference_lane(stream, model, window, prev_word=ALL_ONES_WORD):
@@ -203,6 +207,48 @@ class TestTallyOracle:
                 assert int(batch.beats[row]) == len(words)
         assert [len(batch.decisions(row)) for row in range(rows)] == [
             len(stream) for stream in streams]
+
+
+#: The models a controller switches between: fixed, inexact, and exact
+#: thirds.
+switch_models = st.sampled_from([
+    CostModel.fixed(), CostModel(0.1, 0.7), CostModel(1 / 3, 2 / 3)])
+
+
+class TestPerLaneTwin:
+    """:class:`PerLaneStreamingEncoder` answers every call a controller
+    makes exactly as :class:`BatchStreamingEncoder` does."""
+
+    @given(data=st.data(), model=switch_models,
+           rows=st.integers(min_value=1, max_value=5),
+           window=st.integers(min_value=1, max_value=12))
+    @settings(max_examples=60, deadline=None)
+    def test_twin_answers_like_the_batch_engine(self, data, model, rows,
+                                                window):
+        """Per-lane pushes (empty lanes included) and model switches
+        between them, then a flush; the tallies and pending counts are
+        compared after every call, the decisions at the end."""
+        engines = [engine(model, rows=rows, window=window, record=True)
+                   for engine in (BatchStreamingEncoder,
+                                  PerLaneStreamingEncoder)]
+        calls = data.draw(st.lists(st.one_of(
+            st.lists(st.binary(max_size=40), min_size=rows, max_size=rows),
+            switch_models), max_size=8))
+        for call in calls + [None]:
+            for engine in engines:
+                if call is None:
+                    engine.flush()
+                elif isinstance(call, CostModel):
+                    engine.set_model(call)
+                else:
+                    engine.push(call)
+            batch, twin = engines
+            assert batch.zeros.tolist() == twin.zeros
+            assert batch.transitions.tolist() == twin.transitions
+            assert batch.beats.tolist() == twin.beats
+            assert batch.pending_counts() == twin.pending_counts()
+        for row in range(rows):
+            assert batch.decisions(row) == twin.decisions(row), f"lane {row}"
 
 
 class TestValidation:

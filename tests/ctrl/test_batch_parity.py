@@ -1,12 +1,13 @@
 """Differential suite: batched controller path vs the per-byte reference.
 
-The acceptance contract of PR 5: :class:`MemoryController` with
-``backend="vector"`` is bit-identical to ``backend="reference"`` (and to
-the legacy :class:`WriteController`) — same integer statistics, same
-per-lane invert decisions — across POD/SSTL/LVSTL operating points,
-arbitrary channel/lane geometries, ragged payloads and multi-batch
-submission.  Without NumPy ``auto`` resolves to the reference path, so
-the suite runs (and passes trivially on the backend axis) NumPy-free.
+The acceptance contract: :class:`MemoryController` with
+``backend="vector"`` is bit-identical to ``backend="reference"`` (also
+when the reference is fed one transaction at a time) — same integer
+statistics, same per-lane invert decisions — across POD/SSTL/LVSTL
+operating points, arbitrary channel/lane geometries, ragged payloads and
+multi-batch submission.  Without NumPy ``auto`` resolves to the
+reference path, so the suite runs (and passes trivially on the backend
+axis) NumPy-free.
 """
 
 import random
@@ -18,7 +19,6 @@ from repro.core.vectorized import available_backends
 from repro.ctrl.controller import (
     CACHE_LINE_BYTES,
     MemoryController,
-    WriteController,
     WriteTransaction,
     transactions_from_bytes,
 )
@@ -118,10 +118,12 @@ def test_parity_on_trace_payload():
 
 
 def test_legacy_write_controller_is_the_reference():
-    """WriteController (per-byte API) and batched submit agree exactly."""
+    """The reference fed one transaction at a time and batched submit
+    agree exactly."""
     transactions = random_transactions(25, seed=99)
-    legacy = WriteController(channels=2, byte_lanes=4,
-                             model=CostModel.fixed(), window=8, record=True)
+    legacy = MemoryController(channels=2, byte_lanes=4,
+                              model=CostModel.fixed(), window=8, record=True,
+                              backend="reference")
     for transaction in transactions:
         legacy.write(transaction)
     legacy_stats = legacy.flush()

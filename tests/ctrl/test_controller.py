@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.core.costs import CostModel
 from repro.ctrl.controller import (
     CACHE_LINE_BYTES,
-    WriteController,
+    MemoryController,
     WriteTransaction,
     compare_controllers,
 )
@@ -27,38 +27,41 @@ class TestWriteTransaction:
 
 class TestChannelMapping:
     def test_interleaving(self):
-        controller = WriteController(channels=4)
+        controller = MemoryController(channels=4, backend="reference")
         assert controller.channel_of(0) == 0
         assert controller.channel_of(CACHE_LINE_BYTES) == 1
         assert controller.channel_of(4 * CACHE_LINE_BYTES) == 0
 
     def test_single_channel(self):
-        controller = WriteController(channels=1)
+        controller = MemoryController(channels=1, backend="reference")
         assert controller.channel_of(123456) == 0
 
 
 class TestWriteController:
     def test_validation(self):
         with pytest.raises(ValueError):
-            WriteController(channels=0)
+            MemoryController(channels=0, backend="reference")
         with pytest.raises(ValueError):
-            WriteController(byte_lanes=0)
+            MemoryController(byte_lanes=0, backend="reference")
 
     @given(payloads)
     @settings(max_examples=30, deadline=None)
     def test_flush_accounts_every_byte(self, payload):
-        controller = WriteController(channels=1, byte_lanes=2, window=8)
+        controller = MemoryController(channels=1, byte_lanes=2, window=8,
+                                      backend="reference")
         controller.write(WriteTransaction(0, payload))
         stats = controller.flush()
         assert stats.bytes_written == len(payload)
         assert stats.transactions == 1
         assert controller.pending_bytes() == 0
         # Every committed byte contributes one beat on its lane.
-        total_beats = sum(lane.beats for lane in controller.lanes.values())
+        total_beats = sum(controller.lane_activity(0, lane)[2]
+                          for lane in range(2))
         assert total_beats == len(payload)
 
     def test_statistics_before_flush_exclude_pending(self):
-        controller = WriteController(channels=1, byte_lanes=1, window=16)
+        controller = MemoryController(channels=1, byte_lanes=1, window=16,
+                                      backend="reference")
         controller.write(WriteTransaction(0, bytes([0x00] * 4)))
         # Window not full: nothing committed yet.
         assert controller.statistics().zeros == 0
@@ -67,7 +70,8 @@ class TestWriteController:
         assert stats.zeros > 0
 
     def test_all_ones_payload_is_free(self):
-        controller = WriteController(channels=1, byte_lanes=2, window=4)
+        controller = MemoryController(channels=1, byte_lanes=2, window=4,
+                                      backend="reference")
         controller.write(WriteTransaction(0, bytes([0xFF] * 32)))
         stats = controller.flush()
         assert stats.zeros == 0
@@ -75,8 +79,9 @@ class TestWriteController:
 
     def test_energy_accounting(self):
         energy_model = InterfaceEnergyModel(pod135(), 12 * GBPS, 3 * PICOFARAD)
-        controller = WriteController(channels=1, byte_lanes=1, window=4,
-                                     energy_model=energy_model)
+        controller = MemoryController(channels=1, byte_lanes=1, window=4,
+                                      energy_model=energy_model,
+                                      backend="reference")
         controller.write(WriteTransaction(0, bytes([0x00] * 8)))
         stats = controller.flush()
         expected = energy_model.burst_energy(stats.transitions, stats.zeros)
@@ -84,13 +89,13 @@ class TestWriteController:
         assert stats.energy_per_byte > 0
 
     def test_channels_are_independent(self):
-        controller = WriteController(channels=2, byte_lanes=1, window=2)
+        controller = MemoryController(channels=2, byte_lanes=1, window=2,
+                                      backend="reference")
         controller.write(WriteTransaction(0, bytes([0x00] * 8)))
         controller.write(WriteTransaction(CACHE_LINE_BYTES, bytes([0xFF] * 8)))
         controller.flush()
         zeros_by_channel = {
-            channel: sum(lane.zeros for (c, _l), lane in
-                         controller.lanes.items() if c == channel)
+            channel: controller.lane_activity(channel, 0)[0]
             for channel in (0, 1)
         }
         assert zeros_by_channel[0] > 0

@@ -79,6 +79,27 @@ class TestMemoryBus:
         assert cumulative.bursts == first.bursts + second.bursts
         assert cumulative.zeros == first.zeros + second.zeros
 
+    @pytest.mark.parametrize("backend", ["reference", "auto"])
+    def test_payload_validation(self, backend):
+        """A payload that is not ``bytes`` is checked byte by byte before
+        any lane sends: an int list writes like its bytes, an
+        out-of-range int raises ``ValueError`` and a ``bool`` or a float
+        ``TypeError``."""
+        bus = MemoryBus(DbiDc, byte_lanes=2, burst_length=4, backend=backend)
+
+        def write(payload):
+            return vars(MemoryBus(DbiDc, byte_lanes=2, burst_length=4,
+                                  backend=backend).write(payload))
+
+        assert write([0, 255, 17, 3, 9]) == write(bytes([0, 255, 17, 3, 9]))
+        assert write(bytearray(b"\x00\x01\x02")) == write(b"\x00\x01\x02")
+        for bad, error in (([1, 256], ValueError), ([-1], ValueError),
+                           ([1, True], TypeError), ([0.0], TypeError),
+                           ([7, 1.5], TypeError)):
+            with pytest.raises(error):
+                bus.write(bad)
+        assert bus.statistics() == BusStatistics()
+
     def test_energy_accounting(self, energy_model):
         bus = MemoryBus(Raw, byte_lanes=1, burst_length=8,
                         energy_model=energy_model)

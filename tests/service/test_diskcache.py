@@ -23,14 +23,12 @@ from repro.service.diskcache import (
     open_cache,
     resolve_cache_dir,
 )
-from repro.sim import experiments
 from repro.sim.experiments import (
     ActivityCache,
     ActivityTotals,
     ReplayTotals,
     alpha_experiment,
     run_experiment,
-    shared_cache,
 )
 from repro.workloads.population import RandomPopulation
 
@@ -235,27 +233,14 @@ class TestResolution:
         assert isinstance(cache, DiskActivityCache)
         assert os.path.isdir(target)
 
-    def test_shared_cache_honours_env(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(experiments, "_SHARED_CACHE", None)
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        cache = shared_cache()
-        assert isinstance(cache, DiskActivityCache)
-        assert cache.directory == str(tmp_path)
-        assert shared_cache() is cache  # memoised per directory
-        monkeypatch.delenv("REPRO_CACHE_DIR")
-        plain = shared_cache()
-        assert type(plain) is ActivityCache
-
     def test_shared_cache_survives_process_restart(self, tmp_path,
                                                    monkeypatch):
-        monkeypatch.setattr(experiments, "_SHARED_CACHE", None)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         spec = alpha_experiment(RandomPopulation(count=80, seed=2), points=5)
-        cold = run_experiment(spec, cache=shared_cache())
+        cold = run_experiment(spec, cache=open_cache())
         assert cold.provenance["encodes"] > 0
-        # Simulate a new process: fresh module state, same environment.
-        monkeypatch.setattr(experiments, "_SHARED_CACHE", None)
-        warm = run_experiment(spec, cache=shared_cache())
+        # Simulate a new process: a fresh cache, same environment.
+        warm = run_experiment(spec, cache=open_cache())
         assert warm.provenance["encodes"] == 0
         assert warm.series == cold.series
 

@@ -33,7 +33,6 @@ from repro.sim.experiments import (
     rate_experiment,
     run_experiment,
     save_artifact,
-    shared_cache,
 )
 from repro.sim.report import format_alpha_sweep, format_load_sweep
 from repro.sim.sweep import (
@@ -245,9 +244,6 @@ class TestActivityCache:
         second = run_experiment(spec)
         assert second.provenance["cache_hits"] == 0
         assert second.series == first.series
-
-    def test_shared_cache_singleton(self):
-        assert shared_cache() is shared_cache()
 
     def test_threads_sharing_a_cache_lose_no_counts(self, population):
         """The daemon's handler threads share one cache: every run's
