@@ -1,4 +1,4 @@
-"""Fault-injection throughput — the mask-parallel engine's acceptance gate.
+"""Fault-injection throughput — the batched fault engine's acceptance gate.
 
 Injects ``REPRO_BENCH_FAULT_BURSTS`` x ``FAULTS_PER_BURST`` (default
 10 000 x 10) uniform single-lane faults into DBI-OPT encoded bursts on
@@ -7,11 +7,12 @@ both backends:
 * **reference** — :func:`repro.extensions.reliability.fault_sweep`: one
   Python decode per injected fault (timed on a fraction of the workload
   and extrapolated linearly — it is linear in faults by construction);
-* **mask-parallel** — :func:`fault_sweep_batch`: all faults packed into
-  :mod:`repro.hw.bitsim` bit planes (one Python int per wire lane), XOR
-  injection and popcount tallies.
+* **batched** — :func:`fault_sweep_batch`: the same fault draws and no
+  encode.  The DBI bit always describes what was sent, so a data-lane
+  fault decodes to one wrong bit and a DBI-lane fault to eight whatever
+  the wire word; the sweep counts its DBI-lane draws.
 
-The gate requires the mask-parallel engine, with NumPy installed as on
+The gate requires the batched engine, with NumPy installed as on
 this CI job, to be **>= 10x faster**, with bit-identical statistics on
 the parity prefix.  A coverage-curve row (multi-lane faults at the
 default rate grid) is reported for context.
@@ -50,7 +51,7 @@ BENCH_BURSTS = int(os.environ.get("REPRO_BENCH_FAULT_BURSTS", "10000"))
 FAULTS_PER_BURST = 10
 SEED = 7
 
-#: Required wall-clock advantage of the mask-parallel engine.
+#: Required wall-clock advantage of the batched engine.
 SPEEDUP_FLOOR = 10.0
 
 #: The reference is timed on 1/N of the workload and extrapolated.
@@ -130,10 +131,10 @@ def test_fault_injection_throughput_gate(artifact_dir):
         },
     })
 
-    line = (f"| mask-parallel | {row['batch_s']:.3f}s "
+    line = (f"| batched | {row['batch_s']:.3f}s "
             f"({row['speedup']:.0f}x, {row['faults_per_second']:,} "
             f"faults/s) | GATED >= {SPEEDUP_FLOOR}x |")
-    emit(f"mask-parallel fault injection at {BENCH_BURSTS} bursts x "
+    emit(f"batched fault injection at {BENCH_BURSTS} bursts x "
          f"{FAULTS_PER_BURST} faults (artifact: {path})",
          f"reference {t_reference:.2f}s* \n" + line
          + f"\ncoverage curve ({len(DEFAULT_FAULT_RATES)} rates): "

@@ -17,11 +17,12 @@ differential suites in ``tests/extensions/`` pin bit-identical:
   reference without it), like the encoding layer's vector kernels.
 * **reliability** (:mod:`repro.extensions.reliability`) — the scalar
   reference re-decodes one corrupted burst per injected fault; the
-  mask-parallel engine XORs packed error-mask planes into the
-  :mod:`repro.hw.bitsim` bit planes (one Python int per wire) and
-  tallies decoded bit errors with popcounts.  Like the gate-level layer
-  — and unlike the encoding layer — the batched engine works *without*
-  NumPy, so ``auto`` always resolves to it.
+  batched engine encodes nothing, because the DBI bit always describes
+  what was sent, so a fault's decoded error depends on its mask alone.
+  It counts DBI-lane draws, or tallies packed fault-mask planes (one
+  Python int per wire) with popcounts.  Like the gate-level layer — and
+  unlike the encoding layer — it works *without* NumPy, so ``auto``
+  always resolves to it.
 
 This module, like every ``repro`` package, imports without NumPy
 installed; NumPy is consulted lazily inside the vector fast paths only.

@@ -18,25 +18,25 @@ are unlikely to cause application errors") rests on the distinction:
 
 Backend selection
 -----------------
-The Monte Carlo sweeps come in two forms.  :func:`fault_sweep` is the
-per-burst reference: one Python decode per injected fault.
-:func:`fault_sweep_batch` and :func:`fault_coverage_curve` are the
-mask-parallel engines: every fault of the whole population is packed
-into :mod:`repro.hw.bitsim` bit planes (one Python int per wire lane,
-one *bit* per fault vector, built by
-:func:`~repro.hw.bitsim.pack_planes`), fault masks are XOR-ed into the
-encoded word planes, the DBI decode runs plane-wise, and bit-error
-tallies come from popcounts of the decoded-difference planes.  Entry
-points accept ``backend="auto" | "reference" | "vector"``; like the
-gate-level layer (:func:`repro.hw.bitsim.resolve_sim_backend`), ``auto``
-resolves to the mask-parallel engine even without NumPy, because the
-pure-int packing is itself a large win.  Each fault rate's masks come
-from one ``random.Random`` stream, drawn per lane by
-:func:`draw_fault_masks` and, with NumPy, decoded in bulk by
-:func:`fault_mask_planes`, so statistics are bit-identical across
-backends and the CI NumPy matrix.
-:func:`fault_coverage_rows` draws each rate's masks once and shares
-them across every scheme it tallies.
+The Monte Carlo sweeps come in two forms.  :func:`fault_sweep` and the
+``reference`` branch of :func:`fault_coverage_rows` are the
+specification: they encode every burst with its scheme, XOR the fault
+masks into the wire words and decode them one word at a time.  The
+batched engines, :func:`fault_sweep_batch` and
+:func:`fault_coverage_curve`, rest on the fact stated by
+:func:`_error_planes`: the DBI bit always describes what was sent, so a
+fault mask changes the decoded byte of every wire word by the same
+amount.  Decoded errors therefore depend on the masks alone, never on
+the scheme or the data, and the batched engines encode nothing: a
+single-lane sweep counts its DBI-lane draws, and a coverage row is
+tallied by popcounts of its rate's mask planes, once for every scheme
+that asks for that rate.  Entry points accept ``backend="auto" |
+"reference" | "vector"``; like the gate-level layer
+(:func:`repro.hw.bitsim.resolve_sim_backend`), ``auto`` resolves to the
+batched engines even without NumPy.  Each fault rate's masks come from
+one ``random.Random`` stream, drawn per lane by :func:`draw_fault_masks`
+and, with NumPy, decoded in bulk by :func:`fault_mask_planes`, so
+statistics are bit-identical across backends and the CI NumPy matrix.
 """
 
 from __future__ import annotations
@@ -52,8 +52,9 @@ from ..core.bitops import (
     decode_word,
     popcount,
 )
-from ..core.burst import Burst
+from ..core.burst import Burst, as_bursts
 from ..core.schemes import DbiScheme, EncodedBurst
+from ..core.vectorized import pack_bursts
 from ..hw import bitsim
 from ..hw.bitsim import resolve_sim_backend
 from . import DEFAULT_FAULT_RATES
@@ -154,7 +155,7 @@ def draw_fault_positions(lengths: Sequence[int], faults_per_burst: int,
     Sharing the draws is what makes the two sweeps bit-identical on the
     same seed.  (The multiply draw is exact for these tiny ranges and
     several times faster than ``randrange``, which matters because the
-    draw is the mask-parallel sweep's largest remaining serial cost.)
+    draw is all the batched sweep does.)
     """
     if faults_per_burst < 1:
         raise ValueError("faults_per_burst must be >= 1")
@@ -187,8 +188,9 @@ def fault_sweep(scheme: DbiScheme, bursts: Sequence[Burst],
 
     This is the per-burst reference implementation (one Python decode
     per fault); :func:`fault_sweep_batch` computes identical statistics
-    mask-parallel.
+    without encoding.
     """
+    bursts = list(as_bursts(bursts))
     positions = draw_fault_positions([len(burst) for burst in bursts],
                                      faults_per_burst, seed)
     injected = 0
@@ -210,83 +212,63 @@ def fault_sweep(scheme: DbiScheme, bursts: Sequence[Burst],
                            dbi_lane_bit_errors=dbi_errors)
 
 
-# -- the mask-parallel fault engine -----------------------------------------
+# -- the batched fault engine ----------------------------------------------
 
-def _error_planes(planes: List[int], mask_planes: List[int],
-                  n: int) -> List[int]:
-    """Per data lane, the decoded bits of *n* packed wire words that the
-    fault *mask_planes* corrupt.  Plane-wise DBI decode: a DBI bit of 0
-    means "sent inverted", so the flip plane is the DBI plane's
-    complement."""
-    flip_clean = planes[BYTE_WIDTH] ^ ((1 << n) - 1)
-    flip_faulty = flip_clean ^ mask_planes[BYTE_WIDTH]
-    return [(planes[lane] ^ flip_clean)
-            ^ ((planes[lane] ^ mask_planes[lane]) ^ flip_faulty)
-            for lane in range(BYTE_WIDTH)]
+def _error_planes(mask_planes: List[int]) -> List[int]:
+    """Per data lane, the decoded bits that the fault *mask_planes* (one
+    per wire lane, one bit per wire word) corrupt.
 
-
-def _tally_masked_faults(values, masks: Sequence[int]) -> FaultStatistics:
-    """Decode-and-tally for one fault per vector, mask-parallel.
-
-    ``values[f]`` is the clean 9-bit wire word fault *f* lands on,
-    ``masks[f]`` its (single-lane) fault mask.  Both are packed into
-    bit planes — one int per wire lane, bit *f* of lane *l*'s plane is
-    bit *l* of vector *f* — so the XOR injection, the plane-wise DBI
-    decode and the error popcounts each touch all faults at once.
+    The batched engines' one statement of the DBI decode.  The DBI bit
+    says whether the byte was sent inverted, so flipping it complements
+    the decoded byte whatever the wire word *w* held, and for every fault
+    mask *m*: ``decode_word(w ^ m) ^ decode_word(w) == (m & 0xFF) ^ (0xFF
+    if m & 0x100 else 0)``.  Data lane *l*'s error plane is its mask
+    plane XOR the DBI lane's.
     """
-    n = len(masks)
-    mask_planes = bitsim.pack_planes(masks, WORD_WIDTH)
-    dbi_fault_plane = mask_planes[BYTE_WIDTH]
-    total_errors = 0
-    dbi_errors = 0
-    for diff in _error_planes(bitsim.pack_planes(values, WORD_WIDTH),
-                              mask_planes, n):
-        total_errors += bitsim.popcount(diff)
-        dbi_errors += bitsim.popcount(diff & dbi_fault_plane)
-    return FaultStatistics(injected_faults=n,
-                           total_bit_errors=total_errors,
-                           dbi_lane_faults=bitsim.popcount(dbi_fault_plane),
-                           dbi_lane_bit_errors=dbi_errors)
+    dbi = mask_planes[BYTE_WIDTH]
+    return [mask_planes[lane] ^ dbi for lane in range(BYTE_WIDTH)]
+
+
+def _beat_counts(bursts) -> List[int]:
+    """Beats per burst, each burst checked as encoding it would be (a
+    ``ValueError`` for an empty burst or a byte out of range): a packed
+    ``(batch, n)`` array by its shape, anything else burst by burst."""
+    if hasattr(bursts, "shape"):
+        batch, length = pack_bursts(bursts).shape
+        return [length] * batch
+    return [len(burst) for burst in as_bursts(bursts)]
 
 
 def fault_sweep_batch(scheme: DbiScheme, bursts: Sequence[Burst],
                       faults_per_burst: int = 1, seed: int = 7,
                       backend: Optional[str] = None) -> FaultStatistics:
-    """Mask-parallel :func:`fault_sweep`: identical statistics, batched.
+    """Batched :func:`fault_sweep`: identical statistics, no encode.
 
     Draws the same ``(beat, lane)`` faults as :func:`fault_sweep` (the
-    shared :func:`draw_fault_positions` stream), then injects *all* of
-    them in one pass: one bit per fault in the packed word planes, XOR
-    for the injection, popcounts for the tallies.  The result is
-    bit-identical to :func:`fault_sweep` on the same seed, at
-    millions of faults per second instead of thousands.
+    shared :func:`draw_fault_positions` stream) and counts the DBI-lane
+    draws: by :func:`_error_planes`, a single-lane fault decodes to one
+    wrong bit on a data lane and to eight on the DBI lane, whatever the
+    scheme put on the wire.  The result is bit-identical to
+    :func:`fault_sweep` on the same seed, at millions of faults per
+    second instead of thousands.
 
     ``backend`` follows :func:`repro.hw.bitsim.resolve_sim_backend`
-    (``auto`` picks the mask-parallel engine even without NumPy;
+    (``auto`` picks the batched engine even without NumPy;
     ``reference`` delegates to the per-burst sweep).
     """
     if faults_per_burst < 1:
         raise ValueError("faults_per_burst must be >= 1")
     if resolve_sim_backend(backend) == "reference":
-        return fault_sweep(scheme, list(bursts), faults_per_burst, seed)
-    words = scheme.wire_words(bursts)
-    if isinstance(words, list):  # the reference loop: one tuple per burst
-        positions = draw_fault_positions([len(row) for row in words],
-                                         faults_per_burst, seed)
-        values = [row[beat] for row, faults in zip(words, positions)
-                  for beat, _lane in faults]
-    else:
-        # One fancy index over the (batch, n) array: a list per row would
-        # cost more in garbage collection than the index itself.
-        import numpy as np
-
-        batch, length = words.shape
-        positions = draw_fault_positions([length] * batch, faults_per_burst,
-                                         seed)
-        beats = [beat for faults in positions for beat, _lane in faults]
-        values = words[np.repeat(np.arange(batch), faults_per_burst), beats]
-    masks = [1 << lane for faults in positions for _beat, lane in faults]
-    return _tally_masked_faults(values, masks)
+        return fault_sweep(scheme, bursts, faults_per_burst, seed)
+    positions = draw_fault_positions(_beat_counts(bursts), faults_per_burst,
+                                     seed)
+    lanes = [lane for faults in positions for _beat, lane in faults]
+    dbi_faults = lanes.count(BYTE_WIDTH)
+    return FaultStatistics(
+        injected_faults=len(lanes),
+        total_bit_errors=len(lanes) - dbi_faults + BYTE_WIDTH * dbi_faults,
+        dbi_lane_faults=dbi_faults,
+        dbi_lane_bit_errors=BYTE_WIDTH * dbi_faults)
 
 
 def _mask_stream(rate: float, seed: int) -> random.Random:
@@ -405,12 +387,13 @@ def fault_coverage_curve(scheme: DbiScheme, bursts: Sequence[Burst],
                          ) -> List[FaultCoverageRow]:
     """Decoded-error statistics versus raw fault rate, one row per rate.
 
-    Every lane-beat of the encoded population flips independently with
-    probability ``rate`` (so beats can take multi-lane faults, unlike
-    the single-lane sweeps).  The population is encoded once; per rate,
-    fresh masks from :func:`draw_fault_masks` are injected and tallied —
-    mask-parallel under the ``vector`` backend, per-word under
-    ``reference`` — with bit-identical rows either way.
+    Every lane-beat of the population's wire words flips independently
+    with probability ``rate`` (so beats can take multi-lane faults,
+    unlike the single-lane sweeps), from fresh :func:`draw_fault_masks`
+    per rate.  Under ``reference`` the population is encoded once and
+    every corrupted word decoded; the batched engine tallies the masks
+    alone (:func:`_error_planes`), so the rows, bit-identical either
+    way, are the same for every scheme.
     """
     return list(fault_coverage_rows([(scheme, rate) for rate in rates],
                                     bursts, seed, backend))
@@ -423,46 +406,42 @@ def fault_coverage_rows(tasks: Iterable[Tuple[DbiScheme, float]],
     """:func:`fault_coverage_curve` rows of ``(scheme, rate)`` tasks, in
     task order.
 
-    Each run of consecutive tasks with one scheme encodes the population
-    once.  Each rate's masks are drawn once per call and shared by every
-    scheme that asks for that rate: the masks depend only on the seed,
-    the rate and the beat count, never on the scheme.
+    A row depends only on the seed, the rate and the beat count.  The
+    batched engine tallies each distinct rate once, from its
+    :func:`fault_mask_planes`, and yields that row for every task that
+    asks for the rate.  The ``reference`` branch, the specification,
+    encodes the population once per run of consecutive tasks with one
+    scheme and draws each rate's masks once per call.
     """
+    if resolve_sim_backend(backend) == "vector":
+        total = sum(_beat_counts(bursts))
+        rows: Dict[float, FaultCoverageRow] = {}
+        for __, rate in tasks:
+            if rate not in rows:
+                rows[rate] = _masked_coverage_row(
+                    fault_mask_planes(total, rate, seed), rate, total)
+            yield rows[rate]
+        return
     if iter(bursts) is bursts:
         bursts = list(bursts)
-    vector = resolve_sim_backend(backend) == "vector"
     draws: Dict[float, List[int]] = {}
-
-    def masks_for(rate: float, total: int) -> List[int]:
-        if rate not in draws:
-            draws[rate] = (fault_mask_planes(total, rate, seed)
-                           if vector else draw_fault_masks(total, rate, seed))
-        return draws[rate]
-
     for scheme, group in itertools.groupby(tasks, key=lambda task: task[0]):
-        # Flattened burst-major, beat-minor: the reference order.
-        words = scheme.wire_words(bursts,
-                                  backend=None if vector else "reference")
-        values = ([word for row in words for word in row]
-                  if isinstance(words, list) else words.ravel())
-        total = len(values)
-        if vector:
-            planes = bitsim.pack_planes(values, WORD_WIDTH)
-            for __, rate in group:
-                yield _masked_coverage_row(planes, masks_for(rate, total),
-                                           rate, total)
-        else:
-            for __, rate in group:
-                yield _reference_coverage_row(values, masks_for(rate, total),
-                                              rate)
+        # Flattened burst-major, beat-minor: the order of the draw.
+        values = [word for row in scheme.wire_words(bursts,
+                                                    backend="reference")
+                  for word in row]
+        for __, rate in group:
+            if rate not in draws:
+                draws[rate] = draw_fault_masks(len(values), rate, seed)
+            yield _reference_coverage_row(values, draws[rate], rate)
 
 
-def _masked_coverage_row(planes: List[int], mask_planes: List[int],
-                         rate: float, total: int) -> FaultCoverageRow:
-    """One coverage row, mask-parallel over packed word planes."""
+def _masked_coverage_row(mask_planes: List[int], rate: float,
+                         total: int) -> FaultCoverageRow:
+    """One coverage row from a rate's mask planes alone, by popcounts."""
     bit_errors = 0
     union = 0
-    for diff in _error_planes(planes, mask_planes, total):
+    for diff in _error_planes(mask_planes):
         bit_errors += bitsim.popcount(diff)
         union |= diff
     return FaultCoverageRow(

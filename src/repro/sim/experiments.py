@@ -935,18 +935,18 @@ def interface_replay_experiment(payload: bytes,
 class FaultSpec:
     """A fault-coverage experiment: schemes × fault-rate grid × population.
 
-    One row per (scheme slot, rate): the population is encoded once per
-    distinct scheme fingerprint, every lane-beat of the encoded words
-    flips independently with the row's rate
+    One row per (scheme slot, rate): every lane-beat of the population's
+    wire words flips independently with the row's rate
     (:func:`repro.extensions.reliability.fault_coverage_curve`), and the
     decoded-error tallies are cached like replays — the cache key binds
     the rate, the mask seed, the scheme fingerprint and the population
     digest.  Rates draw per-``(seed, rate)`` independent mask streams, so
     a row never depends on which other rates the spec contains.
 
-    Rows are independent of the electrical interface: fault statistics
-    count decoded *bits*, which only the scheme's wire words determine —
-    one spec therefore serves every interface operating point.
+    Rows are independent of the electrical interface, and of the scheme:
+    fault statistics count decoded *bits*, and the DBI bit always says
+    how a byte was sent, so only the fault masks decide which bits
+    decode wrongly — one spec serves every interface operating point.
     """
 
     name: str
@@ -1008,7 +1008,8 @@ def _inject_missing(spec: FaultSpec, tasks, backend: str):
 
     Rates draw per-``(seed, rate)`` independent mask streams, so a row
     never depends on which other rates the run computes, and each rate's
-    masks are drawn once and shared by every slot that misses it.
+    masks are drawn once for every slot that misses it (the batched
+    engine tallies them once, too).
     """
     from ..extensions.reliability import fault_coverage_rows
 
@@ -1771,10 +1772,10 @@ def run_faults(spec: FaultSpec, backend: Optional[str] = None,
 
     Rows are deduplicated by :meth:`FaultSpec.coverage_key`, only the
     missing rates of a slot are injected, and the result is
-    bit-identical across backends (there is no ``jobs``: the vector
-    engine is already mask-parallel).  ``backend``
-    follows :func:`repro.hw.bitsim.resolve_sim_backend` — ``auto``
-    resolves to the mask-parallel engine even without NumPy.
+    bit-identical across backends (there is no ``jobs``: the batched
+    engine tallies a rate from its mask planes alone, encoding nothing).
+    ``backend`` follows :func:`repro.hw.bitsim.resolve_sim_backend` —
+    ``auto`` resolves to the batched engine even without NumPy.
     """
     return _run(_AXES["faults"], spec, backend, cache)
 
@@ -1842,7 +1843,9 @@ save_replay_artifact = save_artifact
 
 
 def _load(path, kind: str):
-    """Read one ``repro.experiment/1`` file, check its kind, decode it."""
+    """Read one ``repro.experiment/1`` file, check its kind and the shape
+    of its fields, decode it; a malformed file raises ``ValueError``
+    naming the file and the kind."""
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     if not isinstance(payload, dict):
@@ -1860,14 +1863,25 @@ def _load(path, kind: str):
             f"{path}: artifact kind {found!r}, expected {kind!r}"
             + (f"; load it with {other.loader}" if other else ""))
     axis = _AXES[kind]
-    provenance = dict(payload.get("provenance", {}))
-    provenance["loaded_from"] = str(path)
+    sections = {"totals": {}, "provenance": {}, **payload}  # both optional
+    for name in ("spec", "totals", "provenance", *axis.outputs):
+        shape = list if name == "rows" else dict
+        if not isinstance(sections.get(name), shape):
+            raise ValueError(
+                f"{path}: {kind} artifact field {name!r} must be a JSON "
+                f"{'array' if shape is list else 'object'}, got "
+                f"{type(sections.get(name)).__name__}")
+    try:
+        spec = axis.spec_from_json(sections["spec"])
+        totals = {key: totals_from_json(axis.totals_kind, record)
+                  for key, record in sections["totals"].items()}
+    except (KeyError, TypeError, AttributeError) as error:
+        raise ValueError(f"{path}: malformed {kind} artifact "
+                         f"({type(error).__name__}: {error})") from error
     return axis.result_type(
-        spec=axis.spec_from_json(payload["spec"]),
-        totals={key: totals_from_json(axis.totals_kind, record)
-                for key, record in payload.get("totals", {}).items()},
-        provenance=provenance,
-        **{name: payload[name] for name in axis.outputs})
+        spec=spec, totals=totals,
+        provenance={**sections["provenance"], "loaded_from": str(path)},
+        **{name: sections[name] for name in axis.outputs})
 
 
 def load_artifact(path) -> ExperimentResult:

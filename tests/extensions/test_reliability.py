@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import DbiAc, DbiDc, Raw
-from repro.core.bitops import WORD_WIDTH
+from repro.core.bitops import WORD_WIDTH, decode_word
 from repro.core.burst import Burst
 from repro.core.costs import CostModel
 from repro.core.encoder import DbiOptimal
-from repro.core.schemes import get_scheme
+from repro.core.schemes import DbiScheme, available_schemes, get_scheme
 from repro.core.vectorized import HAVE_NUMPY
 from repro.extensions.reliability import (
     DEFAULT_FAULT_RATES,
@@ -328,6 +328,75 @@ class TestFaultCoverageRows:
                                          seed=4, backend="reference")[0]
                     for scheme, rate in tasks]
         assert rows == expected
+
+
+class TestBurstChecks:
+    @pytest.mark.parametrize("backend", [None, "reference"])
+    @pytest.mark.parametrize("bursts", [[[]], [[1, 256]]],
+                             ids=["empty-burst", "byte-out-of-range"])
+    def test_both_backends_refuse(self, bursts, backend):
+        """An empty burst or a byte out of range is a ValueError on both
+        backends, though the batched engine encodes nothing."""
+        with pytest.raises(ValueError):
+            fault_sweep_batch(DbiDc(), bursts, backend=backend)
+        with pytest.raises(ValueError):
+            fault_coverage_curve(DbiDc(), bursts, rates=(0.1,),
+                                 backend=backend)
+
+
+class TestMaskOnlyEngine:
+    """The batched engines rest on one identity: the DBI bit always
+    describes what was sent, so a fault mask changes the decoded byte of
+    every wire word by the same amount."""
+
+    RATES = (0.01, 0.5, 1.0)
+
+    @pytest.fixture(scope="class")
+    def population(self):
+        from repro.workloads.population import RandomPopulation
+        return RandomPopulation(count=80, seed=29)
+
+    def test_decoded_error_is_the_mask(self):
+        """Exhaustive over every 9-bit wire word and fault mask."""
+        words = range(1 << WORD_WIDTH)
+        for mask in words:
+            error = (mask & 0xFF) ^ (0xFF if mask >> 8 else 0)
+            for word in words:
+                assert decode_word(word ^ mask) ^ decode_word(word) == error
+
+    def test_no_scheme_is_called(self, population, monkeypatch):
+        """On the default backend neither engine encodes: with every
+        registered scheme's encoder made to raise, the batched answers
+        still equal the reference's, for a burst list and for the
+        population's own batch (a packed array with NumPy)."""
+        schemes = [get_scheme(name) for name in available_schemes()]
+        tasks = [(scheme, rate) for scheme in schemes for rate in self.RATES]
+        bursts = population.bursts()
+        rows = list(fault_coverage_rows(tasks, bursts, seed=6,
+                                        backend="reference"))
+        sweeps = [fault_sweep_batch(scheme, bursts, faults_per_burst=3,
+                                    seed=6, backend="reference")
+                  for scheme in schemes]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the batched fault engine called a scheme")
+
+        monkeypatch.setattr(DbiScheme, "wire_words", forbidden)
+        for scheme in schemes:
+            monkeypatch.setattr(type(scheme), "encode", forbidden)
+        for form in (bursts, next(population.iter_batches(len(population)))):
+            assert list(fault_coverage_rows(tasks, form, seed=6)) == rows
+            assert [fault_sweep_batch(scheme, form, faults_per_burst=3,
+                                      seed=6)
+                    for scheme in schemes] == sweeps
+
+    def test_every_scheme_gets_the_same_row(self, population):
+        bursts = population.bursts()
+        for rate in self.RATES:
+            rows = {fault_coverage_curve(get_scheme(name), bursts,
+                                         rates=(rate,), seed=8)[0]
+                    for name in available_schemes()}
+            assert len(rows) == 1, rate
 
 
 class TestDoctests:

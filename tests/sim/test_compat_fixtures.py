@@ -140,6 +140,37 @@ def test_py_tagged_artifact_loads_render_only(name, negative_seed, tmp_path):
             == canonical_artifact_json(raw))
 
 
+#: Malformed copies of a fixture: each must be refused by name.
+MUTATIONS = {
+    "no-spec": lambda raw: raw.pop("spec"),
+    "spec-string": lambda raw: raw.update(spec="x"),
+    "spec-empty": lambda raw: raw.update(spec={}),
+    "totals-string": lambda raw: raw.update(totals="x"),
+    "record-string": lambda raw: raw["totals"].update(
+        {next(iter(raw["totals"])): "x"}),
+    "provenance-string": lambda raw: raw.update(provenance="x"),
+    "outputs-string": lambda raw: raw.update(
+        dict.fromkeys(("series", "point_keys", "rows") & raw.keys(), "x")),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+@pytest.mark.parametrize("name", MANIFEST["artifacts"])
+def test_malformed_artifact_is_refused_by_name(name, mutation, tmp_path):
+    """A copy with a field dropped or of the wrong JSON type raises a
+    ValueError naming the file and the kind, never a bare
+    KeyError/TypeError/AttributeError (nor loads, only to crash when it
+    renders)."""
+    raw = _raw(name)
+    MUTATIONS[mutation](raw)
+    path = tmp_path / name
+    path.write_text(json.dumps(raw))
+    kind = raw.get("kind", "experiment")
+    with pytest.raises(ValueError, match=kind) as caught:
+        KINDS[kind][0](path)
+    assert str(path) in str(caught.value)
+
+
 @pytest.mark.parametrize("family", sorted(MANIFEST["cache_files"]))
 def test_cache_file_restores_byte_identical(family, tmp_path):
     name = MANIFEST["cache_files"][family]

@@ -1,6 +1,7 @@
 """Unit tests for the command-line interface."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -274,6 +275,19 @@ class TestEngineFlags:
     def test_from_artifact_non_object_payload(self, capsys, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2, 3]")
+        code, __, err = run_cli(capsys, "sweep-alpha",
+                                "--from-artifact", str(path))
+        assert code == 2
+        assert "cannot load artifact" in err
+
+    def test_from_artifact_malformed_totals(self, capsys, tmp_path):
+        """A malformed field is a usage error, not a traceback."""
+        fixture = (pathlib.Path(__file__).resolve().parent
+                   / "sim" / "compat" / "artifacts" / "alpha.json")
+        raw = json.loads(fixture.read_text())
+        raw["totals"] = "x"
+        path = tmp_path / "alpha.json"
+        path.write_text(json.dumps(raw))
         code, __, err = run_cli(capsys, "sweep-alpha",
                                 "--from-artifact", str(path))
         assert code == 2
