@@ -209,9 +209,11 @@ class BatchStreamingEncoder:
     beats per lane) are **bit-identical** to the per-lane reference;
     that is a guarantee (enforced by the differential suites), not an
     approximation, because every window's solve makes the reference
-    trellis's comparisons on the reference's edge weights (in int16
-    where the model's coefficients allow it exactly, see
-    :func:`~repro.core.vectorized._viterbi_planes`).
+    trellis's comparisons on the reference's edge weights (in integers
+    where the model's coefficients allow it exactly: uint8 when no path
+    sum of a window can pass 255, as under ``CostModel.fixed()`` at a
+    16-byte window, else int16; see
+    :func:`~repro.core.vectorized._coefficients`).
 
     Requires NumPy (the vector backend); its twin
     :class:`PerLaneStreamingEncoder` is the per-lane reference and the
@@ -238,9 +240,9 @@ class BatchStreamingEncoder:
     def __init__(self, model: CostModel, rows: int, window: int = 8,
                  commit: int = 0, prev_word: int = ALL_ONES_WORD,
                  record: bool = False):
-        from .vectorized import _require_numpy, _Workspace
+        from .vectorized import _require_vector, _Workspace
 
-        np = _require_numpy()
+        np = _require_vector()
         if rows < 1:
             raise ValueError(f"rows must be >= 1, got {rows}")
         if window < 1:

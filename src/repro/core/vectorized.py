@@ -5,7 +5,7 @@ classes) solves one burst at a time in pure Python — ideal as an
 executable specification, but every figure sweep pays per-burst Python
 overhead.  This module provides the batched hot path: bursts are packed
 into a ``(batch, n)`` ``uint8`` array, edges are priced from per-byte
-shift-and-mask popcounts (:func:`_edge_planes`), and the two-state
+popcounts (``np.bitwise_count``, :func:`_edge_planes`), and the two-state
 Viterbi recursion of the paper's Fig. 5 runs across the whole batch at
 once — the only Python loop is over the ``n`` positions of a burst.
 A caller solving batch after batch passes one reused :class:`_Workspace`.
@@ -22,9 +22,10 @@ the recursion adds and compares them in the reference's order.  When
 ``alpha = a / 2**k`` and ``beta = b / 2**k`` for small integers *a* and
 *b* (the paper's fixed ``alpha = beta = 1`` and its 3-bit coefficients
 among them), every double the reference forms is an exact multiple of
-``2**-k``.  The recursion then runs on those multiples in int16: integer
-sums compare as the doubles do, and the costs come back exactly through
-``ldexp``.
+``2**-k``.  The recursion then runs on those multiples, in uint8 when no
+path sum of a window can pass 255 (the fixed model's 16-byte windows
+among them) and in int16 otherwise: integer sums compare as the doubles
+do, and the costs come back exactly through ``ldexp``.
 
 Backend selection
 -----------------
@@ -42,6 +43,9 @@ the pure-Python reference otherwise.  The process-wide default can be
 overridden with :func:`set_default_backend` or the ``REPRO_BACKEND``
 environment variable.  NumPy is an optional dependency: importing this
 module never fails, only *using* a vector kernel without NumPy raises.
+The backend needs NumPy 2.0 or later (the first with
+``np.bitwise_count``); with an older NumPy only the packing helpers
+run.
 """
 
 from __future__ import annotations
@@ -66,8 +70,16 @@ try:  # pragma: no cover - trivially true/false per environment
 except ImportError:  # pragma: no cover
     _np = None
 
-#: True when NumPy is importable and the vector backend is usable.
-HAVE_NUMPY = _np is not None
+
+def _vector_numpy():
+    """NumPy when the vector backend can run on it, else ``None``: the
+    backend counts bits with ``np.bitwise_count``, new in NumPy 2.0."""
+    return _np if hasattr(_np, "bitwise_count") else None
+
+
+#: True when NumPy (2.0 or later) is importable and the vector backend
+#: is usable.
+HAVE_NUMPY = _vector_numpy() is not None
 
 #: Recognised backend names.
 BACKENDS = ("auto", "reference", "vector")
@@ -89,8 +101,8 @@ def _backend_from_env() -> str:
         import warnings
 
         warnings.warn(
-            "REPRO_BACKEND=vector requires NumPy, which is not installed; "
-            "falling back to 'auto' (reference path)",
+            "REPRO_BACKEND=vector requires NumPy >= 2.0, which is not "
+            "installed; falling back to 'auto' (reference path)",
             RuntimeWarning, stacklevel=2)
         return "auto"
     return value
@@ -100,6 +112,7 @@ _default_backend = _backend_from_env()
 
 
 def _require_numpy():
+    """NumPy for packing and tallying arrays, which any release does."""
     if _np is None:
         raise RuntimeError(
             "the 'vector' backend requires NumPy; install it or select "
@@ -108,11 +121,22 @@ def _require_numpy():
     return _np
 
 
+def _require_vector():
+    """NumPy for the vector backend and its popcount: 2.0 or later."""
+    np = _vector_numpy()
+    if np is None:
+        raise RuntimeError(
+            "the 'vector' backend requires NumPy >= 2.0; install it or "
+            "select backend='reference'"
+        )
+    return np
+
+
 # -- backend selection -------------------------------------------------------
 
 def available_backends() -> List[str]:
     """Concrete backends usable in this environment."""
-    return ["reference", "vector"] if HAVE_NUMPY else ["reference"]
+    return ["reference"] if _vector_numpy() is None else ["reference", "vector"]
 
 
 def set_default_backend(name: str) -> None:
@@ -120,7 +144,7 @@ def set_default_backend(name: str) -> None:
     if name not in BACKENDS:
         raise ValueError(f"unknown backend {name!r}; choose from {BACKENDS}")
     if name == "vector":
-        _require_numpy()
+        _require_vector()
     global _default_backend
     _default_backend = name
 
@@ -135,7 +159,7 @@ def resolve_backend(backend: Optional[str] = None) -> str:
 
     ``None`` defers to the process default (set via
     :func:`set_default_backend` or ``REPRO_BACKEND``); ``auto`` resolves to
-    ``vector`` when NumPy is present, else ``reference``.
+    ``vector`` when NumPy 2.0 or later is present, else ``reference``.
 
     >>> resolve_backend("reference")
     'reference'
@@ -145,9 +169,9 @@ def resolve_backend(backend: Optional[str] = None) -> str:
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
     if backend == "auto":
-        return "vector" if HAVE_NUMPY else "reference"
+        return "reference" if _vector_numpy() is None else "vector"
     if backend == "vector":
-        _require_numpy()
+        _require_vector()
     return backend
 
 
@@ -256,10 +280,11 @@ def _word_planes(data) -> Tuple:
 #: Row × window × state cells one :func:`_viterbi_planes` tile solves at
 #: once.  It bounds the recursion's memory whatever the batch or push
 #: size, all of it in the workspace.  At a 16-byte window (commit 8) a
-#: tile prices ``4 * commit * cells / states`` edge weights (1 MiB in
-#: int16, 4 MiB in float64) from 512 KiB of uint8 counts, and keeps
-#: 384 KiB of path costs in int16 (1.5 MiB in float64) and 1 MiB of
-#: choice planes.  Steps allocate nothing.
+#: tile prices ``4 * commit * cells / states`` edge weights (512 KiB in
+#: uint8, 1 MiB in int16, 4 MiB in float64) from 512 KiB of uint8
+#: counts, and keeps 192 KiB of path costs in uint8 (384 KiB in int16,
+#: 1.5 MiB in float64) and 1 MiB of choice planes.  Steps allocate
+#: nothing.
 TILE_CELLS = 1 << 15
 
 
@@ -284,16 +309,9 @@ class _Workspace:
         return buffer[:size].view(dtype).reshape(shape)
 
 
-def _popcount_uint8(bits, work=None):
-    """Shift-and-mask popcount of each element of a uint8 array, in place."""
-    np = _require_numpy()
-    tmp = (work or _Workspace())("scratch", bits.shape, np.uint8)
-    for shift, mask in ((1, 0x55), (2, 0x33), (4, 0x0F)):
-        np.right_shift(bits, shift, out=tmp)
-        tmp &= mask
-        bits &= mask
-        bits += tmp  # each (2 * shift)-bit field holds its own count
-    return bits
+def _popcount_uint8(bits):
+    """Popcount of each element of a uint8 array, in place."""
+    return _require_vector().bitwise_count(bits, out=bits)
 
 
 def _edge_planes(values, prev, width: int = WORD_WIDTH, work=None):
@@ -319,7 +337,7 @@ def _edge_planes(values, prev, width: int = WORD_WIDTH, work=None):
     first = prev ^ (values[:, 0].astype(np.int64) | 1 << (width - 1))
     same[:, 0] = first & BYTE_MASK
     zeros_raw[...] = values
-    _popcount_uint8(planes, work)
+    _popcount_uint8(planes)
     same[:, 0] += (first >> 8).astype(np.uint8)  # lane 8 of a 9-lane word
     np.subtract(width - 1, zeros_raw, out=zeros_raw)
     return same, zeros_raw
@@ -331,13 +349,15 @@ def _sent_activity(planes, flags, width: int = WORD_WIDTH, counts=None,
     (default: all) words of row *r* sent with invert *flags*, from their
     :func:`_edge_planes` *planes*.  Each adds ``count + flip * (width - 2
     * count)``: a polarity flip (in column 0 a True flag) complements
-    ``same``, a True flag ``zeros_raw``."""
+    ``same``, a True flag ``zeros_raw``.  A row sums at most ``n *
+    width``, in int32 while that fits."""
     np = _require_numpy()
     n = flags.shape[1]
     scratch = (work or _Workspace())("scratch", (2,) + flags.shape, np.int8)
     flips, sent = scratch[0].view(bool), scratch[1]
     np.copyto(flips, flags)
     flips[:, 1:] ^= flags[:, :-1]
+    total = np.int32 if n * width < 2 ** 31 else np.int64
     tallies = []
     for plane, flipped in zip(planes, (flips, flags)):
         plane = plane[:, :n]
@@ -347,7 +367,7 @@ def _sent_activity(planes, flags, width: int = WORD_WIDTH, counts=None,
         sent += plane.view(np.int8)
         if counts is not None and (counts != n).any():
             sent *= np.arange(n) < counts[:, None]
-        tallies.append(sent.sum(axis=1, dtype=np.int64))
+        tallies.append(sent.sum(axis=1, dtype=total).astype(np.int64))
     return tuple(tallies)
 
 
@@ -390,20 +410,40 @@ def _coefficients(alpha: float, beta: float, span: int, width: int):
 
     Every float is an integer over a power of two (its
     ``as_integer_ratio``), so ``alpha = a / 2**shift`` and ``beta = b /
-    2**shift`` for integers *a*, *b* over the larger denominator.  When
-    no *span*-step path can cost more than int16 holds, ``span * width *
-    (a + b) <= 32767``, the weights are those integer sums in int16 and
-    a weight is ``ldexp(w, -shift)``.  Otherwise *a* and *b* are *alpha*
-    and *beta*, the weights are float64, the operations of
+    2**shift`` for integers *a*, *b* over the larger denominator, and a
+    weight is ``ldexp(w, -shift)`` of the integer sum *w*.  With ``K =
+    width * (a + b)``, those weights run in uint8 when
+    ``(max(span, 2) - 2) * (K // 2) + 2 * K <= 255``, else in int16
+    when ``span * K <= 32767``.  Otherwise *a* and *b* are *alpha* and
+    *beta*, the weights are float64, the operations of
     :meth:`repro.core.costs.CostModel.word_cost`, and ``shift`` is
     ``None``.
+
+    The uint8 bound holds every sum :func:`_viterbi_tile` forms.  The
+    two edges out of a word, into its raw and its inverted successor,
+    take ``width`` transitions and ``width`` zeros between them, so each
+    row ``weights[f]`` of a column's 2×2 weights sums to ``K``; so does
+    a column priced from zero counts (padding, or a read past a row's
+    windows).  Both are non-negative, so the cheaper weighs at most ``K
+    // 2``.  Let ``m_i`` and ``M_i`` be the smaller and the larger path
+    cost after step *i*.  Following the cheaper edge out of the cheaper
+    path gives ``m_i <= m_(i-1) + K // 2``, and either edge out of it
+    gives ``M_i <= m_(i-1) + K``; step 0 starts from ``m_0 <= K // 2``
+    and ``M_0 <= K``.  So ``m_i <= (i + 1) * (K // 2)``, and the largest
+    ``via`` sum of step *i*, at most ``M_(i-1) + K``, is at most ``(i -
+    1) * (K // 2) + 2 * K``.  Steps run to ``span - 1``, and a one-step
+    window forms no sum above ``K``.
     """
     np = _require_numpy()
     (a, den_a), (b, den_b) = alpha.as_integer_ratio(), beta.as_integer_ratio()
     den = max(den_a, den_b)
     a, b = a * (den // den_a), b * (den // den_b)
-    if span * width * (a + b) <= np.iinfo(np.int16).max:
-        return a, b, den.bit_length() - 1, np.int16
+    shift = den.bit_length() - 1
+    k = width * (a + b)
+    if (max(span, 2) - 2) * (k // 2) + 2 * k <= np.iinfo(np.uint8).max:
+        return a, b, shift, np.uint8
+    if span * k <= np.iinfo(np.int16).max:
+        return a, b, shift, np.int16
     return alpha, beta, None, np.float64
 
 
@@ -432,12 +472,12 @@ def _viterbi_planes(planes, alpha: float, beta: float, span: int,
     Flags and costs equal :func:`repro.core.trellis.solve`'s bit for bit;
     all guarantees of :func:`solve_batch` flow from this function.
     Float64 weights are the reference's edge weights, and the recursion
-    adds and compares them as the reference does.  Int16 weights are
-    those weights scaled by ``2**shift`` to exact integers
-    (:func:`_coefficients`); every float the reference forms is then an
-    exact multiple of ``2**-shift``, so integer sums compare as the
-    reference's doubles do and the costs return exactly through
-    ``ldexp``.
+    adds and compares them as the reference does.  Integer weights
+    (uint8 or int16) are those weights scaled by ``2**shift`` to exact
+    integers (:func:`_coefficients`, which bounds every sum within its
+    dtype); every float the reference forms is then an exact multiple of
+    ``2**-shift``, so integer sums compare as the reference's doubles do
+    and the costs return exactly through ``ldexp``.
 
     Returns ``(flags, costs, shift)``, views of *work*'s buffers.
     ``flags`` is ``(commit, states, rows, windows)`` bool, the first

@@ -57,6 +57,7 @@ from ..core.schemes import DbiScheme, EncodedBurst
 from ..core.vectorized import pack_bursts
 from ..hw import bitsim
 from ..hw.bitsim import resolve_sim_backend
+from ..workloads.population import BurstPopulation
 from . import DEFAULT_FAULT_RATES
 
 
@@ -239,6 +240,14 @@ def _beat_counts(bursts) -> List[int]:
     return [len(burst) for burst in as_bursts(bursts)]
 
 
+def _beat_total(bursts) -> int:
+    """Beats in *bursts*: a rectangular population's from its shape, so
+    none of its bursts is drawn, anything else by :func:`_beat_counts`."""
+    if isinstance(bursts, BurstPopulation) and bursts.burst_length is not None:
+        return len(bursts) * bursts.burst_length
+    return sum(_beat_counts(bursts))
+
+
 def fault_sweep_batch(scheme: DbiScheme, bursts: Sequence[Burst],
                       faults_per_burst: int = 1, seed: int = 7,
                       backend: Optional[str] = None) -> FaultStatistics:
@@ -404,17 +413,18 @@ def fault_coverage_rows(tasks: Iterable[Tuple[DbiScheme, float]],
                         backend: Optional[str] = None
                         ) -> Iterator[FaultCoverageRow]:
     """:func:`fault_coverage_curve` rows of ``(scheme, rate)`` tasks, in
-    task order.
+    task order; *bursts* may also be a population.
 
     A row depends only on the seed, the rate and the beat count.  The
     batched engine tallies each distinct rate once, from its
     :func:`fault_mask_planes`, and yields that row for every task that
-    asks for the rate.  The ``reference`` branch, the specification,
-    encodes the population once per run of consecutive tasks with one
-    scheme and draws each rate's masks once per call.
+    asks for the rate; it counts a rectangular population's beats
+    without drawing its bursts.  The ``reference`` branch, the
+    specification, encodes the bursts once per run of consecutive tasks
+    with one scheme and draws each rate's masks once per call.
     """
     if resolve_sim_backend(backend) == "vector":
-        total = sum(_beat_counts(bursts))
+        total = _beat_total(bursts)
         rows: Dict[float, FaultCoverageRow] = {}
         for __, rate in tasks:
             if rate not in rows:
@@ -422,7 +432,7 @@ def fault_coverage_rows(tasks: Iterable[Tuple[DbiScheme, float]],
                     fault_mask_planes(total, rate, seed), rate, total)
             yield rows[rate]
         return
-    if iter(bursts) is bursts:
+    if iter(bursts) is bursts or isinstance(bursts, BurstPopulation):
         bursts = list(bursts)
     draws: Dict[float, List[int]] = {}
     for scheme, group in itertools.groupby(tasks, key=lambda task: task[0]):

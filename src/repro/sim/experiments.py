@@ -1009,12 +1009,12 @@ def _inject_missing(spec: FaultSpec, tasks, backend: str):
     Rates draw per-``(seed, rate)`` independent mask streams, so a row
     never depends on which other rates the run computes, and each rate's
     masks are drawn once for every slot that misses it (the batched
-    engine tallies them once, too).
+    engine tallies them once, too, and draws no burst of the population).
     """
     from ..extensions.reliability import fault_coverage_rows
 
-    return fault_coverage_rows(tasks, _one_batch(spec.population),
-                               seed=spec.seed, backend=backend)
+    return fault_coverage_rows(tasks, spec.population, seed=spec.seed,
+                               backend=backend)
 
 
 def _price_faults(spec: FaultSpec, cells, cache) -> Dict[str, object]:

@@ -123,8 +123,9 @@ def test_solve_batch_across_row_tiles(monkeypatch, tile_cells):
         assert costs[row] == solution.total_cost
 
 
-#: Models of the window-major differential: int16 (fixed, 7:3) and
-#: float64 weights, among them a physical operating point's energies.
+#: Models of the window-major differential: at window 16, uint8 (fixed),
+#: int16 (7:3) and float64 weights, among them a physical operating
+#: point's energies.
 TILE_MODELS = {
     "fixed": CostModel.fixed(),
     "7-3": CostModel(7.0, 3.0),
@@ -133,6 +134,16 @@ TILE_MODELS = {
     "pod135": InterfaceEnergyModel(pod135(), 12 * GBPS,
                                    3 * PICOFARAD).cost_model(),
 }
+
+
+def test_tile_models_cover_every_rung():
+    """The differential below runs every weight dtype at window 16."""
+    rungs = {name: vectorized._coefficients(float(model.alpha),
+                                            float(model.beta), 16, 9)[3]
+             for name, model in TILE_MODELS.items()}
+    assert rungs["fixed"] is np.uint8 and rungs["7-3"] is np.int16
+    assert set(rungs.values()) == {np.uint8, np.int16, np.float64}
+
 
 #: (window, commit): commits that do not divide the window, one window
 #: per commit and the one-byte window.

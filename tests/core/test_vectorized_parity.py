@@ -9,6 +9,7 @@ lengths 1–16, independent and chained/streaming modes, and cross-check
 small bursts against the exhaustive brute-force oracle.
 """
 
+import types
 import zlib
 
 import pytest
@@ -18,20 +19,35 @@ from hypothesis import strategies as st
 np = pytest.importorskip("numpy", exc_type=ImportError)
 
 from repro.baselines.chang import DbiGreedyWeighted
+from repro.core import vectorized
 from repro.core.burst import Burst
 from repro.core.costs import CostModel, QuantizedCostModel
 from repro.core.encoder import DbiOptimal
 from repro.core.schemes import available_schemes, get_scheme
-from repro.core.streaming import BatchStreamingEncoder, solve_stream
+from repro.core.streaming import (
+    BatchStreamingEncoder,
+    StreamingOptimalEncoder,
+    solve_stream,
+)
 from repro.core.trellis import brute_force, solve
-from repro.core.bitops import WORD_WIDTH, popcount
+from repro.core.bitops import (
+    ALL_ONES_WORD,
+    WORD_WIDTH,
+    make_word,
+    popcount,
+    transitions,
+    zeros_in_word,
+)
 from repro.core.vectorized import (
+    _coefficients,
     _edge_planes,
     _popcount_uint8,
+    _sent_activity,
     _viterbi_planes,
     available_backends,
     pack_bursts,
     resolve_backend,
+    set_default_backend,
     solve_batch,
     try_pack_bursts,
 )
@@ -178,19 +194,43 @@ class TestEdgePlanes:
                 == [popcount(value) for value in range(256)])
 
 
+class TestSentActivity:
+    def test_tallies_past_int16(self):
+        """4,096 words flipping polarity every beat: a row's tallies pass
+        32,767 and still equal a plain count of the words sent."""
+        n = 4096
+        rng = np.random.default_rng(0x7A11)
+        data = np.stack([np.zeros(n, np.uint8), np.full(n, 0xFF, np.uint8),
+                         rng.integers(0, 256, n, dtype=np.uint8)])
+        flags = np.resize(np.array([True, False]), data.shape)
+        prev = np.full(len(data), ALL_ONES_WORD, dtype=np.int64)
+        counts = np.array([n, n - 1, n - 96])
+        got = _sent_activity(_edge_planes(data, prev), flags, counts=counts)
+        for row, count in enumerate(counts):
+            words = [make_word(int(byte), bool(flag)) for byte, flag
+                     in zip(data[row, :count], flags[row, :count])]
+            want = (sum(map(transitions, [ALL_ONES_WORD] + words[:-1], words)),
+                    sum(map(zeros_in_word, words)))
+            assert (int(got[0][row]), int(got[1][row])) == want
+        assert max(got[0]) > np.iinfo(np.int16).max
+        assert got[0].dtype == got[1].dtype == np.int64
+
+
 class TestEdgeTable:
-    """The recursion runs in int16 exactly when the model's coefficients
-    are ``a / 2**k`` and ``b / 2**k`` with ``span * width * (a + b) <=
-    32767``; either way flags and costs are the reference's."""
+    """The recursion runs on integers exactly when the model's
+    coefficients are ``a / 2**k`` and ``b / 2**k``: in uint8 when, with
+    ``K = width * (a + b)``, ``(max(span, 2) - 2) * (K // 2) + 2 * K <=
+    255``, else in int16 when ``span * K <= 32767``; either way flags and
+    costs are the reference's."""
 
     @pytest.mark.parametrize("model, dtype", [
         # 8 bytes * 9 lanes * 455 = 32760: the last model inside the bound.
         (CostModel(227, 228), np.int16),
         # 8 * 9 * 456 = 32832: one past it.
         (CostModel(228, 228), np.float64),
-        (CostModel(2.0 ** -60, 3 * 2.0 ** -60), np.int16),
+        (CostModel(2.0 ** -60, 3 * 2.0 ** -60), np.uint8),
         # Subnormal coefficients: 2**-1074 and 2**-1073.
-        (CostModel(5e-324, 1e-323), np.int16),
+        (CostModel(5e-324, 1e-323), np.uint8),
     ])
     def test_bound_scales_and_subnormals(self, model, dtype):
         rng = np.random.default_rng(0x7AB1E)
@@ -205,6 +245,136 @@ class TestEdgeTable:
         assert (flags == ref_flags).all()
         assert costs.dtype == np.float64
         assert costs.tobytes() == ref_costs.tobytes()
+
+
+def rung_bound(k, span):
+    """The uint8 rung's bound on every path sum of a *span*-step window
+    whose two edges out of a word weigh *k* together."""
+    return (max(span, 2) - 2) * (k // 2) + 2 * k
+
+
+def max_via(a, b, width, counts):
+    """Per pair, the largest path sum of the two-state recursion over
+    ``counts[row] = (same, zeros_raw)`` planes, from either start state,
+    in int64."""
+    a, b = a[:, None, None], b[:, None, None]  # (pairs, 1, 1)
+
+    def weights(column):
+        """``w[f][t]``, each ``(pairs, rows, 1)``."""
+        same = counts[None, :, 0, column, None]
+        zeros = counts[None, :, 1, column, None]
+        cross, zeros_inv = width - same, width - zeros
+        return ((a * same + b * zeros, a * cross + b * zeros_inv),
+                (a * cross + b * zeros, a * same + b * zeros_inv))
+
+    first = weights(0)
+    # paths[t] for start states 0 and 1 side by side on the last axis.
+    paths = [np.concatenate((first[0][t], first[1][t]), axis=-1)
+             for t in (0, 1)]
+    most = np.maximum(*paths)
+    for column in range(1, counts.shape[2]):
+        w = weights(column)
+        via = [[paths[f] + w[f][t] for t in (0, 1)] for f in (0, 1)]
+        most = np.maximum(most, np.maximum.reduce([v for row in via
+                                                   for v in row]))
+        paths = [np.minimum(via[0][t], via[1][t]) for t in (0, 1)]
+    return most.max(axis=(1, 2))
+
+
+#: Models at the uint8 rung's edge, width 9: ``(model, span, dtype)``.
+#: Their :func:`rung_bound` reads 222, 270, 236, 324 and 162 in turn.
+UINT8_EDGE = [
+    (CostModel(2, 3), 8, np.uint8),
+    (CostModel(3, 3), 8, np.int16),
+    (CostModel(1, 2), 16, np.uint8),
+    (CostModel(2, 2), 16, np.int16),
+    (CostModel.fixed(), 16, np.uint8),
+]
+UINT8_EDGE_IDS = ["2-3@8", "3-3@8", "1-2@16", "2-2@16", "fixed@16"]
+
+
+def edge_streams(rows, length, seed):
+    """All-0x00, all-0xFF and alternating 0x00/0xFF rows, then random ones."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate([
+        np.zeros((1, length), np.uint8), np.full((1, length), 0xFF, np.uint8),
+        np.resize(np.array([0x00, 0xFF], np.uint8), (1, length)),
+        random_batch(rng, rows - 3, length)])
+
+
+class TestUint8Rung:
+    """The uint8 rung up to its bound and no further, under the
+    differential against the reference on streams that tie and streams
+    that swing."""
+
+    @pytest.mark.parametrize("model, span, dtype", UINT8_EDGE,
+                             ids=UINT8_EDGE_IDS)
+    def test_rung_at_the_bound(self, model, span, dtype):
+        assert _coefficients(model.alpha, model.beta, span, WORD_WIDTH)[3] \
+            is dtype
+
+    def test_fixed_replay_window_runs_in_bytes(self):
+        assert _coefficients(1.0, 1.0, 16, 9)[3] is np.uint8
+
+    @pytest.mark.parametrize("model, span, dtype", UINT8_EDGE,
+                             ids=UINT8_EDGE_IDS)
+    def test_solve_batch_matches_trellis(self, model, span, dtype):
+        data = edge_streams(64, span, span)
+        prev_words = np.resize(np.array([0x1FF, 0x000, 0x0FF, 0x100]), 64)
+        flags, costs = solve_batch(data, model, prev_words=prev_words)
+        ref_flags, ref_costs = reference_rows(data, model, prev_words)
+        assert (flags == ref_flags).all()
+        assert costs.tobytes() == ref_costs.tobytes()
+
+    @pytest.mark.parametrize("model, span, dtype", UINT8_EDGE,
+                             ids=UINT8_EDGE_IDS)
+    def test_streaming_matches_per_lane_reference(self, model, span, dtype):
+        """At the controller's window 16, and at the model's own span."""
+        streams = edge_streams(8, 300, span)
+        for window in sorted({16, span}):
+            batch = BatchStreamingEncoder(model, rows=8, window=window,
+                                          record=True)
+            for start in range(0, 300, 70):
+                batch.push(streams[:, start:start + 70])
+            batch.flush()
+            for row, stream in enumerate(streams.tolist()):
+                lane = StreamingOptimalEncoder(model=model, window=window)
+                decisions = batch.decisions(row)
+                assert decisions == lane.push(stream) + lane.flush()
+                words = [make_word(byte, flag) for byte, flag in decisions]
+                assert (int(batch.zeros[row]), int(batch.transitions[row])) \
+                    == (sum(map(zeros_in_word, words)),
+                        sum(map(transitions, [ALL_ONES_WORD] + words[:-1],
+                                words)))
+
+    @pytest.mark.parametrize("width", range(2, 10))
+    def test_no_sum_passes_the_bound(self, width):
+        """An int64 re-run of the recursion, for spans 1-32 and every
+        integer pair (a, b) of the rung, on random and extreme counts
+        from either start state, forms no sum above the bound, and the
+        first pair past the rung leaves it."""
+        rng = np.random.default_rng(width)
+        levels = sorted({0, 1, width // 2, (width + 1) // 2, width - 1, width})
+        for span in range(1, 33):
+            top = max(total for total in range(256)
+                      if rung_bound(width * total, span) <= 255)
+            pairs = np.array([(a, total - a) for total in range(1, top + 1)
+                              for a in range(total + 1)])
+            for a, b in ((0, top + 1), (top + 1, 0)):
+                assert _coefficients(float(a), float(b), span, width)[3] \
+                    is not np.uint8
+            assert all(_coefficients(float(a), float(b), span, width)[3]
+                       is np.uint8 for a, b in pairs)
+            # Counts (same, zeros_raw) per row and column: every level
+            # pair held, alternated with its complement, and random.
+            constant = [np.full((2, span), level) for level in levels]
+            swinging = [np.resize([[lo, width - lo], [hi, width - hi]],
+                                  (2, span)) for lo in levels for hi in levels]
+            noise = list(rng.integers(0, width + 1, (24, 2, span)))
+            counts = np.stack(constant + swinging + noise)
+            most = max_via(pairs[:, 0], pairs[:, 1], width, counts)
+            assert (most <= rung_bound(width * pairs.sum(axis=1), span)).all()
+            assert most.max() <= 255
 
 
 class TestExactScaleInvariance:
@@ -340,6 +510,44 @@ class TestBackendSelection:
         assert resolve_backend("vector") == "vector"
         with pytest.raises(ValueError):
             resolve_backend("gpu")
+
+    def test_numpy_before_two_is_no_vector_backend(self, monkeypatch):
+        """NumPy 1.x lacks ``np.bitwise_count``: ``auto`` picks the
+        reference, the vector backend refuses by its floor, a controller
+        replays on the reference path, and bursts still pack."""
+        from repro.ctrl.controller import MemoryController, WriteTransaction
+
+        def replay():
+            controller = MemoryController(channels=2, byte_lanes=2, window=16)
+            rng = np.random.default_rng(0x1DE)
+            controller.submit([WriteTransaction(
+                64 * i, rng.integers(0, 256, 64, dtype=np.uint8).tobytes())
+                for i in range(40)])
+            return controller.backend, controller.flush()
+
+        def numpy_attribute(name):
+            if name == "bitwise_count":
+                raise AttributeError(name)
+            return getattr(np, name)
+
+        vector_backend, expected = replay()
+        assert vector_backend == "vector"
+        old = types.ModuleType("numpy")
+        old.__getattr__ = numpy_attribute
+        monkeypatch.setattr(vectorized, "_np", old)
+        assert old.zeros is np.zeros and not hasattr(old, "bitwise_count")
+        assert available_backends() == ["reference"]
+        assert resolve_backend("auto") == "reference"
+        for call in (lambda: resolve_backend("vector"),
+                     lambda: set_default_backend("vector"),
+                     lambda: BatchStreamingEncoder(CostModel.fixed(), rows=2),
+                     lambda: solve_batch(np.zeros((2, 8), np.uint8),
+                                         CostModel.fixed())):
+            with pytest.raises(RuntimeError, match=r"NumPy >= 2\.0"):
+                call()
+        assert replay() == ("reference", expected)
+        assert pack_bursts([b"\x01\x02", b"\x03\x04"]).tolist() == [[1, 2],
+                                                                    [3, 4]]
 
     def test_set_default_backend_round_trip(self):
         from repro.core.vectorized import get_default_backend, set_default_backend

@@ -5,6 +5,7 @@ import types
 
 import pytest
 
+from repro.core.burst import Burst
 from repro.core.costs import CostModel
 from repro.core.encoder import DbiOptimal
 from repro.core.schemes import get_scheme
@@ -95,6 +96,19 @@ class TestRunFaults:
         vector = run_faults(spec, backend="vector")
         reference = run_faults(spec, backend="reference")
         assert vector.series == reference.series
+
+    def test_batched_run_draws_no_burst(self, monkeypatch):
+        """The batched engine reads only the population's beat count, so
+        it builds no ``Burst``, with NumPy or without it."""
+        spec = fault_experiment(RandomPopulation(count=300, seed=23),
+                                rates=(0.01, 0.5), seed=5)
+        expected = run_faults(spec, backend="reference").series
+
+        def refuse(self, data):
+            raise AssertionError("the batched fault engine built a Burst")
+
+        monkeypatch.setattr(Burst, "__init__", refuse)
+        assert run_faults(spec, backend="auto").series == expected
 
     def test_artifact_round_trip(self, population, tmp_path):
         spec = fault_experiment(population, rates=(0.02,), seed=9)
